@@ -20,7 +20,6 @@ import numpy as np
 
 from .lang import (
     App,
-    Const,
     Formula,
     Signature,
     Var,
@@ -96,66 +95,94 @@ class FiniteAlgebra:
 
 # ---------------------------------------------------------------------------
 # term evaluation
+#
+# A flat table holds a formula's value under each of the k**n assignments to
+# a variable order, listed lexicographically with the first variable most
+# significant.  ``_formula_tables`` is the one evaluator; everything that
+# needs formula values goes through it.
+
+
+class _Unbound(KeyError):
+    """Raised for the leftmost variable of a formula that has no column."""
+
+    def __init__(self, index: int) -> None:
+        super().__init__(f"assignment missing variable p{index}")
+        self.index = index
+
+
+def _lex_columns(k: int, var_order: Sequence[int]) -> Dict[int, np.ndarray]:
+    """Value of each variable in each of the k**n assignments to var_order."""
+    n = len(var_order)
+    idx = np.arange(k**n, dtype=np.int64)
+    return {v: (idx // k ** (n - pos)) % k for pos, v in enumerate(var_order, start=1)}
+
+
+def _assignment_at(
+    flat: int, var_order: Sequence[int], k: int
+) -> Tuple[Tuple[int, int], ...]:
+    """The assignment at a flat table index, as sorted (variable, element) pairs."""
+    n = len(var_order)
+    pairs = ((v, (flat // k ** (n - pos)) % k) for pos, v in enumerate(var_order, start=1))
+    return tuple(sorted(pairs))
+
+
+def _formula_tables(
+    alg: FiniteAlgebra,
+    formulas: Sequence[Formula],
+    columns: Mapping[int, np.ndarray],
+    size: int,
+) -> List[np.ndarray]:
+    """Value tables of the formulas, given each variable's column of length size.
+
+    The distinct subformulas are first listed without recursion, each after
+    its arguments, in the order a left-to-right recursive walk finishes them;
+    one loop then evaluates the list.  Nesting depth is therefore unbounded,
+    the first unbound variable met is the leftmost one, and the values, shared
+    by all the formulas, are freed on return.
+    """
+    position: Dict[Formula, int] = {}
+    order: List[Formula] = []
+    for f in formulas:
+        stack = [(f, False)]
+        while stack:
+            g, expanded = stack.pop()
+            if g in position:
+                continue
+            if expanded or not isinstance(g, App):
+                position[g] = len(order)
+                order.append(g)
+            else:
+                stack.append((g, True))
+                stack.extend((a, False) for a in reversed(g.args))
+    values: List[np.ndarray] = []
+    for g in order:
+        if isinstance(g, App):
+            args = tuple(values[position[a]] for a in g.args)
+            values.append(alg.tables[g.connective][args])
+        elif isinstance(g, Var):
+            if g.index not in columns:
+                raise _Unbound(g.index)
+            values.append(columns[g.index])
+        else:
+            values.append(np.full(size, int(alg.tables[g.name]), dtype=np.int64))
+    return [values[position[f]] for f in formulas]
 
 
 def evaluate_term(alg: FiniteAlgebra, f: Formula, assignment: Mapping[int, int]) -> int:
     """Value of f under an assignment of element indices to variable indices."""
-    memo: Dict[Formula, int] = {}
-
-    def go(g: Formula) -> int:
-        v = memo.get(g)
-        if v is not None:
-            return v
-        if isinstance(g, Var):
-            try:
-                out = assignment[g.index]
-            except KeyError:
-                raise KeyError(f"assignment missing variable p{g.index}") from None
-        elif isinstance(g, Const):
-            out = int(alg.table(g.name))
-        else:
-            assert isinstance(g, App)
-            args = tuple(go(a) for a in g.args)
-            out = int(alg.table(g.connective)[args])
-        memo[g] = out
-        return out
-
-    return go(f)
-
-
-def assignment_columns(k: int, n: int) -> List[np.ndarray]:
-    """Column i holds the value of p(i+1) in each of the k**n assignments,
-    assignments ordered lexicographically with p1 most significant."""
-    size = k**n
-    idx = np.arange(size, dtype=np.int64)
-    return [(idx // (k ** (n - i))) % k for i in range(1, n + 1)]
+    columns = {v: np.array([e], dtype=np.int64) for v, e in assignment.items()}
+    (table,) = _formula_tables(alg, [f], columns, 1)
+    return int(table[0])
 
 
 def term_table(alg: FiniteAlgebra, f: Formula, n: int) -> np.ndarray:
     """Flat table of f as an n-ary term function (all variables must be <= pn)."""
-    k = alg.size
-    cols = assignment_columns(k, n)
-    memo: Dict[Formula, np.ndarray] = {}
-
-    def go(g: Formula) -> np.ndarray:
-        v = memo.get(g)
-        if v is not None:
-            return v
-        if isinstance(g, Var):
-            if g.index > n:
-                raise ValueError(f"variable p{g.index} exceeds arity {n}")
-            out = cols[g.index - 1]
-        elif isinstance(g, Const):
-            out = np.full(k**n, int(alg.table(g.name)), dtype=np.int64)
-        else:
-            assert isinstance(g, App)
-            args = tuple(go(a) for a in g.args)
-            out = alg.table(g.connective)[args]
-        memo[g] = out
-        return out
-
-    result = np.array(go(f), dtype=np.int64).reshape(k**n)
-    return result
+    columns = _lex_columns(alg.size, range(1, n + 1))
+    try:
+        (table,) = _formula_tables(alg, [f], columns, alg.size**n)
+    except _Unbound as exc:
+        raise ValueError(f"variable p{exc.index} exceeds arity {n}") from None
+    return np.array(table, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -166,9 +193,6 @@ class TermFunction:
     arity: int
     table: Tuple[int, ...]
     witness: Formula
-
-    def key(self) -> Tuple[int, ...]:
-        return self.table
 
     def values(self) -> np.ndarray:
         return np.asarray(self.table, dtype=np.int64)
@@ -213,10 +237,10 @@ def _closure_rounds(
         caps.check_clone(len(entries))
         return True
 
-    for i, col in enumerate(assignment_columns(k, n), start=1):
-        add(np.ascontiguousarray(col), var(i))
-    for name in alg.signature.constants:
-        add(np.full(size, int(alg.table(name)), dtype=np.int64), const(name))
+    seeds = [var(i) for i in range(1, n + 1)] + [const(c) for c in alg.signature.constants]
+    columns = _lex_columns(k, range(1, n + 1))
+    for witness, table in zip(seeds, _formula_tables(alg, seeds, columns, size)):
+        add(np.ascontiguousarray(table), witness)
 
     round_start = 0
     while True:
@@ -395,15 +419,6 @@ def direct_product(a1: FiniteAlgebra, a2: FiniteAlgebra) -> FiniteAlgebra:
     return FiniteAlgebra(a1.signature, elements, tables)
 
 
-def product_of(algebras: Sequence[FiniteAlgebra]) -> FiniteAlgebra:
-    if not algebras:
-        raise ValueError("empty product")
-    out = algebras[0]
-    for nxt in algebras[1:]:
-        out = direct_product(out, nxt)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # congruences
 
@@ -532,7 +547,7 @@ def greatest_congruence_below(alg: FiniteAlgebra, part: Congruence) -> Congruenc
             for e in block[1:]:
                 if not compatible(anchor, e):
                     moved.append(e)
-            if moved and len(moved) < len(block) - 0:
+            if moved:
                 # split strictly: keep anchor-compatible elements together
                 for e in moved:
                     new_labels[e] = next_label

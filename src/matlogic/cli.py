@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from dataclasses import dataclass
@@ -240,34 +239,25 @@ class _Operands:
     caps: ResourceCaps
 
 
-def _gather_operands(args: argparse.Namespace, argv: Sequence[str]) -> _Operands:
+def _gather_operands(args: argparse.Namespace) -> _Operands:
     workspace = load_spec(args.file) if getattr(args, "file", None) else None
     caps = workspace.caps if workspace else ResourceCaps()
     matrices: List[mat_mod.Matrix] = []
     atlases: List[mat_mod.Atlas] = []
-    # walk argv to preserve interleaved operand order
-    i = 0
-    argv = list(argv)
-    while i < len(argv):
-        tok = argv[i]
-        if tok in ("--preset", "--matrix", "--atlas") and i + 1 < len(argv):
-            value = argv[i + 1]
-            if tok == "--preset":
-                m = resolve_preset(value)
-                matrices.append(m)
-                atlases.append(m.as_atlas())
-            elif tok == "--matrix":
-                if workspace is None or value not in workspace.matrices:
-                    raise WorkspaceError("/matrices", f"unknown matrix {value!r}")
-                matrices.append(workspace.matrices[value])
-                atlases.append(workspace.matrices[value].as_atlas())
-            else:
-                if workspace is None or value not in workspace.atlases:
-                    raise WorkspaceError("/atlases", f"unknown atlas {value!r}")
-                atlases.append(workspace.atlases[value])
-            i += 2
+    for kind, value in args.operands:
+        if kind == "preset":
+            m = resolve_preset(value)
+            matrices.append(m)
+            atlases.append(m.as_atlas())
+        elif kind == "matrix":
+            if workspace is None or value not in workspace.matrices:
+                raise WorkspaceError("/matrices", f"unknown matrix {value!r}")
+            matrices.append(workspace.matrices[value])
+            atlases.append(workspace.matrices[value].as_atlas())
         else:
-            i += 1
+            if workspace is None or value not in workspace.atlases:
+                raise WorkspaceError("/atlases", f"unknown atlas {value!r}")
+            atlases.append(workspace.atlases[value])
     return _Operands(matrices, atlases, workspace, caps)
 
 
@@ -377,7 +367,7 @@ def _decision_to_report(rep: decide.DecisionReport, command: str) -> Report:
 # commands
 
 
-def _cmd_presets(args, argv) -> Report:
+def _cmd_presets(args) -> Report:
     lines = ["available presets:"]
     lines.append("  B2       two-element Boolean matrix")
     lines.append("  B2c      B2 with constants ⊤ and ⊥")
@@ -403,8 +393,8 @@ def _one_target(ops: _Operands):
     raise WorkspaceError("/", "exactly one matrix or atlas operand required")
 
 
-def _cmd_eval(args, argv) -> Report:
-    ops = _gather_operands(args, argv)
+def _cmd_eval(args) -> Report:
+    ops = _gather_operands(args)
     m = _one_matrix(ops)
     f = parse_formula(args.formula, m.algebra.signature)
     assignment = _parse_assignment(args.assign or "", m.algebra)
@@ -416,8 +406,8 @@ def _cmd_eval(args, argv) -> Report:
     return Report("eval", answer, lines, name, {"designated": designated})
 
 
-def _cmd_valid(args, argv) -> Report:
-    ops = _gather_operands(args, argv)
+def _cmd_valid(args) -> Report:
+    ops = _gather_operands(args)
     target = _one_target(ops)
     alg = target.algebra
     f = parse_formula(args.formula, alg.signature)
@@ -430,8 +420,8 @@ def _cmd_valid(args, argv) -> Report:
     return Report("valid", "no", lines, shown, stats)
 
 
-def _cmd_conseq(args, argv) -> Report:
-    ops = _gather_operands(args, argv)
+def _cmd_conseq(args) -> Report:
+    ops = _gather_operands(args)
     target = _one_target(ops)
     alg = target.algebra
     premises = [parse_formula(p, alg.signature) for p in (args.premise or [])]
@@ -446,8 +436,8 @@ def _cmd_conseq(args, argv) -> Report:
     )
 
 
-def _cmd_trivial(args, argv) -> Report:
-    ops = _gather_operands(args, argv)
+def _cmd_trivial(args) -> Report:
+    ops = _gather_operands(args)
     rep = decide.has_theorems(_one_matrix(ops), ops.caps)
     out = _decision_to_report(rep, "trivial")
     if rep.answer == "no":
@@ -461,14 +451,14 @@ def _two_matrices(ops: _Operands) -> Tuple[mat_mod.Matrix, mat_mod.Matrix]:
     return ops.matrices[0], ops.matrices[1]
 
 
-def _cmd_weq(args, argv) -> Report:
-    ops = _gather_operands(args, argv)
+def _cmd_weq(args) -> Report:
+    ops = _gather_operands(args)
     m1, m2 = _two_matrices(ops)
     return _decision_to_report(decide.weak_equivalence(m1, m2, ops.caps, args.n), "weq")
 
 
-def _cmd_incl(args, argv) -> Report:
-    ops = _gather_operands(args, argv)
+def _cmd_incl(args) -> Report:
+    ops = _gather_operands(args)
     m1, m2 = _two_matrices(ops)
     return _decision_to_report(decide.theorem_inclusion(m1, m2, ops.caps, args.n), "incl")
 
@@ -479,20 +469,20 @@ def _two_atlases(ops: _Operands) -> Tuple[mat_mod.Atlas, mat_mod.Atlas]:
     return ops.atlases[0], ops.atlases[1]
 
 
-def _cmd_atlas_incl(args, argv) -> Report:
-    ops = _gather_operands(args, argv)
+def _cmd_atlas_incl(args) -> Report:
+    ops = _gather_operands(args)
     a1, a2 = _two_atlases(ops)
     return _decision_to_report(decide.atlas_inclusion(a1, a2, ops.caps, args.m), "atlas-incl")
 
 
-def _cmd_atlas_eq(args, argv) -> Report:
-    ops = _gather_operands(args, argv)
+def _cmd_atlas_eq(args) -> Report:
+    ops = _gather_operands(args)
     a1, a2 = _two_atlases(ops)
     return _decision_to_report(decide.atlas_equivalence(a1, a2, ops.caps, args.m), "atlas-eq")
 
 
-def _cmd_reps(args, argv) -> Report:
-    ops = _gather_operands(args, argv)
+def _cmd_reps(args) -> Report:
+    ops = _gather_operands(args)
     m = _one_matrix(ops)
     reps = lindenbaum.representatives(m.algebra, args.n, ops.caps)
     lines = [f"representatives of {args.n}-variable formulas: {len(reps)}"]
@@ -504,8 +494,8 @@ def _cmd_reps(args, argv) -> Report:
     return Report("reps", "info", lines, witness, {"count": len(reps), "n": args.n})
 
 
-def _cmd_free_algebra(args, argv) -> Report:
-    ops = _gather_operands(args, argv)
+def _cmd_free_algebra(args) -> Report:
+    ops = _gather_operands(args)
     m = _one_matrix(ops)
     free, reps = lindenbaum.free_matrix_algebra(m, args.n, ops.caps)
     lines = [
@@ -520,8 +510,8 @@ def _cmd_free_algebra(args, argv) -> Report:
     return Report("free-algebra", "info", lines, list(free.algebra.elements), stats)
 
 
-def _cmd_congruence(args, argv) -> Report:
-    ops = _gather_operands(args, argv)
+def _cmd_congruence(args) -> Report:
+    ops = _gather_operands(args)
     target = _one_target(ops)
     cong = mat_mod.greatest_compatible_congruence(target)
     alg = target.algebra
@@ -569,8 +559,8 @@ def _matrix_to_doc(m: mat_mod.Matrix, name: str) -> Dict[str, Any]:
     }
 
 
-def _cmd_combine(args, argv) -> Report:
-    ops = _gather_operands(args, argv)
+def _cmd_combine(args) -> Report:
+    ops = _gather_operands(args)
     m1, m2 = _two_matrices(ops)
     combined = mat_mod.combine_matrices(args.kind, m1, m2)
     doc = _matrix_to_doc(combined, f"{args.kind}")
@@ -600,8 +590,8 @@ def _eq_algebras(args, ops: _Operands) -> List[alg_mod.FiniteAlgebra]:
     return algebras
 
 
-def _cmd_eq_conseq(args, argv) -> Report:
-    ops = _gather_operands(args, argv)
+def _cmd_eq_conseq(args) -> Report:
+    ops = _gather_operands(args)
     algebras = _eq_algebras(args, ops)
     sig = algebras[0].signature
     premises = [eqlogic.parse_equality(p, sig) for p in (args.premise or [])]
@@ -668,8 +658,8 @@ def _load_derivation(path: str, sig: Signature) -> Tuple[eqlogic.EDerivation, Li
     return eqlogic.EDerivation(system, tuple(steps)), premises
 
 
-def _cmd_eq_derive_check(args, argv) -> Report:
-    ops = _gather_operands(args, argv)
+def _cmd_eq_derive_check(args) -> Report:
+    ops = _gather_operands(args)
     sig = _eq_signature(ops)
     deriv, premises = _load_derivation(args.derivation, sig)
     extra = [eqlogic.parse_equality(p, sig) for p in (args.premise or [])]
@@ -685,8 +675,8 @@ def _cmd_eq_derive_check(args, argv) -> Report:
     )
 
 
-def _cmd_eq_ground(args, argv) -> Report:
-    ops = _gather_operands(args, argv)
+def _cmd_eq_ground(args) -> Report:
+    ops = _gather_operands(args)
     sig = _eq_signature(ops)
     premises = [eqlogic.parse_equality(p, sig) for p in (args.premise or [])]
     goal = eqlogic.parse_equality(args.equality, sig)
@@ -701,8 +691,8 @@ def _cmd_eq_ground(args, argv) -> Report:
     return Report("eq ground", "no", lines, partition, {"classes": partition})
 
 
-def _cmd_eq_bridge(args, argv) -> Report:
-    ops = _gather_operands(args, argv)
+def _cmd_eq_bridge(args) -> Report:
+    ops = _gather_operands(args)
     sig = _eq_signature(ops)
     premises = [eqlogic.parse_equality(p, sig) for p in (args.premise or [])]
     goal = eqlogic.parse_equality(args.equality, sig)
@@ -727,8 +717,8 @@ def _int_formula(text: str) -> Formula:
     return intprover.expand_iff(parse_formula(text, CLASSICAL_SIGNATURE))
 
 
-def _cmd_int_prove(args, argv) -> Report:
-    ops = _gather_operands(args, argv)
+def _cmd_int_prove(args) -> Report:
+    ops = _gather_operands(args)
     f = _int_formula(args.formula)
     tree = intprover.g3_prove((), f, ops.caps)
     if tree is None:
@@ -740,8 +730,8 @@ def _cmd_int_prove(args, argv) -> Report:
     )
 
 
-def _cmd_int_relation(args, argv) -> Report:
-    ops = _gather_operands(args, argv)
+def _cmd_int_relation(args) -> Report:
+    ops = _gather_operands(args)
     f = _int_formula(args.formula)
     g = _int_formula(args.other)
     rel = intprover.int_relation(f, g, ops.caps)
@@ -751,7 +741,7 @@ def _cmd_int_relation(args, argv) -> Report:
     return Report("int relation", "info", lines, rel, rel)
 
 
-def _cmd_int_rn(args, argv) -> Report:
+def _cmd_int_rn(args) -> Report:
     index: Any = args.index
     if index != "omega":
         index = int(index)
@@ -759,8 +749,8 @@ def _cmd_int_rn(args, argv) -> Report:
     return Report("int rn", "info", [f"ladder {args.index}: {f}"], str(f))
 
 
-def _cmd_int_classify(args, argv) -> Report:
-    ops = _gather_operands(args, argv)
+def _cmd_int_classify(args) -> Report:
+    ops = _gather_operands(args)
     f = _int_formula(args.formula)
     cls = intprover.rn_classify(f, caps=ops.caps)
     if cls is None:
@@ -770,8 +760,8 @@ def _cmd_int_classify(args, argv) -> Report:
     )
 
 
-def _cmd_int_glivenko(args, argv) -> Report:
-    ops = _gather_operands(args, argv)
+def _cmd_int_glivenko(args) -> Report:
+    ops = _gather_operands(args)
     from .lang import CLASSICAL_SIGNATURE
 
     f = parse_formula(args.formula, CLASSICAL_SIGNATURE)
@@ -797,9 +787,16 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--json", action="store_true")
         if operands:
             sp.add_argument("--file")
-            sp.add_argument("--preset", action="append", default=[])
-            sp.add_argument("--matrix", action="append", default=[])
-            sp.add_argument("--atlas", action="append", default=[])
+            # one list of (kind, name) pairs keeps the operands in command-line order
+            for kind in ("preset", "matrix", "atlas"):
+                sp.add_argument(
+                    f"--{kind}",
+                    action="append",
+                    default=[],
+                    dest="operands",
+                    metavar=kind.upper(),
+                    type=lambda value, kind=kind: (kind, value),
+                )
 
     sp = sub.add_parser("presets")
     common(sp, operands=False)
@@ -929,7 +926,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run_command(argv: Sequence[str]) -> Tuple[int, str]:
     """Execute one command line; returns (exit code, report text)."""
-    os.environ.setdefault("MATLOGIC_THREADS", "1")
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv))
@@ -939,7 +935,7 @@ def run_command(argv: Sequence[str]) -> Tuple[int, str]:
     if func is None:
         return 2, parser.format_usage().rstrip()
     try:
-        report: Report = func(args, argv)
+        report: Report = func(args)
     except (WorkspaceError, ParseError, ValueError, KeyError) as exc:
         return 2, f"error: {exc}"
     except CapExceeded as exc:

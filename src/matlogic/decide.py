@@ -26,7 +26,6 @@ import numpy as np
 from .algebra import (
     FiniteAlgebra,
     clone_discovery_order,
-    generates_carrier,
     minimal_generating_set,
 )
 from .lang import Formula
@@ -34,6 +33,7 @@ from .limits import DEFAULT_CAPS, CapExceeded, ResourceCaps
 from .matrices import (
     Atlas,
     Matrix,
+    _filter_mask,
     combine_atlases,
     consequence,
     direct_product,
@@ -233,13 +233,7 @@ def atlas_inclusion(
         def family_masks(filters) -> List[int]:
             # assignment-major, filter-minor ordering
             masks: List[int] = []
-            per_filter = []
-            for d in filters:
-                sel = np.zeros(k, dtype=bool)
-                for e in d:
-                    sel[e] = True
-                per_filter.append(sel[stacked])  # (R, tuples)
-            cols: List[List[int]] = [_column_masks(mf) for mf in per_filter]
+            cols = [_column_masks(_filter_mask(d, k)[stacked]) for d in filters]
             for a in range(tuples):
                 for fi in range(len(filters)):
                     masks.append(cols[fi][a])

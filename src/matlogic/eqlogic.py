@@ -24,6 +24,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .algebra import _assignment_at, _formula_tables, _lex_columns
 from .lang import (
     AND,
     IMP,
@@ -42,7 +43,7 @@ from .lang import (
     variables,
 )
 from .limits import DEFAULT_CAPS, ResourceCaps
-from .matrices import Matrix, _tables_over, make_preset
+from .matrices import Matrix, make_preset
 
 
 @dataclass(frozen=True)
@@ -280,13 +281,22 @@ class EqConsequenceResult:
         return dict(self.assignment) if self.assignment is not None else None
 
 
-def _identically_valid(alg, eq: Equality, caps: ResourceCaps) -> Tuple[bool, Optional[int], Tuple[int, ...]]:
-    var_order = eq.variables()
-    lhs_t, rhs_t = _tables_over(alg, [eq.lhs, eq.rhs], var_order, caps)
-    diff = lhs_t != rhs_t
-    if not diff.any():
-        return True, None, var_order
-    return False, int(np.argmax(diff)), var_order
+def _first_difference(
+    alg, premises: Sequence[Equality], goal: Equality, caps: ResourceCaps
+) -> Optional[Tuple[Tuple[int, int], ...]]:
+    """First assignment, in lexicographic order over the sorted variables,
+    that satisfies every premise and separates the goal's sides."""
+    k = alg.size
+    var_order = sorted({v for e in (*premises, goal) for v in e.variables()})
+    size = k ** len(var_order)
+    caps.check_tuples(size)
+    terms = [t for e in (*premises, goal) for t in (e.lhs, e.rhs)]
+    tables = _formula_tables(alg, terms, _lex_columns(k, var_order), size)
+    bad = tables[-2] != tables[-1]
+    for lhs, rhs in zip(tables[:-2:2], tables[1:-2:2]):
+        bad &= lhs == rhs
+    flat = int(np.argmax(bad))
+    return _assignment_at(flat, var_order, k) if bad[flat] else None
 
 
 def eq_consequence(
@@ -300,41 +310,16 @@ def eq_consequence(
     only algebras validating every premise must validate the goal."""
     if mode not in ("E", "EL"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "EL":
-        for ai, alg in enumerate(algebras):
-            if not all(_identically_valid(alg, e, caps)[0] for e in premises):
-                continue
-            ok, flat, var_order = _identically_valid(alg, goal, caps)
-            if not ok:
-                assert flat is not None
-                assignment = _flat_to_assignment(flat, var_order, alg.size)
-                return EqConsequenceResult(False, ai, tuple(sorted(assignment.items())))
-        return EqConsequenceResult(True)
-
     for ai, alg in enumerate(algebras):
-        vs: set[int] = set(goal.variables())
-        for e in premises:
-            vs.update(e.variables())
-        var_order = tuple(sorted(vs))
-        flat_terms: List[Formula] = []
-        for e in premises:
-            flat_terms.extend((e.lhs, e.rhs))
-        flat_terms.extend((goal.lhs, goal.rhs))
-        tables = _tables_over(alg, flat_terms, var_order, caps)
-        ok = np.ones(len(tables[-1]), dtype=bool)
-        for j in range(len(premises)):
-            ok &= tables[2 * j] == tables[2 * j + 1]
-        bad = ok & (tables[-2] != tables[-1])
-        if bad.any():
-            flat = int(np.argmax(bad))
-            assignment = _flat_to_assignment(flat, var_order, alg.size)
-            return EqConsequenceResult(False, ai, tuple(sorted(assignment.items())))
+        if mode == "E":
+            refuter = _first_difference(alg, premises, goal, caps)
+        elif any(_first_difference(alg, (), e, caps) is not None for e in premises):
+            continue
+        else:
+            refuter = _first_difference(alg, (), goal, caps)
+        if refuter is not None:
+            return EqConsequenceResult(False, ai, refuter)
     return EqConsequenceResult(True)
-
-
-def _flat_to_assignment(flat: int, var_order: Sequence[int], k: int) -> Dict[int, int]:
-    n = len(var_order)
-    return {v: (flat // (k ** (n - pos))) % k for pos, v in enumerate(var_order, start=1)}
 
 
 # ---------------------------------------------------------------------------

@@ -10,16 +10,18 @@ atlases the first filter in family order.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .algebra import (
     Congruence,
     FiniteAlgebra,
+    _assignment_at,
+    _formula_tables,
+    _lex_columns,
     direct_product,
     greatest_congruence_below,
     quotient_by_congruence,
@@ -66,54 +68,7 @@ class Atlas:
 
 
 # ---------------------------------------------------------------------------
-# evaluation over a chosen variable tuple
-
-
-def _tables_over(
-    alg: FiniteAlgebra,
-    formulas: Sequence[Formula],
-    var_order: Sequence[int],
-    caps: ResourceCaps,
-) -> List[np.ndarray]:
-    """Flat value tables over all assignments to the given variables, in
-    lexicographic order with the first variable most significant."""
-    k = alg.size
-    n = len(var_order)
-    size = k**n
-    caps.check_tuples(size)
-    idx = np.arange(size, dtype=np.int64)
-    cols = {
-        v: (idx // (k ** (n - pos))) % k for pos, v in enumerate(var_order, start=1)
-    }
-    out = []
-    from .lang import App, Const, Var  # local import to avoid cycle noise
-
-    for f in formulas:
-        memo: Dict[Formula, np.ndarray] = {}
-
-        def go(g: Formula) -> np.ndarray:
-            v = memo.get(g)
-            if v is not None:
-                return v
-            if isinstance(g, Var):
-                r = cols[g.index]
-            elif isinstance(g, Const):
-                r = np.full(size, int(alg.table(g.name)), dtype=np.int64)
-            else:
-                assert isinstance(g, App)
-                r = alg.table(g.connective)[tuple(go(a) for a in g.args)]
-            memo[g] = r
-            return r
-
-        out.append(np.array(go(f), dtype=np.int64).reshape(size))
-    return out
-
-
-def _decode_assignment(flat: int, var_order: Sequence[int], k: int) -> Dict[int, int]:
-    n = len(var_order)
-    return {
-        v: (flat // (k ** (n - pos))) % k for pos, v in enumerate(var_order, start=1)
-    }
+# validity and consequence
 
 
 def _filter_mask(d: frozenset, k: int) -> np.ndarray:
@@ -121,6 +76,36 @@ def _filter_mask(d: frozenset, k: int) -> np.ndarray:
     for e in d:
         mask[e] = True
     return mask
+
+
+def _first_refutation(
+    atlas: Atlas,
+    premises: Sequence[Formula],
+    conclusion: Formula,
+    caps: ResourceCaps,
+) -> Optional[Tuple[Tuple[Tuple[int, int], ...], int]]:
+    """First assignment, in lexicographic order over the sorted variables,
+    under which some filter holds every premise but not the conclusion, and
+    the family position of the first such filter; None if there is none."""
+    alg = atlas.algebra
+    k = alg.size
+    var_order = sorted({v for g in (*premises, conclusion) for v in variables(g)})
+    size = k ** len(var_order)
+    caps.check_tuples(size)
+    tables = _formula_tables(alg, [*premises, conclusion], _lex_columns(k, var_order), size)
+    refutations = []
+    for fi, d in enumerate(atlas.filters):
+        mask = _filter_mask(d, k)
+        bad = ~mask[tables[-1]]
+        for t in tables[:-1]:
+            bad &= mask[t]
+        flat = int(np.argmax(bad))
+        if bad[flat]:
+            refutations.append((flat, fi))
+    if not refutations:
+        return None
+    flat, fi = min(refutations)
+    return _assignment_at(flat, var_order, k), fi
 
 
 @dataclass(frozen=True)
@@ -139,24 +124,10 @@ def is_valid(
     target: "Matrix | Atlas", f: Formula, caps: ResourceCaps = DEFAULT_CAPS
 ) -> ValidityResult:
     atlas = target.as_atlas() if isinstance(target, Matrix) else target
-    alg = atlas.algebra
-    var_order = variables(f)
-    (table,) = _tables_over(alg, [f], var_order, caps)
-    k = alg.size
-    bad_any = np.zeros(len(table), dtype=bool)
-    per_filter = []
-    for d in atlas.filters:
-        bad = ~_filter_mask(d, k)[table]
-        per_filter.append(bad)
-        bad_any |= bad
-    if not bad_any.any():
+    refutation = _first_refutation(atlas, (), f, caps)
+    if refutation is None:
         return ValidityResult(True)
-    flat = int(np.argmax(bad_any))
-    for fi, bad in enumerate(per_filter):
-        if bad[flat]:
-            assignment = _decode_assignment(flat, var_order, k)
-            return ValidityResult(False, tuple(sorted(assignment.items())), fi)
-    raise AssertionError("unreachable")
+    return ValidityResult(False, *refutation)
 
 
 @dataclass(frozen=True)
@@ -178,33 +149,10 @@ def consequence(
     """Finite-premise consequence: every valuation sending all premises into
     a filter sends the conclusion there too (checked per filter)."""
     atlas = target.as_atlas() if isinstance(target, Matrix) else target
-    alg = atlas.algebra
-    vs: set[int] = set()
-    for g in tuple(premises) + (conclusion,):
-        vs.update(variables(g))
-    var_order = tuple(sorted(vs))
-    tables = _tables_over(alg, list(premises) + [conclusion], var_order, caps)
-    concl = tables[-1]
-    prem = tables[:-1]
-    k = alg.size
-    per_filter = []
-    bad_any = np.zeros(len(concl), dtype=bool)
-    for d in atlas.filters:
-        mask = _filter_mask(d, k)
-        ok = np.ones(len(concl), dtype=bool)
-        for t in prem:
-            ok &= mask[t]
-        bad = ok & ~mask[concl]
-        per_filter.append(bad)
-        bad_any |= bad
-    if not bad_any.any():
+    refutation = _first_refutation(atlas, tuple(premises), conclusion, caps)
+    if refutation is None:
         return ConsequenceResult(True)
-    flat = int(np.argmax(bad_any))
-    for fi, bad in enumerate(per_filter):
-        if bad[flat]:
-            assignment = _decode_assignment(flat, var_order, k)
-            return ConsequenceResult(False, tuple(sorted(assignment.items())), fi)
-    raise AssertionError("unreachable")
+    return ConsequenceResult(False, *refutation)
 
 
 # ---------------------------------------------------------------------------

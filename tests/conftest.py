@@ -72,17 +72,46 @@ def valid_slow(matrix, f) -> bool:
     )
 
 
-def consequence_slow(atlas, premises, conclusion) -> bool:
+def first_refuter_slow(atlas, premises, conclusion):
+    """First (assignment, filter index), assignments in p1-major order, under
+    which a filter holds every premise but not the conclusion; None if none."""
     from matlogic import variables
 
     vs = sorted({v for g in list(premises) + [conclusion] for v in variables(g)})
     for a in all_assignments(atlas.algebra, vs):
-        for d in atlas.filters:
+        for fi, d in enumerate(atlas.filters):
             if all(eval_slow(atlas.algebra, p, a) in d for p in premises) and (
                 eval_slow(atlas.algebra, conclusion, a) not in d
             ):
-                return False
-    return True
+                return tuple(sorted(a.items())), fi
+    return None
+
+
+def consequence_slow(atlas, premises, conclusion) -> bool:
+    return first_refuter_slow(atlas, premises, conclusion) is None
+
+
+def eq_refuter_slow(mode, algebras, premises, goal):
+    """(algebra index, assignment) of the first counterexample to an
+    equational consequence in mode E or EL, or None."""
+    def first_difference(alg, prem, g):
+        vs = sorted({v for e in list(prem) + [g] for v in e.variables()})
+        for a in all_assignments(alg, vs):
+            holds = all(eval_slow(alg, e.lhs, a) == eval_slow(alg, e.rhs, a) for e in prem)
+            if holds and eval_slow(alg, g.lhs, a) != eval_slow(alg, g.rhs, a):
+                return tuple(sorted(a.items()))
+        return None
+
+    for ai, alg in enumerate(algebras):
+        if mode == "E":
+            found = first_difference(alg, premises, goal)
+        elif all(first_difference(alg, [], e) is None for e in premises):
+            found = first_difference(alg, [], goal)
+        else:
+            found = None
+        if found is not None:
+            return ai, found
+    return None
 
 
 def write_workspace(path, doc) -> str:

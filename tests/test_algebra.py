@@ -1,13 +1,18 @@
+import gc
+
 import numpy as np
 import pytest
 
 from matlogic import (
     Congruence,
+    Equality,
     FiniteAlgebra,
     Signature,
     clone_functions,
     congruence_closure_pairs,
+    consequence,
     direct_product,
+    eq_consequence,
     evaluate_term,
     find_isomorphism,
     generated_subalgebra,
@@ -16,6 +21,7 @@ from matlogic import (
     identity_congruence,
     imp,
     is_congruence,
+    is_valid,
     make_preset,
     minimal_generating_set,
     neg,
@@ -45,6 +51,43 @@ def test_term_table_layout(chain3_arrow):
     assert list(t) == [0, 0, 0, 1, 1, 1, 2, 2, 2]
     t2 = term_table(alg, var(2), 2)
     assert list(t2) == [0, 1, 2, 0, 1, 2, 0, 1, 2]
+
+
+def test_unbound_variable_errors_name_the_leftmost(chain3_arrow):
+    alg = chain3_arrow.algebra
+    f = parse_formula("(p1 -> p5) -> p3", alg.signature)
+    with pytest.raises(KeyError, match="assignment missing variable p5"):
+        evaluate_term(alg, f, {1: 0})
+    with pytest.raises(ValueError, match="variable p5 exceeds arity 2"):
+        term_table(alg, f, 2)
+
+
+class TestEvaluationKernel:
+    def test_deep_formula_evaluates_without_recursion(self):
+        # 3,000 negations: deeper than the interpreter's recursion limit
+        m = make_preset("L3")
+        f = var(1)
+        for _ in range(3000):
+            f = neg(f)
+        alg = m.algebra
+        assert evaluate_term(alg, f, {1: 1}) == 1
+        assert list(term_table(alg, f, 1)) == [0, 1, 2]
+        res = is_valid(m, f)
+        assert (res.valid, res.assignment, res.filter_index) == (False, ((1, 0),), 0)
+        assert consequence(m, [var(1)], f).holds
+        assert eq_consequence("E", [alg], [], Equality(f, var(1))).holds
+
+    def test_scan_leaves_no_reference_cycle(self):
+        m = make_preset("L3")
+        f = parse_formula("p1 | ~p2 -> p3", m.algebra.signature)
+        gc.collect()
+        gc.disable()
+        try:
+            is_valid(m, f)
+            term_table(m.algebra, f, 3)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestClone:

@@ -133,6 +133,16 @@ class TestJsonReports:
 
 
 class TestOperands:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["valid", "--preset=L3", "p1 -> p1"],
+            ["valid", "--pres", "L3", "p1 -> p1"],
+        ],
+    )
+    def test_option_spellings_argparse_accepts(self, argv):
+        assert run_command(argv) == (0, "valid: p1 -> p1")
+
     def test_eval(self):
         code, text = run_command(
             ["eval", "--preset", "L3", "p1 -> p2", "--assign", "p1=1/2,p2=0"]

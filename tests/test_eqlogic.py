@@ -16,6 +16,7 @@ from matlogic import (
     conj,
     decide_ground_equational,
     disj,
+    enumerate_formulas,
     eq_consequence,
     ground_closure,
     imp,
@@ -25,6 +26,8 @@ from matlogic import (
     s_translate,
     var,
 )
+
+from conftest import eq_refuter_slow
 
 
 SIG = Signature.of({"¬": 1, "∧": 2, "∨": 2, "→": 2})
@@ -278,6 +281,23 @@ class TestEqConsequence:
         assert not res.holds
         assert res.algebra_index == 0
         assert res.assignment is not None
+
+    @pytest.mark.parametrize("mode", ["E", "EL"])
+    def test_matches_slow_oracle(self, mode):
+        b2c = make_preset("B2c").algebra
+        chains = [make_preset("Gn", 3).algebra, make_preset("L3").algebra]
+        # holds identically in L3 and B2c, not in G3: EL then skips G3
+        involution = Equality(neg(neg(var(1))), var(1))
+        for algebras in ([b2c], chains):
+            sig = algebras[0].signature
+            terms = list(enumerate_formulas(sig, n_vars=2, max_depth=2, max_count=40))
+            equalities = [Equality(a, b) for a, b in itertools.combinations(terms, 2)][::7]
+            for i, goal in enumerate(equalities):
+                premises = [[], [equalities[(5 * i) % len(equalities)]], [involution]][i % 3]
+                res = eq_consequence(mode, algebras, premises, goal)
+                expected = eq_refuter_slow(mode, algebras, premises, goal)
+                assert res.holds == (expected is None)
+                assert (res.algebra_index, res.assignment) == (expected or (None, None))
 
 
 class TestBridges:

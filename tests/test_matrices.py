@@ -20,7 +20,7 @@ from matlogic import (
     var,
 )
 
-from conftest import consequence_slow, valid_slow
+from conftest import first_refuter_slow, valid_slow
 
 
 def B2():
@@ -69,7 +69,10 @@ class TestValidity:
         for m in (B2(), L3(), make_preset("Gn", 3)):
             sig = m.algebra.signature
             for f in enumerate_formulas(sig, n_vars=2, max_depth=2, max_count=300):
-                assert is_valid(m, f).valid == valid_slow(m, f)
+                res = is_valid(m, f)
+                assert res.valid == valid_slow(m, f)
+                refuter = first_refuter_slow(m.as_atlas(), [], f) or (None, None)
+                assert (res.assignment, res.filter_index) == refuter
 
     def test_cap_exceeded(self):
         m = L3()
@@ -103,14 +106,15 @@ class TestConsequence:
         m = make_preset("Gn", 3)
         sig = m.algebra.signature
         forms = list(enumerate_formulas(sig, n_vars=2, max_depth=1, max_count=40))
-        atlas = m.as_atlas()
-        for prem, concl in itertools.islice(
-            itertools.product(forms, forms), 0, 400
-        ):
-            assert (
-                consequence(atlas, [prem], concl).holds
-                == consequence_slow(atlas, [prem], concl)
-            )
+        two_filters = Atlas(m.algebra, (frozenset({2}), frozenset({1, 2})))
+        for atlas in (m.as_atlas(), two_filters):
+            for prem, concl in itertools.islice(
+                itertools.product(forms, forms), 0, 400
+            ):
+                res = consequence(atlas, [prem], concl)
+                refuter = first_refuter_slow(atlas, [prem], concl)
+                assert res.holds == (refuter is None)
+                assert (res.assignment, res.filter_index) == (refuter or (None, None))
 
     def test_atlas_consequence_intersects_members(self):
         l3 = L3()
