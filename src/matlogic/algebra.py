@@ -200,108 +200,305 @@ class TermFunction:
 
 # ---------------------------------------------------------------------------
 # clone closure
+#
+# Candidate term functions are handled a block at a time.  A table of
+# k**n values is identified by a key: its base-k digits packed into 62-bit
+# words, an int64 when one word holds the whole table and the words' bytes
+# (a void scalar) otherwise.  The key of op(t1, ..., ta) is computed without
+# building the candidate's table: the positions of each word are cut into
+# groups, each argument table is summarised by its digit code on every
+# group, and one lookup table per group, built from op, maps the arguments'
+# codes to that group's part of the word.
+
+# candidates in one block; bounds the block's arrays
+_BLOCK = 1 << 16
+# entries of one group's lookup table
+_LOOKUP_ENTRIES = 1 << 12
+
+
+class _KeyPacker:
+    """Packs flat tables of `size` values below k into keys that are equal
+    exactly when the tables are."""
+
+    def __init__(self, k: int, size: int) -> None:
+        per_word = 1
+        while per_word < size and k ** (per_word + 1) <= 2**62:
+            per_word += 1
+        self.k = k
+        self.words = [range(w, min(w + per_word, size)) for w in range(0, size, per_word)]
+        self.weights = np.array(
+            [k ** (word.stop - 1 - x) for word in self.words for x in word], dtype=np.int64
+        )
+        self.dtype = np.uint8 if k <= 256 else np.int64
+        self._layouts: Dict[int, _GroupLayout] = {}
+
+    def keys(self, words: Sequence[np.ndarray]) -> np.ndarray:
+        """Keys from the packed words of a run of tables, one array per word."""
+        if len(words) == 1:
+            return words[0]
+        rows = np.ascontiguousarray(np.stack(words, axis=1))
+        return rows.view(np.dtype((np.void, 8 * len(words)))).ravel()
+
+    def pack(self, tables: np.ndarray) -> np.ndarray:
+        """Keys of the rows of a (count, size) table array."""
+        parts = tables.astype(np.int64) * self.weights
+        return self.keys([parts[:, word].sum(axis=1) for word in self.words])
+
+    def layout(self, arity: int) -> "_GroupLayout":
+        """How the key groups of arity-ary operations are cut and coded."""
+        if arity not in self._layouts:
+            self._layouts[arity] = _GroupLayout(self, arity)
+        return self._layouts[arity]
+
+
+class _GroupLayout:
+    """Key groups for operations of one arity: the positions of each word cut
+    into runs of at most `span`, as even as the largest lookup table allows.
+    A table's code on a group reads its digits there base k, first digit
+    most significant, padded with zeros to `span` digits; the arguments'
+    joint code reads their codes base radix = k**span, first argument most
+    significant."""
+
+    def __init__(self, packer: _KeyPacker, arity: int) -> None:
+        k = packer.k
+        per_word = len(packer.words[0])
+        longest = 1
+        while longest < per_word and k ** ((longest + 1) * arity) <= _LOOKUP_ENTRIES:
+            longest += 1
+        span = -(-per_word // -(-per_word // longest))
+        runs = [(w, range(g, min(g + span, word.stop)))
+                for w, word in enumerate(packer.words)
+                for g in range(word.start, word.stop, span)]
+        self.arity = arity
+        self.radix = k**span
+        self.word_of = [w for w, _ in runs]
+        size = len(packer.weights)
+        # positions of each group, padded with `size`: a zero column appended to the tables
+        self.positions = np.array([list(run) + [size] * (span - len(run)) for _, run in runs])
+        self.digit_weights = k ** np.arange(span - 1, -1, -1, dtype=np.int64)
+        # the weight in its word of each group digit; 0 for padding
+        self.weights = np.append(packer.weights, 0)[self.positions]
+        # digit d of argument j at each joint code
+        joint = np.arange(self.radix**arity, dtype=np.int64)
+        self.digits = [
+            tuple(joint // self.radix ** (arity - 1 - j) // k ** (span - 1 - d) % k
+                  for j in range(arity))
+            for d in range(span)
+        ]
+
+    def scaled_codes(self, tables: np.ndarray) -> List[np.ndarray]:
+        """Per argument position j, a (group, table) array: each table's code
+        on each group times radix**(arity - 1 - j)."""
+        padded = np.concatenate([tables, np.zeros((len(tables), 1), tables.dtype)], axis=1)
+        codes = np.ascontiguousarray((padded[:, self.positions] @ self.digit_weights).T)
+        return [codes * self.radix ** (self.arity - 1 - j) for j in range(self.arity)]
+
+
+class _Operation:
+    """A connective's table with one lookup table per key group, mapping the
+    arguments' joint code on the group to the group's part of the word."""
+
+    def __init__(self, table: np.ndarray, packer: _KeyPacker) -> None:
+        self.table = table
+        self.arity = table.ndim
+        self.symmetric = self.arity > 1 and all(
+            bool((table == np.swapaxes(table, j, j + 1)).all()) for j in range(self.arity - 1)
+        )
+        self.layout = packer.layout(self.arity)
+        values = np.stack([table[digits] for digits in self.layout.digits])
+        self.lookups = self.layout.weights @ values
+
+    def keys(
+        self, packer: _KeyPacker, scaled_codes: List[np.ndarray], args: List[np.ndarray]
+    ) -> np.ndarray:
+        """Keys of the operation applied to the argument index columns."""
+        words: List[np.ndarray] = []
+        for g, w in enumerate(self.layout.word_of):
+            index = scaled_codes[0][g][args[0]]
+            for j in range(1, self.arity):
+                index += scaled_codes[j][g][args[j]]
+            if w == len(words):
+                words.append(self.lookups[g][index])
+            else:
+                words[w] += self.lookups[g][index]
+        return packer.keys(words)
+
+
+def _argument_tuples(
+    arity: int, count: int, frontier: int, symmetric: bool
+) -> Iterable[List[np.ndarray]]:
+    """Blocks of at most _BLOCK tuples over range(count), as one index
+    column per argument, in lexicographic order; only tuples holding an
+    index >= frontier, and only non-decreasing ones when symmetric.  Each
+    tuple is a prefix row plus a run of last indices."""
+    rows_per_chunk = max(1, _BLOCK // count)
+    prefix_count = count ** (arity - 1)
+    for p0 in range(0, prefix_count, rows_per_chunk):
+        ranks = np.arange(p0, min(p0 + rows_per_chunk, prefix_count))
+        prefix = [ranks // count ** (arity - 2 - j) % count for j in range(arity - 2)]
+        if arity > 1:
+            prefix.append(ranks % count if arity > 2 else ranks)
+        top = prefix[0] if prefix else np.array([-1])
+        for c in prefix[1:]:
+            top = np.maximum(top, c)
+        first = np.where(top >= frontier, 0, frontier)
+        if symmetric:
+            first = np.maximum(first, prefix[-1])
+            for lo, hi in zip(prefix, prefix[1:]):
+                first[lo > hi] = count
+        lengths = count - first
+        columns = [np.repeat(c, lengths) for c in prefix]
+        columns.append(
+            np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths - first, lengths)
+        )
+        for b0 in range(0, len(columns[-1]), _BLOCK):
+            yield [c[b0 : b0 + _BLOCK] for c in columns]
+
+
+def _append_first_new(
+    block: Sequence[Tuple[str, _Operation, List[np.ndarray], np.ndarray]],
+    tables: np.ndarray,
+    seen: np.ndarray,
+    chunks: List[np.ndarray],
+    witnesses: List[Formula],
+) -> np.ndarray:
+    """Appends the first candidate of each key of the block not in seen, in
+    candidate order, to chunks and witnesses; returns seen with their keys.
+
+    A block is a run of (connective name, operation, argument columns, keys)
+    pieces in candidate order.
+    """
+    keys = np.concatenate([piece[3] for piece in block])
+    fresh = np.flatnonzero(~np.isin(keys, seen))
+    if not len(fresh):
+        return seen
+    _, first = np.unique(keys[fresh], return_index=True)
+    new = fresh[np.sort(first)]
+    ends = np.cumsum([len(piece[3]) for piece in block])
+    cuts = np.searchsorted(new, ends).tolist()
+    starts = [0] + ends[:-1].tolist()
+    for (name, op, args, _), lo, hi, offset in zip(block, [0] + cuts, cuts, starts):
+        if lo == hi:
+            continue
+        new_args = [a[new[lo:hi] - offset] for a in args]
+        chunks.append(op.table[tuple(tables[a] for a in new_args)])
+        witnesses.extend(
+            app(name, tuple(witnesses[i] for i in row))
+            for row in zip(*(a.tolist() for a in new_args))
+        )
+    return np.concatenate([seen, keys[new]])
 
 
 def _closure_rounds(
     alg: FiniteAlgebra, n: int, caps: ResourceCaps
-) -> List[Tuple[np.ndarray, Formula]]:
-    """Discovery-ordered list of (flat table, witness) for the n-ary clone.
+) -> Tuple[np.ndarray, List[Formula]]:
+    """Discovery-ordered flat tables (one row each) and witnesses of the n-ary clone.
 
-    Round d adds exactly the functions whose minimal witness has depth d;
-    candidates combine earlier-round entries, at least one from round d-1,
-    scanning connectives in name order and argument tuples lexicographically
-    by discovery position.
+    Round d adds exactly the functions whose minimal witness has depth d.
+    Its candidates apply each connective, in name order, to argument tuples
+    over the functions of earlier rounds with at least one from round d-1,
+    the tuples in lexicographic order of discovery positions.  The
+    candidates go through in blocks of consecutive candidates: keys already
+    seen are dropped, and the first occurrence of each remaining key is
+    appended, in candidate order, with its candidate as witness.  For a
+    connective whose table is symmetric, a tuple that is not non-decreasing
+    repeats a permutation listed before it in the same round and is
+    skipped.  The clone cap is checked after every block.
     """
     k = alg.size
     size = k**n
     caps.check_tuples(size)
-    entries: List[Tuple[np.ndarray, Formula]] = []
-    seen: set = set()
-    # dedup keys: base-k packing when it fits a machine word, raw bytes otherwise
-    fits_word = size * math.log2(max(k, 2)) < 62
-    powers = (
-        (k ** np.arange(size - 1, -1, -1, dtype=np.int64)) if fits_word else None
-    )
-
-    def pack(table: np.ndarray):
-        if fits_word:
-            return int(table @ powers)
-        return table.tobytes()
-
-    def add(table: np.ndarray, witness: Formula) -> bool:
-        key = pack(table)
-        if key in seen:
-            return False
-        seen.add(key)
-        entries.append((table, witness))
-        caps.check_clone(len(entries))
-        return True
-
+    packer = _KeyPacker(k, size)
     seeds = [var(i) for i in range(1, n + 1)] + [const(c) for c in alg.signature.constants]
     columns = _lex_columns(k, range(1, n + 1))
-    for witness, table in zip(seeds, _formula_tables(alg, seeds, columns, size)):
-        add(np.ascontiguousarray(table), witness)
+    seed_tables = np.array(_formula_tables(alg, seeds, columns, size), dtype=packer.dtype)
+    seed_tables = seed_tables.reshape(len(seeds), size)
+    seed_keys = packer.pack(seed_tables)
+    _, first = np.unique(seed_keys, return_index=True)
+    first.sort()
+    chunks = [seed_tables[first]]
+    witnesses = [seeds[i] for i in first.tolist()]
+    seen = seed_keys[first]
+    caps.check_clone(len(witnesses))
 
+    connectives = [
+        (name, _Operation(np.asarray(alg.table(name), dtype=packer.dtype), packer))
+        for name, _ in alg.signature.proper_connectives
+    ]
     round_start = 0
-    while True:
-        boundary = len(entries)
-        if round_start == boundary:
-            break
-        frontier_lo = round_start
-        tabs = [t for t, _ in entries[:boundary]]
-        found_any = False
-        for name, arity in alg.signature.proper_connectives:
-            table = alg.table(name)
-            if arity == 1:
-                for i in range(frontier_lo, boundary):
-                    if add(table[tabs[i]], app(name, (entries[i][1],))):
-                        found_any = True
-            elif arity == 2:
-                stacked = np.stack(tabs) if tabs else None
-                for i1 in range(boundary):
-                    lo = 0 if i1 >= frontier_lo else frontier_lo
-                    if lo >= boundary:
-                        continue
-                    block = table[tabs[i1][None, :], stacked[lo:boundary]]
-                    if fits_word:
-                        keys = list((block @ powers).tolist())
-                    else:
-                        keys = [block[off].tobytes() for off in range(block.shape[0])]
-                    for off in range(boundary - lo):
-                        key = keys[off]
-                        if key in seen:
-                            continue
-                        i2 = lo + off
-                        seen.add(key)
-                        entries.append(
-                            (
-                                np.ascontiguousarray(block[off]),
-                                app(name, (entries[i1][1], entries[i2][1])),
-                            )
-                        )
-                        caps.check_clone(len(entries))
-                        found_any = True
-            else:
-                for combo in itertools.product(range(boundary), repeat=arity):
-                    if max(combo) < frontier_lo:
-                        continue
-                    args = tuple(tabs[i] for i in combo)
-                    witness = app(name, tuple(entries[i][1] for i in combo))
-                    if add(table[args], witness):
-                        found_any = True
-        if not found_any:
-            break
+    while round_start < len(witnesses):
+        boundary = len(witnesses)
+        tables = np.concatenate(chunks)
+        chunks = [tables]
+        # shared by the connectives of one arity: the tables' group codes and,
+        # when one block holds them, the round's argument tuples
+        scaled: Dict[int, List[np.ndarray]] = {}
+        small: Dict[Tuple[int, bool], List[List[np.ndarray]]] = {}
+        block: List[Tuple[str, _Operation, List[np.ndarray], np.ndarray]] = []
+        pending = 0
+        for name, op in connectives:
+            if op.arity not in scaled:
+                scaled[op.arity] = op.layout.scaled_codes(tables)
+            shape = (op.arity, op.symmetric)
+            tuples = small.get(shape)
+            if tuples is None:
+                tuples = _argument_tuples(op.arity, boundary, round_start, op.symmetric)
+                if boundary**op.arity <= _BLOCK:
+                    tuples = small[shape] = list(tuples)
+            for args in tuples:
+                keys = op.keys(packer, scaled[op.arity], args)
+                block.append((name, op, args, keys))
+                pending += len(keys)
+                if pending >= _BLOCK:
+                    seen = _append_first_new(block, tables, seen, chunks, witnesses)
+                    caps.check_clone(len(witnesses))
+                    block, pending = [], 0
+        if block:
+            seen = _append_first_new(block, tables, seen, chunks, witnesses)
+            caps.check_clone(len(witnesses))
         round_start = boundary
-    return entries
+    return np.concatenate(chunks), witnesses
+
+
+def _operations_on(alg: FiniteAlgebra, tables: np.ndarray) -> Dict[str, np.ndarray]:
+    """Each operation applied to the rows of tables, pairwise distinct flat
+    tables over one arity, as row indices in an array of shape
+    (rows,) * arity; -1 where the result is not a row."""
+    count, size = tables.shape
+    packer = _KeyPacker(alg.size, size)
+    tables = tables.astype(packer.dtype)
+    keys = packer.pack(tables)
+    order = np.argsort(keys)
+    ordered = keys[order]
+
+    def rows(found: np.ndarray) -> np.ndarray:
+        at = np.minimum(np.searchsorted(ordered, found), count - 1)
+        return np.where(ordered[at] == found, order[at], -1)
+
+    out: Dict[str, np.ndarray] = {}
+    for name, arity in alg.signature.operations:
+        table = np.asarray(alg.table(name), dtype=packer.dtype)
+        if arity == 0:
+            out[name] = rows(packer.pack(np.full((1, size), table)))[0]
+            continue
+        op = _Operation(table, packer)
+        scaled = op.layout.scaled_codes(tables)
+        blocks = [
+            rows(op.keys(packer, scaled, args))
+            for args in _argument_tuples(arity, count, 0, False)
+        ]
+        out[name] = np.concatenate(blocks).reshape((count,) * arity)
+    return out
 
 
 def clone_discovery_order(
     alg: FiniteAlgebra, n: int, caps: ResourceCaps = DEFAULT_CAPS
 ) -> List[TermFunction]:
     """n-ary clone in witness discovery order (canonical enumeration order)."""
+    tables, witnesses = _closure_rounds(alg, n, caps)
     return [
-        TermFunction(n, tuple(int(x) for x in table), witness)
-        for table, witness in _closure_rounds(alg, n, caps)
+        TermFunction(n, tuple(row), witness)
+        for row, witness in zip(tables.tolist(), witnesses)
     ]
 
 

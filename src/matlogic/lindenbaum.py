@@ -15,7 +15,13 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, TermFunction, clone_discovery_order, term_table
+from .algebra import (
+    FiniteAlgebra,
+    TermFunction,
+    _operations_on,
+    clone_discovery_order,
+    term_table,
+)
 from .lang import Formula, enumerate_formulas
 from .limits import DEFAULT_CAPS, CapExceeded, ResourceCaps
 from .matrices import Matrix
@@ -139,31 +145,15 @@ def free_matrix_algebra(
     formulas) with the designated set inherited pointwise: the restricted
     Lindenbaum matrix of the given matrix."""
     reps = representatives(m.algebra, n, caps)
-    index: Dict[Tuple[int, ...], int] = {tf.table: i for i, tf in enumerate(reps.entries)}
     sig = m.algebra.signature
+    if not reps.entries:
+        raise ValueError(f"no {n}-variable formulas: the free algebra would be empty")
     names = [str(tf.witness) for tf in reps.entries]
-    tables: Dict[str, np.ndarray] = {}
-    stacked = np.stack([tf.values() for tf in reps.entries])
+    tables = _operations_on(m.algebra, np.array([tf.table for tf in reps.entries]))
     for name, arity in sig.operations:
-        table = m.algebra.table(name)
-        if arity == 0:
-            key = tuple(int(table) for _ in range(m.algebra.size**n))
-            if key not in index:
-                raise AssertionError("clone not closed under a constant")
-            tables[name] = np.array(index[key], dtype=np.int64)
-            continue
-        shape = (len(reps.entries),) * arity
-        out = np.zeros(shape, dtype=np.int64)
-        import itertools as _it
-
-        for combo in _it.product(range(len(reps.entries)), repeat=arity):
-            value = table[tuple(stacked[c] for c in combo)]
-            key = tuple(int(x) for x in value)
-            try:
-                out[combo] = index[key]
-            except KeyError:
-                raise AssertionError("clone not closed under an operation") from None
-        tables[name] = out
+        if (tables[name] < 0).any():
+            kind = "a constant" if arity == 0 else "an operation"
+            raise AssertionError(f"clone not closed under {kind}")
     alg = FiniteAlgebra(sig, names, tables)
     designated = frozenset(
         i for i, tf in enumerate(reps.entries) if all(v in m.designated for v in tf.table)
