@@ -348,9 +348,8 @@ def _argument_tuples(
                 first[lo > hi] = count
         lengths = count - first
         columns = [np.repeat(c, lengths) for c in prefix]
-        columns.append(
-            np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths - first, lengths)
-        )
+        ends = np.cumsum(lengths)
+        columns.append(np.arange(ends[-1]) - np.repeat(ends - count, lengths))
         for b0 in range(0, len(columns[-1]), _BLOCK):
             yield [c[b0 : b0 + _BLOCK] for c in columns]
 
@@ -374,9 +373,9 @@ def _append_first_new(
         return seen
     _, first = np.unique(keys[fresh], return_index=True)
     new = fresh[np.sort(first)]
-    ends = np.cumsum([len(piece[3]) for piece in block])
+    ends = list(itertools.accumulate(len(piece[3]) for piece in block))
     cuts = np.searchsorted(new, ends).tolist()
-    starts = [0] + ends[:-1].tolist()
+    starts = [0] + ends[:-1]
     for (name, op, args, _), lo, hi, offset in zip(block, [0] + cuts, cuts, starts):
         if lo == hi:
             continue
