@@ -214,6 +214,8 @@ class TermFunction:
 _BLOCK = 1 << 16
 # entries of one group's lookup table
 _LOOKUP_ENTRIES = 1 << 12
+# most possible keys for which seen keys are kept as one flag per key
+_DENSE_KEYS = 1 << 22
 
 
 class _KeyPacker:
@@ -225,6 +227,7 @@ class _KeyPacker:
         while per_word < size and k ** (per_word + 1) <= 2**62:
             per_word += 1
         self.k = k
+        self.space = k**size  # distinct tables, hence keys
         self.words = [range(w, min(w + per_word, size)) for w in range(0, size, per_word)]
         self.weights = np.array(
             [k ** (word.stop - 1 - x) for word in self.words for x in word], dtype=np.int64
@@ -272,26 +275,22 @@ class _GroupLayout:
         self.arity = arity
         self.radix = k**span
         self.word_of = [w for w, _ in runs]
-        size = len(packer.weights)
-        # positions of each group, padded with `size`: a zero column appended to the tables
-        self.positions = np.array([list(run) + [size] * (span - len(run)) for _, run in runs])
+        # a short group's missing digits read position 0 and weigh nothing
+        self.positions = np.array([list(run) + [0] * (span - len(run)) for _, run in runs])
         self.digit_weights = k ** np.arange(span - 1, -1, -1, dtype=np.int64)
-        # the weight in its word of each group digit; 0 for padding
-        self.weights = np.append(packer.weights, 0)[self.positions]
+        # each group digit's weight in its word
+        self.weights = np.array(
+            [[packer.weights[x] for x in run] + [0] * (span - len(run)) for _, run in runs]
+        )
         # digit d of argument j at each joint code
-        joint = np.arange(self.radix**arity, dtype=np.int64)
-        self.digits = [
-            tuple(joint // self.radix ** (arity - 1 - j) // k ** (span - 1 - d) % k
-                  for j in range(arity))
-            for d in range(span)
-        ]
+        grid = np.indices((k,) * (arity * span)).reshape(arity * span, -1)
+        self.digits = [tuple(grid[j * span + d] for j in range(arity)) for d in range(span)]
 
     def scaled_codes(self, tables: np.ndarray) -> List[np.ndarray]:
         """Per argument position j, a (group, table) array: each table's code
         on each group times radix**(arity - 1 - j)."""
-        padded = np.concatenate([tables, np.zeros((len(tables), 1), tables.dtype)], axis=1)
-        codes = np.ascontiguousarray((padded[:, self.positions] @ self.digit_weights).T)
-        return [codes * self.radix ** (self.arity - 1 - j) for j in range(self.arity)]
+        codes = np.ascontiguousarray((tables[:, self.positions] @ self.digit_weights).T)
+        return [codes * self.radix ** (self.arity - 1 - j) for j in range(self.arity - 1)] + [codes]
 
 
 class _Operation:
@@ -331,14 +330,17 @@ def _argument_tuples(
     column per argument, in lexicographic order; only tuples holding an
     index >= frontier, and only non-decreasing ones when symmetric.  Each
     tuple is a prefix row plus a run of last indices."""
+    if arity == 1:
+        for lo in range(frontier, count, _BLOCK):
+            yield [np.arange(lo, min(lo + _BLOCK, count))]
+        return
     rows_per_chunk = max(1, _BLOCK // count)
     prefix_count = count ** (arity - 1)
     for p0 in range(0, prefix_count, rows_per_chunk):
         ranks = np.arange(p0, min(p0 + rows_per_chunk, prefix_count))
         prefix = [ranks // count ** (arity - 2 - j) % count for j in range(arity - 2)]
-        if arity > 1:
-            prefix.append(ranks % count if arity > 2 else ranks)
-        top = prefix[0] if prefix else np.array([-1])
+        prefix.append(ranks % count if arity > 2 else ranks)
+        top = prefix[0]
         for c in prefix[1:]:
             top = np.maximum(top, c)
         first = np.where(top >= frontier, 0, frontier)
@@ -354,23 +356,45 @@ def _argument_tuples(
             yield [c[b0 : b0 + _BLOCK] for c in columns]
 
 
+class _SeenKeys:
+    """The keys met so far: one flag per possible key when there are at most
+    _DENSE_KEYS of them, else the keys in sorted order."""
+
+    def __init__(self, packer: _KeyPacker, keys: np.ndarray) -> None:
+        self.flags = np.zeros(packer.space, bool) if packer.space <= _DENSE_KEYS else None
+        self.keys = keys[:0]
+        self.add(keys)
+
+    def contains(self, keys: np.ndarray) -> np.ndarray:
+        if self.flags is not None:
+            return self.flags[keys]
+        at = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        return self.keys[at] == keys
+
+    def add(self, keys: np.ndarray) -> None:
+        if self.flags is not None:
+            self.flags[keys] = True
+        else:
+            self.keys = np.sort(np.concatenate([self.keys, keys]))
+
+
 def _append_first_new(
     block: Sequence[Tuple[str, _Operation, List[np.ndarray], np.ndarray]],
     tables: np.ndarray,
-    seen: np.ndarray,
+    seen: _SeenKeys,
     chunks: List[np.ndarray],
     witnesses: List[Formula],
-) -> np.ndarray:
-    """Appends the first candidate of each key of the block not in seen, in
-    candidate order, to chunks and witnesses; returns seen with their keys.
+) -> None:
+    """Appends the first candidate of each key of the block not yet seen, in
+    candidate order, to chunks and witnesses, and marks their keys seen.
 
     A block is a run of (connective name, operation, argument columns, keys)
     pieces in candidate order.
     """
-    keys = np.concatenate([piece[3] for piece in block])
-    fresh = np.flatnonzero(~np.isin(keys, seen))
+    keys = block[0][3] if len(block) == 1 else np.concatenate([piece[3] for piece in block])
+    fresh = np.flatnonzero(~seen.contains(keys))
     if not len(fresh):
-        return seen
+        return
     _, first = np.unique(keys[fresh], return_index=True)
     new = fresh[np.sort(first)]
     ends = list(itertools.accumulate(len(piece[3]) for piece in block))
@@ -385,7 +409,7 @@ def _append_first_new(
             app(name, tuple(witnesses[i] for i in row))
             for row in zip(*(a.tolist() for a in new_args))
         )
-    return np.concatenate([seen, keys[new]])
+    seen.add(keys[new])
 
 
 def _closure_rounds(
@@ -417,7 +441,7 @@ def _closure_rounds(
     first.sort()
     chunks = [seed_tables[first]]
     witnesses = [seeds[i] for i in first.tolist()]
-    seen = seed_keys[first]
+    seen = _SeenKeys(packer, seed_keys[first])
     caps.check_clone(len(witnesses))
 
     connectives = [
@@ -449,11 +473,11 @@ def _closure_rounds(
                 block.append((name, op, args, keys))
                 pending += len(keys)
                 if pending >= _BLOCK:
-                    seen = _append_first_new(block, tables, seen, chunks, witnesses)
+                    _append_first_new(block, tables, seen, chunks, witnesses)
                     caps.check_clone(len(witnesses))
                     block, pending = [], 0
         if block:
-            seen = _append_first_new(block, tables, seen, chunks, witnesses)
+            _append_first_new(block, tables, seen, chunks, witnesses)
             caps.check_clone(len(witnesses))
         round_start = boundary
     return np.concatenate(chunks), witnesses
