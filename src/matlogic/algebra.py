@@ -12,8 +12,7 @@ its table.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,7 +26,7 @@ from .lang import (
     const,
     var,
 )
-from .limits import DEFAULT_CAPS, CapExceeded, ResourceCaps
+from .limits import DEFAULT_CAPS, ResourceCaps
 
 
 class FiniteAlgebra:

@@ -21,6 +21,8 @@ identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import re
 import sys
@@ -927,20 +929,30 @@ def _build_parser() -> argparse.ArgumentParser:
 def run_command(argv: Sequence[str]) -> Tuple[int, str]:
     """Execute one command line; returns (exit code, report text)."""
     parser = _build_parser()
+    # argparse writes help and usage errors itself, then exits
+    printed = io.StringIO()
     try:
-        args = parser.parse_args(list(argv))
+        with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
+            args = parser.parse_args(list(argv))
     except SystemExit as exc:
-        return (2 if exc.code else 0), ""
+        return (2 if exc.code else 0), printed.getvalue().rstrip()
     func = getattr(args, "func", None)
     if func is None:
         return 2, parser.format_usage().rstrip()
+    # the parser and the formula printer still recurse once per nesting level
+    too_deep = "error: formula nested too deeply"
     try:
         report: Report = func(args)
     except (WorkspaceError, ParseError, ValueError, KeyError) as exc:
         return 2, f"error: {exc}"
     except CapExceeded as exc:
         return 3, f"cap exceeded: {exc}"
-    return report.exit_code(), report.render(getattr(args, "json", False))
+    except RecursionError:
+        return 2, too_deep
+    try:
+        return report.exit_code(), report.render(getattr(args, "json", False))
+    except RecursionError:
+        return 2, too_deep
 
 
 def main() -> None:

@@ -19,7 +19,7 @@ atlases before being reported.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .algebra import (
     clone_discovery_order,
     minimal_generating_set,
 )
-from .lang import Formula
 from .limits import DEFAULT_CAPS, CapExceeded, ResourceCaps
 from .matrices import (
     Atlas,

@@ -19,15 +19,13 @@ intuitionistic prover (EH).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .algebra import _assignment_at, _formula_tables, _lex_columns
 from .lang import (
-    AND,
-    IMP,
     App,
     Const,
     Formula,
@@ -43,7 +41,7 @@ from .lang import (
     variables,
 )
 from .limits import DEFAULT_CAPS, ResourceCaps
-from .matrices import Matrix, make_preset
+from .matrices import make_preset
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from .lang import (
     App,
     Const,
     Formula,
-    Var,
     app,
     conj,
     disj,
@@ -34,7 +33,7 @@ from .lang import (
     var,
     variables,
 )
-from .limits import DEFAULT_CAPS, CapExceeded, ResourceCaps
+from .limits import DEFAULT_CAPS, ResourceCaps
 
 _ALLOWED = {NOT: 1, AND: 2, OR: 2, IMP: 2}
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 NOT, AND, OR, IMP, IFF = "¬", "∧", "∨", "→", "↔"
 

@@ -22,7 +22,7 @@ from .algebra import (
     clone_discovery_order,
     term_table,
 )
-from .lang import Formula, enumerate_formulas
+from .lang import Formula
 from .limits import DEFAULT_CAPS, CapExceeded, ResourceCaps
 from .matrices import Matrix
 

@@ -36,6 +36,32 @@ class TestExitCodes:
         assert code == 2
         assert "error" in text
 
+    def test_help_text_is_returned(self, capsys):
+        code, text = run_command(["valid", "--help"])
+        assert code == 0
+        assert text.startswith("usage: matlogic valid") and "--preset" in text
+        assert capsys.readouterr() == ("", "")
+
+    def test_usage_error_text_is_returned(self, capsys):
+        code, text = run_command(["valid", "--bogus"])
+        assert code == 2
+        assert text.startswith("usage: matlogic valid") and "error:" in text
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["valid", "--preset", "L3", "~" * 3000 + "p1"],
+            ["valid", "--preset", "L3", "(" * 3000 + "p1" + ")" * 3000],
+            ["int", "prove", "~" * 3000 + "p1"],
+        ],
+        ids=["valid-neg", "valid-parens", "int-prove"],
+    )
+    def test_deep_nesting_is_an_input_error(self, argv):
+        code, text = run_command(argv)
+        assert code == 2
+        assert text.startswith("error:")
+
     def test_cap_exceeded_exit_3(self, tmp_path):
         doc = copy.deepcopy(EX_NONTR_DOC)
         doc["options"] = {"max_tuples": 2}
