@@ -298,6 +298,7 @@ class _Operation:
 
     def __init__(self, table: np.ndarray, packer: _KeyPacker) -> None:
         self.table = table
+        self.packer = packer
         self.arity = table.ndim
         self.symmetric = self.arity > 1 and all(
             bool((table == np.swapaxes(table, j, j + 1)).all()) for j in range(self.arity - 1)
@@ -306,9 +307,7 @@ class _Operation:
         values = np.stack([table[digits] for digits in self.layout.digits])
         self.lookups = self.layout.weights @ values
 
-    def keys(
-        self, packer: _KeyPacker, scaled_codes: List[np.ndarray], args: List[np.ndarray]
-    ) -> np.ndarray:
+    def keys(self, scaled_codes: List[np.ndarray], args: List[np.ndarray]) -> np.ndarray:
         """Keys of the operation applied to the argument index columns."""
         words: List[np.ndarray] = []
         for g, w in enumerate(self.layout.word_of):
@@ -319,7 +318,7 @@ class _Operation:
                 words.append(self.lookups[g][index])
             else:
                 words[w] += self.lookups[g][index]
-        return packer.keys(words)
+        return self.packer.keys(words)
 
 
 def _argument_tuples(
@@ -468,7 +467,7 @@ def _closure_rounds(
                 if boundary**op.arity <= _BLOCK:
                     tuples = small[shape] = list(tuples)
             for args in tuples:
-                keys = op.keys(packer, scaled[op.arity], args)
+                keys = op.keys(scaled[op.arity], args)
                 block.append((name, op, args, keys))
                 pending += len(keys)
                 if pending >= _BLOCK:
@@ -506,7 +505,7 @@ def _operations_on(alg: FiniteAlgebra, tables: np.ndarray) -> Dict[str, np.ndarr
         op = _Operation(table, packer)
         scaled = op.layout.scaled_codes(tables)
         blocks = [
-            rows(op.keys(packer, scaled, args))
+            rows(op.keys(scaled, args))
             for args in _argument_tuples(arity, count, 0, False)
         ]
         out[name] = np.concatenate(blocks).reshape((count,) * arity)

@@ -939,20 +939,17 @@ def run_command(argv: Sequence[str]) -> Tuple[int, str]:
     func = getattr(args, "func", None)
     if func is None:
         return 2, parser.format_usage().rstrip()
-    # the parser and the formula printer still recurse once per nesting level
-    too_deep = "error: formula nested too deeply"
     try:
         report: Report = func(args)
+        text = report.render(getattr(args, "json", False))
     except (WorkspaceError, ParseError, ValueError, KeyError) as exc:
         return 2, f"error: {exc}"
     except CapExceeded as exc:
         return 3, f"cap exceeded: {exc}"
     except RecursionError:
-        return 2, too_deep
-    try:
-        return report.exit_code(), report.render(getattr(args, "json", False))
-    except RecursionError:
-        return 2, too_deep
+        # the parser and the formula printer still recurse once per nesting level
+        return 2, "error: formula nested too deeply"
+    return report.exit_code(), text
 
 
 def main() -> None:

@@ -1,3 +1,5 @@
+import pytest
+
 from matlogic import (
     enumerate_formulas,
     free_matrix_algebra,
@@ -61,6 +63,11 @@ class TestFreeMatrixAlgebra:
         for n, size in ((0, 2), (1, 4), (2, 16)):
             free, reps = free_matrix_algebra(b2c, n)
             assert free.algebra.size == size
+
+    def test_empty_clone_has_no_free_algebra(self):
+        # no variables and no constants: no formulas at all
+        with pytest.raises(ValueError, match="no 0-variable formulas"):
+            free_matrix_algebra(make_preset("B2"), 0)
 
     def test_free_algebra_validates_same_theorems(self, chain3_arrow):
         free, reps = free_matrix_algebra(chain3_arrow, 1)
