@@ -11,6 +11,7 @@ its table.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -200,173 +201,194 @@ class TermFunction:
 # ---------------------------------------------------------------------------
 # clone closure
 #
-# Candidate term functions are handled a block at a time.  A table of
-# k**n values is identified by a key: its base-k digits packed into 62-bit
-# words, an int64 when one word holds the whole table and the words' bytes
-# (a void scalar) otherwise.  The key of op(t1, ..., ta) is computed without
-# building the candidate's table: the positions of each word are cut into
-# groups, each argument table is summarised by its digit code on every
-# group, and one lookup table per group, built from op, maps the arguments'
-# codes to that group's part of the word.
+# Candidate term functions are handled a block at a time, through codes
+# rather than tables.  The k**n positions of a flat table are cut into
+# groups of `span` consecutive positions, and a table is summarised by its
+# code on each group: its digits there read base k.  One lookup per
+# connective maps the arguments' joint code on a group to the result's code
+# there, so the codes of op(t1, ..., ta) come from the codes of t1..ta without
+# building a table.  Positions past the table's end repeat its first
+# position, which every connective maps alike.  A function's key packs its
+# codes into 62-bit words: an int64 when one word holds them, else the words'
+# bytes as a void scalar.  A lookup has at most as many entries as the larger
+# of _LOOKUP_ENTRIES and the connective's own table, and a block's arrays hold
+# at most _BLOCK codes, so memory stays linear in the tables whatever k is.
+#
+# Small clones cost a few numpy calls per round, so what depends only on
+# integers (layouts, digit cells, a small round's argument tuples) and the
+# lookups of small connective tables are kept between calls.
 
-# candidates in one block; bounds the block's arrays
-_BLOCK = 1 << 16
-# entries of one group's lookup table
+# group codes (candidates times groups) in one block; bounds the block's arrays
+_BLOCK = 1 << 14
+# argument tuples listed at once, then cut into blocks
+_CHUNK = 1 << 16
+# entries of a lookup, unless the connective's own table has more
 _LOOKUP_ENTRIES = 1 << 12
 # most possible keys for which seen keys are kept as one flag per key
 _DENSE_KEYS = 1 << 22
 
 
-class _KeyPacker:
-    """Packs flat tables of `size` values below k into keys that are equal
-    exactly when the tables are."""
+class _Codes:
+    """Groups, codes and keys of flat tables of `size` values below k, with
+    lookups for connectives of at most `arity` arguments.  Build it through
+    _layout."""
 
-    def __init__(self, k: int, size: int) -> None:
+    def __init__(self, k: int, size: int, arity: int) -> None:
+        span = 1
+        while span < size and k ** ((span + 1) * arity) <= _LOOKUP_ENTRIES:
+            span += 1
+        groups = -(-size // span)
+        span = -(-size // groups)  # as even as the groups allow
         per_word = 1
-        while per_word < size and k ** (per_word + 1) <= 2**62:
+        while per_word < groups and k ** (span * (per_word + 1)) <= 2**62:
             per_word += 1
+        self.words = -(-groups // per_word)
+        self.per_word = per_word = -(-groups // self.words)
+        groups = self.words * per_word  # groups past the table's end repeat its first position
         self.k = k
-        self.space = k**size  # distinct tables, hence keys
-        self.words = [range(w, min(w + per_word, size)) for w in range(0, size, per_word)]
-        self.weights = np.array(
-            [k ** (word.stop - 1 - x) for word in self.words for x in word], dtype=np.int64
-        )
-        self.dtype = np.uint8 if k <= 256 else np.int64
-        self._layouts: Dict[int, _GroupLayout] = {}
-
-    def keys(self, words: Sequence[np.ndarray]) -> np.ndarray:
-        """Keys from the packed words of a run of tables, one array per word."""
-        if len(words) == 1:
-            return words[0]
-        rows = np.ascontiguousarray(np.stack(words, axis=1))
-        return rows.view(np.dtype((np.void, 8 * len(words)))).ravel()
-
-    def pack(self, tables: np.ndarray) -> np.ndarray:
-        """Keys of the rows of a (count, size) table array."""
-        parts = tables.astype(np.int64) * self.weights
-        return self.keys([parts[:, word].sum(axis=1) for word in self.words])
-
-    def layout(self, arity: int) -> "_GroupLayout":
-        """How the key groups of arity-ary operations are cut and coded."""
-        if arity not in self._layouts:
-            self._layouts[arity] = _GroupLayout(self, arity)
-        return self._layouts[arity]
-
-
-class _GroupLayout:
-    """Key groups for operations of one arity: the positions of each word cut
-    into runs of at most `span`, as even as the largest lookup table allows.
-    A table's code on a group reads its digits there base k, first digit
-    most significant, padded with zeros to `span` digits; the arguments'
-    joint code reads their codes base radix = k**span, first argument most
-    significant."""
-
-    def __init__(self, packer: _KeyPacker, arity: int) -> None:
-        k = packer.k
-        per_word = len(packer.words[0])
-        longest = 1
-        while longest < per_word and k ** ((longest + 1) * arity) <= _LOOKUP_ENTRIES:
-            longest += 1
-        span = -(-per_word // -(-per_word // longest))
-        runs = [(w, range(g, min(g + span, word.stop)))
-                for w, word in enumerate(packer.words)
-                for g in range(word.start, word.stop, span)]
-        self.arity = arity
+        self.size = size
+        self.span = span
+        self.groups = groups
         self.radix = k**span
-        self.word_of = [w for w, _ in runs]
-        # a short group's missing digits read position 0 and weigh nothing
-        self.positions = np.array([list(run) + [0] * (span - len(run)) for _, run in runs])
         self.digit_weights = k ** np.arange(span - 1, -1, -1, dtype=np.int64)
-        # each group digit's weight in its word
-        self.weights = np.array(
-            [[packer.weights[x] for x in run] + [0] * (span - len(run)) for _, run in runs]
-        )
-        # digit d of argument j at each joint code
-        grid = np.indices((k,) * (arity * span)).reshape(arity * span, -1)
-        self.digits = [tuple(grid[j * span + d] for j in range(arity)) for d in range(span)]
+        self.word_weights = self.radix ** np.arange(per_word - 1, -1, -1, dtype=np.int64)[:, None]
+        # distinct keys when one word holds them
+        self.space = self.radix**groups if self.words == 1 else None
+        self.block = max(1, _BLOCK // groups)
 
-    def scaled_codes(self, tables: np.ndarray) -> List[np.ndarray]:
-        """Per argument position j, a (group, table) array: each table's code
-        on each group times radix**(arity - 1 - j)."""
-        codes = np.ascontiguousarray((tables[:, self.positions] @ self.digit_weights).T)
-        return [codes * self.radix ** (self.arity - 1 - j) for j in range(self.arity - 1)] + [codes]
+    def codes(self, tables: np.ndarray) -> np.ndarray:
+        """The (groups, count) codes of the rows of a (count, size) table array."""
+        positions = np.arange(self.groups * self.span)
+        positions[self.size :] = 0
+        cells = tables[:, positions.reshape(self.groups, self.span)]
+        return np.ascontiguousarray((cells @ self.digit_weights).T)
+
+    def tables(self, codes: np.ndarray) -> np.ndarray:
+        """The (count, size) tables of (groups, count) codes, as uint8 when k <= 256."""
+        digits = codes.T[:, :, None] // self.digit_weights % self.k
+        flat = digits.reshape(codes.shape[1], self.groups * self.span)[:, : self.size]
+        return flat.astype(np.uint8 if self.k <= 256 else np.int64)
+
+    def keys(self, codes: np.ndarray) -> np.ndarray:
+        """Keys of the columns of codes, equal exactly when the tables are."""
+        codes = codes.reshape(self.words, self.per_word, codes.shape[1])
+        words = (codes * self.word_weights).sum(axis=1)
+        if self.words == 1:
+            return words[0]
+        return np.ascontiguousarray(words.T).view(np.dtype((np.void, 8 * self.words))).ravel()
+
+    def joint(self, codes: np.ndarray, args: np.ndarray) -> np.ndarray:
+        """The arguments' joint codes, first argument most significant, for
+        argument tuples given as an (arity, tuples) array of column indices."""
+        joint = codes.take(args[0], axis=1)
+        for a in args[1:]:
+            joint *= self.radix
+            joint += codes.take(a, axis=1)
+        return joint
+
+
+@functools.lru_cache(maxsize=32)
+def _layout(k: int, size: int, arity: int) -> _Codes:
+    return _Codes(k, size, arity)
 
 
 class _Operation:
-    """A connective's table with one lookup table per key group, mapping the
-    arguments' joint code on the group to the group's part of the word."""
+    """A connective as a lookup from its arguments' joint code on a group of
+    `span` digits below k to the result's code there."""
 
-    def __init__(self, table: np.ndarray, packer: _KeyPacker) -> None:
-        self.table = table
-        self.packer = packer
-        self.arity = table.ndim
-        self.symmetric = self.arity > 1 and all(
-            bool((table == np.swapaxes(table, j, j + 1)).all()) for j in range(self.arity - 1)
+    def __init__(self, table: np.ndarray, k: int, span: int) -> None:
+        self.arity = arity = table.ndim
+        self.symmetric = arity > 1 and all(
+            (table == table.swapaxes(j, j + 1)).all() for j in range(arity - 1)
         )
-        self.layout = packer.layout(self.arity)
-        values = np.stack([table[digits] for digits in self.layout.digits])
-        self.lookups = self.layout.weights @ values
+        flat = table.ravel()
+        if span == 1:
+            # one digit per argument: the joint code is the table position
+            self.lookup = flat
+        else:
+            self.lookup = k ** np.arange(span - 1, -1, -1) @ flat[_digit_cells(k, span, arity)]
 
-    def keys(self, scaled_codes: List[np.ndarray], args: List[np.ndarray]) -> np.ndarray:
-        """Keys of the operation applied to the argument index columns."""
-        words: List[np.ndarray] = []
-        for g, w in enumerate(self.layout.word_of):
-            index = scaled_codes[0][g][args[0]]
-            for j in range(1, self.arity):
-                index += scaled_codes[j][g][args[j]]
-            if w == len(words):
-                words.append(self.lookups[g][index])
-            else:
-                words[w] += self.lookups[g][index]
-        return self.packer.keys(words)
+
+def _operation(table: np.ndarray, layout: _Codes) -> _Operation:
+    """The connective's lookup on the layout's groups; kept between calls for
+    tables of at most _LOOKUP_ENTRIES entries."""
+    if table.size > _LOOKUP_ENTRIES:
+        return _Operation(table, layout.k, layout.span)
+    return _kept_operation(table.tobytes(), table.shape, layout.k, layout.span)
+
+
+@functools.lru_cache(maxsize=256)
+def _kept_operation(data: bytes, shape: Tuple[int, ...], k: int, span: int) -> _Operation:
+    return _Operation(np.frombuffer(data, dtype=np.int64).reshape(shape), k, span)
+
+
+@functools.lru_cache(maxsize=16)
+def _digit_cells(k: int, span: int, arity: int) -> np.ndarray:
+    """Row d: the table position that digit d of each argument selects, at
+    each joint code of `arity` arguments on a group of `span` digits
+    (read-only)."""
+    digits = np.indices((k,) * (arity * span)).reshape(arity, span, -1)
+    cells = digits[0]
+    for row in digits[1:]:
+        cells = cells * k + row
+    cells.setflags(write=False)
+    return cells
 
 
 def _argument_tuples(
-    arity: int, count: int, frontier: int, symmetric: bool
-) -> Iterable[List[np.ndarray]]:
-    """Blocks of at most _BLOCK tuples over range(count), as one index
-    column per argument, in lexicographic order; only tuples holding an
-    index >= frontier, and only non-decreasing ones when symmetric.  Each
-    tuple is a prefix row plus a run of last indices."""
+    arity: int, count: int, frontier: int, symmetric: bool, block: int
+) -> Iterable[np.ndarray]:
+    """Blocks of at most `block` tuples over range(count), as (arity, tuples)
+    index arrays, in lexicographic order; only tuples holding an index >=
+    frontier, and only non-decreasing ones when symmetric.  Each tuple is a
+    prefix row plus a run of last indices."""
     if arity == 1:
-        for lo in range(frontier, count, _BLOCK):
-            yield [np.arange(lo, min(lo + _BLOCK, count))]
+        for lo in range(frontier, count, block):
+            yield np.arange(lo, min(lo + block, count))[None]
         return
-    rows_per_chunk = max(1, _BLOCK // count)
+    rows_per_chunk = max(1, _CHUNK // count)
     prefix_count = count ** (arity - 1)
     for p0 in range(0, prefix_count, rows_per_chunk):
         ranks = np.arange(p0, min(p0 + rows_per_chunk, prefix_count))
-        prefix = [ranks // count ** (arity - 2 - j) % count for j in range(arity - 2)]
-        prefix.append(ranks % count if arity > 2 else ranks)
-        top = prefix[0]
-        for c in prefix[1:]:
-            top = np.maximum(top, c)
+        prefix = [ranks // count ** (arity - 2 - j) % count for j in range(arity - 1)]
+        top = prefix[0] if arity == 2 else np.max(prefix, axis=0)
         first = np.where(top >= frontier, 0, frontier)
         if symmetric:
             first = np.maximum(first, prefix[-1])
             for lo, hi in zip(prefix, prefix[1:]):
                 first[lo > hi] = count
         lengths = count - first
-        columns = [np.repeat(c, lengths) for c in prefix]
-        ends = np.cumsum(lengths)
-        columns.append(np.arange(ends[-1]) - np.repeat(ends - count, lengths))
-        for b0 in range(0, len(columns[-1]), _BLOCK):
-            yield [c[b0 : b0 + _BLOCK] for c in columns]
+        ends = lengths.cumsum()
+        tuples = np.empty((arity, ends[-1]), dtype=np.intp)
+        for j, c in enumerate(prefix):
+            tuples[j] = c.repeat(lengths)
+        tuples[-1] = np.arange(ends[-1]) - (ends - count).repeat(lengths)
+        for b0 in range(0, ends[-1], block):
+            yield tuples[:, b0 : b0 + block]
+
+
+@functools.lru_cache(maxsize=64)
+def _round_tuples(arity: int, count: int, frontier: int, symmetric: bool) -> np.ndarray:
+    """All the argument tuples of a round that one block holds, read-only."""
+    (tuples,) = _argument_tuples(arity, count, frontier, symmetric, count**arity)
+    tuples.setflags(write=False)
+    return tuples
 
 
 class _SeenKeys:
     """The keys met so far: one flag per possible key when there are at most
     _DENSE_KEYS of them, else the keys in sorted order."""
 
-    def __init__(self, packer: _KeyPacker, keys: np.ndarray) -> None:
-        self.flags = np.zeros(packer.space, bool) if packer.space <= _DENSE_KEYS else None
+    def __init__(self, layout: _Codes, keys: np.ndarray) -> None:
+        dense = layout.space is not None and layout.space <= _DENSE_KEYS
+        self.flags = np.zeros(layout.space, bool) if dense else None
         self.keys = keys[:0]
         self.add(keys)
 
     def contains(self, keys: np.ndarray) -> np.ndarray:
         if self.flags is not None:
             return self.flags[keys]
-        at = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        at = np.minimum(self.keys.searchsorted(keys), len(self.keys) - 1)
         return self.keys[at] == keys
 
     def add(self, keys: np.ndarray) -> None:
@@ -376,38 +398,43 @@ class _SeenKeys:
             self.keys = np.sort(np.concatenate([self.keys, keys]))
 
 
+def _first_occurrences(keys: np.ndarray) -> np.ndarray:
+    """Ascending positions of the first occurrence of each distinct key."""
+    order = keys.argsort(kind="stable")
+    ordered = keys[order]
+    starts = np.empty(len(keys), dtype=bool)
+    starts[:1] = True
+    starts[1:] = ordered[1:] != ordered[:-1]
+    first = order[starts]
+    first.sort()
+    return first
+
+
 def _append_first_new(
-    block: Sequence[Tuple[str, _Operation, List[np.ndarray], np.ndarray]],
-    tables: np.ndarray,
+    block: Sequence[Tuple[str, np.ndarray, np.ndarray]],
+    layout: _Codes,
     seen: _SeenKeys,
     chunks: List[np.ndarray],
     witnesses: List[Formula],
 ) -> None:
     """Appends the first candidate of each key of the block not yet seen, in
-    candidate order, to chunks and witnesses, and marks their keys seen.
-
-    A block is a run of (connective name, operation, argument columns, keys)
-    pieces in candidate order.
-    """
-    keys = block[0][3] if len(block) == 1 else np.concatenate([piece[3] for piece in block])
-    fresh = np.flatnonzero(~seen.contains(keys))
+    candidate order, to chunks (its codes) and witnesses, and marks their
+    keys seen.  A block is a run of (connective, argument tuples, result
+    codes) pieces in candidate order."""
+    results = block[0][2] if len(block) == 1 else np.concatenate([p[2] for p in block], axis=1)
+    keys = layout.keys(results)
+    fresh = (~seen.contains(keys)).nonzero()[0]
     if not len(fresh):
         return
-    _, first = np.unique(keys[fresh], return_index=True)
-    new = fresh[np.sort(first)]
-    ends = list(itertools.accumulate(len(piece[3]) for piece in block))
-    cuts = np.searchsorted(new, ends).tolist()
-    starts = [0] + ends[:-1]
-    for (name, op, args, _), lo, hi, offset in zip(block, [0] + cuts, cuts, starts):
-        if lo == hi:
-            continue
-        new_args = [a[new[lo:hi] - offset] for a in args]
-        chunks.append(op.table[tuple(tables[a] for a in new_args)])
-        witnesses.extend(
-            app(name, tuple(witnesses[i] for i in row))
-            for row in zip(*(a.tolist() for a in new_args))
-        )
+    new = fresh[_first_occurrences(keys[fresh])]
+    chunks.append(results.take(new, axis=1))
     seen.add(keys[new])
+    ends = list(itertools.accumulate(p[1].shape[1] for p in block))
+    cuts = new.searchsorted(ends).tolist()
+    for (name, args, _), lo, hi, offset in zip(block, [0] + cuts, cuts, [0] + ends):
+        if lo < hi:
+            rows = args.take(new[lo:hi] - offset, axis=1).T.tolist()
+            witnesses.extend(app(name, tuple(witnesses[i] for i in row)) for row in rows)
 
 
 def _closure_rounds(
@@ -429,56 +456,57 @@ def _closure_rounds(
     k = alg.size
     size = k**n
     caps.check_tuples(size)
-    packer = _KeyPacker(k, size)
+    arities = [arity for _, arity in alg.signature.proper_connectives]
+    layout = _layout(k, size, max(arities, default=1))
     seeds = [var(i) for i in range(1, n + 1)] + [const(c) for c in alg.signature.constants]
     columns = _lex_columns(k, range(1, n + 1))
-    seed_tables = np.array(_formula_tables(alg, seeds, columns, size), dtype=packer.dtype)
-    seed_tables = seed_tables.reshape(len(seeds), size)
-    seed_keys = packer.pack(seed_tables)
-    _, first = np.unique(seed_keys, return_index=True)
-    first.sort()
-    chunks = [seed_tables[first]]
+    seed_tables = np.array(_formula_tables(alg, seeds, columns, size), dtype=np.int64)
+    seed_codes = layout.codes(seed_tables.reshape(len(seeds), size))
+    seed_keys = layout.keys(seed_codes)
+    first = _first_occurrences(seed_keys)
+    chunks = [seed_codes[:, first]]
     witnesses = [seeds[i] for i in first.tolist()]
-    seen = _SeenKeys(packer, seed_keys[first])
+    seen = _SeenKeys(layout, seed_keys[first])
     caps.check_clone(len(witnesses))
 
     connectives = [
-        (name, _Operation(np.asarray(alg.table(name), dtype=packer.dtype), packer))
+        (name, _operation(alg.table(name), layout))
         for name, _ in alg.signature.proper_connectives
     ]
     round_start = 0
     while round_start < len(witnesses):
         boundary = len(witnesses)
-        tables = np.concatenate(chunks)
-        chunks = [tables]
-        # shared by the connectives of one arity: the tables' group codes and,
-        # when one block holds them, the round's argument tuples
-        scaled: Dict[int, List[np.ndarray]] = {}
-        small: Dict[Tuple[int, bool], List[List[np.ndarray]]] = {}
-        block: List[Tuple[str, _Operation, List[np.ndarray], np.ndarray]] = []
+        codes = chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=1)
+        chunks = [codes]
+        # a round's argument tuples and joint codes, shared by the connectives
+        # of one shape when one block holds them
+        small: Dict[Tuple[int, bool], List[Tuple[np.ndarray, np.ndarray]]] = {}
+        block: List[Tuple[str, np.ndarray, np.ndarray]] = []
         pending = 0
         for name, op in connectives:
-            if op.arity not in scaled:
-                scaled[op.arity] = op.layout.scaled_codes(tables)
             shape = (op.arity, op.symmetric)
-            tuples = small.get(shape)
-            if tuples is None:
-                tuples = _argument_tuples(op.arity, boundary, round_start, op.symmetric)
-                if boundary**op.arity <= _BLOCK:
-                    tuples = small[shape] = list(tuples)
-            for args in tuples:
-                keys = op.keys(scaled[op.arity], args)
-                block.append((name, op, args, keys))
-                pending += len(keys)
-                if pending >= _BLOCK:
-                    _append_first_new(block, tables, seen, chunks, witnesses)
+            pieces = small.get(shape)
+            if pieces is None:
+                if boundary**op.arity <= layout.block:
+                    args = _round_tuples(op.arity, boundary, round_start, op.symmetric)
+                    pieces = small[shape] = [(args, layout.joint(codes, args))]
+                else:
+                    tuples = _argument_tuples(
+                        op.arity, boundary, round_start, op.symmetric, layout.block
+                    )
+                    pieces = ((args, layout.joint(codes, args)) for args in tuples)
+            for args, joint in pieces:
+                block.append((name, args, op.lookup[joint]))
+                pending += args.shape[1]
+                if pending >= layout.block:
+                    _append_first_new(block, layout, seen, chunks, witnesses)
                     caps.check_clone(len(witnesses))
                     block, pending = [], 0
         if block:
-            _append_first_new(block, tables, seen, chunks, witnesses)
+            _append_first_new(block, layout, seen, chunks, witnesses)
             caps.check_clone(len(witnesses))
         round_start = boundary
-    return np.concatenate(chunks), witnesses
+    return layout.tables(np.concatenate(chunks, axis=1)), witnesses
 
 
 def _operations_on(alg: FiniteAlgebra, tables: np.ndarray) -> Dict[str, np.ndarray]:
@@ -486,9 +514,10 @@ def _operations_on(alg: FiniteAlgebra, tables: np.ndarray) -> Dict[str, np.ndarr
     tables over one arity, as row indices in an array of shape
     (rows,) * arity; -1 where the result is not a row."""
     count, size = tables.shape
-    packer = _KeyPacker(alg.size, size)
-    tables = tables.astype(packer.dtype)
-    keys = packer.pack(tables)
+    arities = [arity for _, arity in alg.signature.proper_connectives]
+    layout = _layout(alg.size, size, max(arities, default=1))
+    codes = layout.codes(tables)
+    keys = layout.keys(codes)
     order = np.argsort(keys)
     ordered = keys[order]
 
@@ -498,15 +527,14 @@ def _operations_on(alg: FiniteAlgebra, tables: np.ndarray) -> Dict[str, np.ndarr
 
     out: Dict[str, np.ndarray] = {}
     for name, arity in alg.signature.operations:
-        table = np.asarray(alg.table(name), dtype=packer.dtype)
         if arity == 0:
-            out[name] = rows(packer.pack(np.full((1, size), table)))[0]
+            constant = np.full((1, size), alg.table(name))
+            out[name] = rows(layout.keys(layout.codes(constant)))[0]
             continue
-        op = _Operation(table, packer)
-        scaled = op.layout.scaled_codes(tables)
+        op = _operation(alg.table(name), layout)
         blocks = [
-            rows(op.keys(scaled, args))
-            for args in _argument_tuples(arity, count, 0, False)
+            rows(layout.keys(op.lookup[layout.joint(codes, args)]))
+            for args in _argument_tuples(arity, count, 0, False, layout.block)
         ]
         out[name] = np.concatenate(blocks).reshape((count,) * arity)
     return out

@@ -193,6 +193,11 @@ class TestOperands:
         assert code == 0
         assert "4 elements" in text
 
+    def test_reps_on_a_large_chain(self):
+        code, text = run_command(["reps", "--preset", "G1000", "--n", "1", "--json"])
+        assert code == 0
+        assert json.loads(text)["stats"] == {"count": 6, "n": 1}
+
     def test_atlas_operand(self, tmp_path):
         doc = copy.deepcopy(EX_NONTR_DOC)
         doc["atlases"] = {"T": {"algebra": "A", "filters": [["1"], ["1/2", "1"]]}}

@@ -3,6 +3,7 @@ algebra: the digests below were recorded from the per-candidate closure, so
 any rewrite must reproduce every table, witness and discovery position."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,20 @@ def _clone_digest(alg, n):
 )
 def test_clone_discovery_order_digest(build, n, count, digest):
     assert _clone_digest(build(), n) == (count, digest)
+
+
+def test_large_carrier_clone_stays_small():
+    # 1,000 elements: every table position is a group of its own, and the
+    # per-connective lookups must not grow with k**n times k**arity
+    alg = godel_chain(1000)
+    tracemalloc.start()
+    try:
+        result = _clone_digest(alg, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (6, "ea3399a2e3f68089565fd4147d5ff9a2d16ebbf0df34c6bfc276210b6ce1ca35")
+    assert peak < 16 * 2**20
 
 
 def test_free_matrix_algebra_digest():
