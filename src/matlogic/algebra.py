@@ -224,7 +224,9 @@ _BLOCK = 1 << 14
 _CHUNK = 1 << 16
 # entries of a lookup, unless the connective's own table has more
 _LOOKUP_ENTRIES = 1 << 12
-# most possible keys for which seen keys are kept as one flag per key
+# most possible keys for which seen keys are kept as one flag per key: a
+# gather instead of a binary search (clone of L3 at n = 2, 3**9 keys: 1.0 s
+# against 3.8 s with the sorted keys alone, 2 vCPU Xeon)
 _DENSE_KEYS = 1 << 22
 
 
@@ -252,6 +254,8 @@ class _Codes:
         self.radix = k**span
         self.digit_weights = k ** np.arange(span - 1, -1, -1, dtype=np.int64)
         self.word_weights = self.radix ** np.arange(per_word - 1, -1, -1, dtype=np.int64)[:, None]
+        self.digit_weights.setflags(write=False)
+        self.word_weights.setflags(write=False)
         # distinct keys when one word holds them
         self.space = self.radix**groups if self.words == 1 else None
         self.block = max(1, _BLOCK // groups)
@@ -307,6 +311,7 @@ class _Operation:
             self.lookup = flat
         else:
             self.lookup = k ** np.arange(span - 1, -1, -1) @ flat[_digit_cells(k, span, arity)]
+        self.lookup.setflags(write=False)
 
 
 def _operation(table: np.ndarray, layout: _Codes) -> _Operation:
