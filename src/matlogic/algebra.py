@@ -231,9 +231,9 @@ _DENSE_KEYS = 1 << 22
 
 
 class _Codes:
-    """Groups, codes and keys of flat tables of `size` values below k, with
-    lookups for connectives of at most `arity` arguments.  Build it through
-    _layout."""
+    """Groups, codes and keys of flat tables of `size` values below k; a
+    group spans as many positions as the lookups of connectives of at most
+    `arity` arguments allow.  Build it through _layout."""
 
     def __init__(self, k: int, size: int, arity: int) -> None:
         span = 1
