@@ -12,6 +12,7 @@ import pytest
 
 from matlogic import (
     App,
+    Congruence,
     Const,
     FiniteAlgebra,
     Matrix,
@@ -146,3 +147,189 @@ EX_NONTR_DOC = {
     },
     "matrices": {"M": {"algebra": "A", "designated": ["1"]}},
 }
+
+
+# ---------------------------------------------------------------------------
+# congruence oracles: the loop nests the shared refinement and closure
+# primitives replaced, kept as they were
+
+
+def is_congruence_slow(alg, part) -> bool:
+    """Exhaustive compatibility check of a partition with all operations."""
+    k = alg.size
+    if len(part.labels) != k:
+        return False
+    for name, arity in alg.signature.proper_connectives:
+        table = alg.table(name)
+        for left in itertools.product(range(k), repeat=arity):
+            for right in itertools.product(range(k), repeat=arity):
+                if all(part.related(a, b) for a, b in zip(left, right)):
+                    if not part.related(int(table[left]), int(table[right])):
+                        return False
+    return True
+
+
+def congruence_closure_pairs_slow(alg, pairs):
+    """Least congruence of the algebra containing the given pairs."""
+    k = alg.size
+    parent = list(range(k))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(a: int, b: int) -> bool:
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            return False
+        parent[max(ra, rb)] = min(ra, rb)
+        return True
+
+    for a, b in pairs:
+        union(int(a), int(b))
+
+    # propagate: single-coordinate substitution suffices by transitivity
+    changed = True
+    while changed:
+        changed = False
+        for name, arity in alg.signature.proper_connectives:
+            table = alg.table(name)
+            for combo in itertools.product(range(k), repeat=arity):
+                for pos in range(arity):
+                    x = combo[pos]
+                    for y in range(x + 1, k):
+                        if find(x) != find(y):
+                            continue
+                        other = combo[:pos] + (y,) + combo[pos + 1 :]
+                        if union(int(table[combo]), int(table[other])):
+                            changed = True
+    return Congruence.from_labels([find(e) for e in range(k)])
+
+
+def greatest_congruence_below_slow(alg, part):
+    """Greatest congruence refining the given partition.
+
+    Iterated splitting: two elements stay together only if every
+    one-coordinate substitution keeps their images in a common block.
+    """
+    k = alg.size
+    labels = list(Congruence.from_labels(part.labels).labels)
+
+    def compatible(a: int, b: int) -> bool:
+        for name, arity in alg.signature.proper_connectives:
+            table = alg.table(name)
+            for pos in range(arity):
+                for context in itertools.product(range(k), repeat=arity - 1):
+                    ca = context[:pos] + (a,) + context[pos:]
+                    cb = context[:pos] + (b,) + context[pos:]
+                    if labels[int(table[ca])] != labels[int(table[cb])]:
+                        return False
+        return True
+
+    changed = True
+    while changed:
+        changed = False
+        new_labels = list(labels)
+        next_label = max(labels) + 1
+        for block in Congruence.from_labels(tuple(labels)).blocks():
+            if len(block) < 2:
+                continue
+            anchor = block[0]
+            moved = []
+            for e in block[1:]:
+                if not compatible(anchor, e):
+                    moved.append(e)
+            if moved:
+                # split strictly: keep anchor-compatible elements together
+                for e in moved:
+                    new_labels[e] = next_label
+                next_label += 1
+                changed = True
+        labels = list(Congruence.from_labels(tuple(new_labels)).labels)
+    return Congruence.from_labels(tuple(labels))
+
+
+class _UnionFindSlow:
+    def __init__(self) -> None:
+        self.parent = {}
+
+    def add(self, t) -> None:
+        self.parent.setdefault(t, t)
+
+    def find(self, t):
+        p = self.parent[t]
+        while p is not self.parent[p]:
+            self.parent[p] = self.parent[self.parent[p]]
+            p = self.parent[p]
+        self.parent[t] = p
+        return p
+
+    def union(self, a, b) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra is rb:
+            return False
+        self.parent[ra] = rb
+        return True
+
+
+def _head_slow(t):
+    if isinstance(t, Var):
+        return ("var", t.index)
+    if isinstance(t, Const):
+        return ("const", t.name)
+    assert isinstance(t, App)
+    return ("app", t.connective)
+
+
+def ground_closure_slow(premises, extra_terms=()):
+    """Congruence closure of the premises over all their subterms (plus any
+    extra terms), with variables treated as opaque constants.  Returns the
+    class index of every term in the universe."""
+    universe = []
+    seen = set()
+
+    def collect(t) -> None:
+        if t in seen:
+            return
+        seen.add(t)
+        if isinstance(t, App):
+            for a in t.args:
+                collect(a)
+        universe.append(t)
+
+    for e in premises:
+        collect(e.lhs)
+        collect(e.rhs)
+    for t in extra_terms:
+        collect(t)
+
+    uf = _UnionFindSlow()
+    for t in universe:
+        uf.add(t)
+
+    pending = [(e.lhs, e.rhs) for e in premises]
+    while pending:
+        a, b = pending.pop()
+        if uf.find(a) is uf.find(b):
+            continue
+        uf.union(a, b)
+        # re-propagate: matching signatures force parent merges
+        sig_table = {}
+        for t in universe:
+            if not isinstance(t, App):
+                continue
+            key = (_head_slow(t),) + tuple(uf.find(x) for x in t.args)
+            other = sig_table.get(key)
+            if other is None:
+                sig_table[key] = t
+            elif uf.find(other) is not uf.find(t):
+                pending.append((other, t))
+
+    labels = {}
+    roots = {}
+    for t in universe:
+        r = uf.find(t)
+        labels[t] = roots.setdefault(r, len(roots))
+    return labels

@@ -1,5 +1,6 @@
 import copy
 import json
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -7,6 +8,11 @@ import pytest
 from matlogic.cli import REPORT_SCHEMA, load_spec, run_command, WorkspaceError
 
 from conftest import EX_NONTR_DOC, EX_TR_DOC, write_workspace
+
+# help and usage-error texts recorded at an 80-column width
+HELP_TEXTS = json.loads(
+    (Path(__file__).parent / "data" / "cli_help.json").read_text(encoding="utf-8")
+)
 
 
 class TestExitCodes:
@@ -61,6 +67,19 @@ class TestExitCodes:
         code, text = run_command(argv)
         assert code == 2
         assert text.startswith("error:")
+
+    @pytest.mark.parametrize("case", HELP_TEXTS, ids=lambda c: " ".join(c["argv"]) or "-")
+    def test_help_and_usage_texts_are_unchanged(self, case, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        for _ in range(2):
+            assert run_command(case["argv"]) == (case["exit"], case["text"])
+
+    def test_successive_commands_share_no_operands(self):
+        ground = ["eq", "ground", "p1 ~ p3"]
+        assert run_command(ground + ["--premise", "p1 ~ p2", "--premise", "p2 ~ p3"])[0] == 0
+        assert run_command(ground) == (1, "ground consequence: no\nclosure classes: [['p1'], ['p3']]")
+        assert run_command(["valid", "--preset", "L3", "p1 | ~p1"])[0] == 1
+        assert run_command(["valid", "--preset", "B2", "p1 | ~p1"]) == (0, "valid: p1 | ~p1")
 
     def test_cap_exceeded_exit_3(self, tmp_path):
         doc = copy.deepcopy(EX_NONTR_DOC)
