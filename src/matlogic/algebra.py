@@ -126,20 +126,11 @@ def _assignment_at(
     return tuple(sorted(pairs))
 
 
-def _formula_tables(
-    alg: FiniteAlgebra,
-    formulas: Sequence[Formula],
-    columns: Mapping[int, np.ndarray],
-    size: int,
-) -> List[np.ndarray]:
-    """Value tables of the formulas, given each variable's column of length size.
-
-    The distinct subformulas are first listed without recursion, each after
-    its arguments, in the order a left-to-right recursive walk finishes them;
-    one loop then evaluates the list.  Nesting depth is therefore unbounded,
-    the first unbound variable met is the leftmost one, and the values, shared
-    by all the formulas, are freed on return.
-    """
+def _postorder(formulas: Iterable[Formula]) -> Tuple[Dict[Formula, int], List[Formula]]:
+    """The distinct subformulas of the formulas, each after its arguments, in
+    the order a left-to-right recursive walk finishes them, and each one's
+    position in that list.  Listed without recursion, so nesting depth is
+    unbounded."""
     position: Dict[Formula, int] = {}
     order: List[Formula] = []
     for f in formulas:
@@ -154,6 +145,22 @@ def _formula_tables(
             else:
                 stack.append((g, True))
                 stack.extend((a, False) for a in reversed(g.args))
+    return position, order
+
+
+def _formula_tables(
+    alg: FiniteAlgebra,
+    formulas: Sequence[Formula],
+    columns: Mapping[int, np.ndarray],
+    size: int,
+) -> List[np.ndarray]:
+    """Value tables of the formulas, given each variable's column of length size.
+
+    One loop evaluates the distinct subformulas in _postorder, so nesting
+    depth is unbounded, the first unbound variable met is the leftmost one,
+    and the values, shared by all the formulas, are freed on return.
+    """
+    position, order = _postorder(formulas)
     values: List[np.ndarray] = []
     for g in order:
         if isinstance(g, App):
@@ -709,27 +716,54 @@ def identity_congruence(k: int) -> Congruence:
     return Congruence(tuple(range(k)))
 
 
-def is_congruence(alg: FiniteAlgebra, part: Congruence) -> bool:
-    """Exhaustive compatibility check of a partition with all operations."""
+def _refine(alg: FiniteAlgebra, labels: Sequence[int]) -> List[int]:
+    """The greatest congruence below the partition that labels gives, as
+    labels numbered by first occurrence.
+
+    An element's row is its label followed by the labels of its images in
+    every one-coordinate context: each connective, argument position and
+    assignment of the other arguments.  Elements are relabelled by first
+    occurrence of their rows until no block splits.  Nothing recurses.
+    """
     k = alg.size
-    if len(part.labels) != k:
-        return False
-    for name, arity in alg.signature.proper_connectives:
-        table = alg.table(name)
-        for left in itertools.product(range(k), repeat=arity):
-            for right in itertools.product(range(k), repeat=arity):
-                if all(part.related(a, b) for a, b in zip(left, right)):
-                    if not part.related(int(table[left]), int(table[right])):
-                        return False
-    return True
+    contexts = [
+        np.moveaxis(alg.table(name), pos, 0).reshape(k, -1)
+        for name, arity in alg.signature.proper_connectives
+        for pos in range(arity)
+    ]
+    images = np.concatenate([np.arange(k)[:, None], *contexts], axis=1)
+    blocks = len(set(labels))
+    while True:
+        first: Dict[Tuple[int, ...], int] = {}
+        rows = np.asarray(labels)[images].tolist()
+        labels = [first.setdefault(tuple(row), len(first)) for row in rows]
+        if len(first) == blocks:
+            return labels
+        blocks = len(first)
 
 
-def congruence_closure_pairs(
-    alg: FiniteAlgebra, pairs: Iterable[Tuple[int, int]]
-) -> Congruence:
-    """Least congruence of the algebra containing the given pairs."""
-    k = alg.size
-    parent = list(range(k))
+def _close(
+    n: int,
+    apps: Sequence[Tuple[int, str, Sequence[int]]],
+    pairs: Iterable[Tuple[int, int]],
+) -> List[int]:
+    """The least partition of the nodes 0..n-1 that relates the pairs and is
+    closed under the applications, as labels numbered by first occurrence.
+
+    An application (node, head, args) says that node is head applied to the
+    args.  A union-find keeps the classes, and a table keys each application
+    by its signature: its head and its args' roots.  Two applications with
+    one signature relate their nodes.  After a merge, only the applications
+    on the merged-away class's use-list are signed again (Downey, Sethi and
+    Tarjan, JACM 27(4), 1980).  Nothing recurses.
+    """
+    parent = list(range(n))
+    uses: List[List[int]] = [[] for _ in range(n)]
+    for i, (_, _, args) in enumerate(apps):
+        for a in set(args):
+            uses[a].append(i)
+    signed: Dict[Tuple, int] = {}
+    pending = list(pairs)
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -737,75 +771,60 @@ def congruence_closure_pairs(
             x = parent[x]
         return x
 
-    def union(a: int, b: int) -> bool:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[max(ra, rb)] = min(ra, rb)
-        return True
+    def sign(i: int) -> None:
+        node, head, args = apps[i]
+        other = signed.setdefault((head, *map(find, args)), node)
+        if other != node:
+            pending.append((node, other))
 
-    for a, b in pairs:
-        union(int(a), int(b))
+    for i in range(len(apps)):
+        sign(i)
+    while pending:
+        a, b = map(find, pending.pop())
+        if a == b:
+            continue
+        if len(uses[a]) > len(uses[b]):
+            a, b = b, a
+        parent[a] = b
+        moved, uses[a] = uses[a], []
+        uses[b].extend(moved)
+        for i in moved:
+            sign(i)
+    first: Dict[int, int] = {}
+    return [first.setdefault(find(x), len(first)) for x in range(n)]
 
-    # propagate: single-coordinate substitution suffices by transitivity
-    changed = True
-    while changed:
-        changed = False
-        for name, arity in alg.signature.proper_connectives:
-            table = alg.table(name)
-            for combo in itertools.product(range(k), repeat=arity):
-                for pos in range(arity):
-                    x = combo[pos]
-                    for y in range(x + 1, k):
-                        if find(x) != find(y):
-                            continue
-                        other = combo[:pos] + (y,) + combo[pos + 1 :]
-                        if union(int(table[combo]), int(table[other])):
-                            changed = True
-    return Congruence.from_labels([find(e) for e in range(k)])
+
+def is_congruence(alg: FiniteAlgebra, part: Congruence) -> bool:
+    """Whether the partition is compatible with every operation: refining it
+    splits no block."""
+    labels = Congruence.from_labels(part.labels).labels
+    return len(labels) == alg.size and tuple(_refine(alg, labels)) == labels
+
+
+def congruence_closure_pairs(
+    alg: FiniteAlgebra, pairs: Iterable[Tuple[int, int]]
+) -> Congruence:
+    """Least congruence of the algebra containing the given pairs."""
+    k = alg.size
+    pairs = [(int(a), int(b)) for a, b in pairs]
+    if any(not 0 <= e < k for pair in pairs for e in pair):
+        raise ValueError(f"element index out of range 0..{k - 1}")
+    apps = [
+        (node, name, args)
+        for name, arity in alg.signature.proper_connectives
+        for node, args in zip(
+            alg.table(name).ravel().tolist(),
+            np.indices((k,) * arity).reshape(arity, -1).T.tolist(),
+        )
+    ]
+    return Congruence(tuple(_close(k, apps, pairs)))
 
 
 def greatest_congruence_below(alg: FiniteAlgebra, part: Congruence) -> Congruence:
-    """Greatest congruence refining the given partition.
-
-    Iterated splitting: two elements stay together only if every
-    one-coordinate substitution keeps their images in a common block.
-    """
-    k = alg.size
-    labels = list(Congruence.from_labels(part.labels).labels)
-
-    def compatible(a: int, b: int) -> bool:
-        for name, arity in alg.signature.proper_connectives:
-            table = alg.table(name)
-            for pos in range(arity):
-                for context in itertools.product(range(k), repeat=arity - 1):
-                    ca = context[:pos] + (a,) + context[pos:]
-                    cb = context[:pos] + (b,) + context[pos:]
-                    if labels[int(table[ca])] != labels[int(table[cb])]:
-                        return False
-        return True
-
-    changed = True
-    while changed:
-        changed = False
-        new_labels = list(labels)
-        next_label = max(labels) + 1
-        for block in Congruence.from_labels(tuple(labels)).blocks():
-            if len(block) < 2:
-                continue
-            anchor = block[0]
-            moved = []
-            for e in block[1:]:
-                if not compatible(anchor, e):
-                    moved.append(e)
-            if moved:
-                # split strictly: keep anchor-compatible elements together
-                for e in moved:
-                    new_labels[e] = next_label
-                next_label += 1
-                changed = True
-        labels = list(Congruence.from_labels(tuple(new_labels)).labels)
-    return Congruence.from_labels(tuple(labels))
+    """Greatest congruence refining the given partition."""
+    if len(part.labels) != alg.size:
+        raise ValueError("partition size mismatch")
+    return Congruence(tuple(_refine(alg, part.labels)))
 
 
 def quotient_by_congruence(

@@ -20,19 +20,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import _assignment_at, _formula_tables, _lex_columns
+from .algebra import _assignment_at, _close, _formula_tables, _lex_columns, _postorder
 from .lang import (
     App,
-    Const,
     Formula,
     ParseError,
     Signature,
     Substitution,
-    Var,
     _Parser,
     _tokenize,
     app,
@@ -324,98 +322,21 @@ def eq_consequence(
 # ground decision by congruence closure
 
 
-class _UnionFind:
-    def __init__(self) -> None:
-        self.parent: Dict[Formula, Formula] = {}
-
-    def add(self, t: Formula) -> None:
-        self.parent.setdefault(t, t)
-
-    def find(self, t: Formula) -> Formula:
-        p = self.parent[t]
-        while p is not self.parent[p]:
-            self.parent[p] = self.parent[self.parent[p]]
-            p = self.parent[p]
-        self.parent[t] = p
-        return p
-
-    def union(self, a: Formula, b: Formula) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra is rb:
-            return False
-        self.parent[ra] = rb
-        return True
-
-
-def _head(t: Formula) -> Tuple:
-    if isinstance(t, Var):
-        return ("var", t.index)
-    if isinstance(t, Const):
-        return ("const", t.name)
-    assert isinstance(t, App)
-    return ("app", t.connective)
-
-
 def ground_closure(
     premises: Sequence[Equality], extra_terms: Sequence[Formula] = ()
 ) -> Dict[Formula, int]:
     """Congruence closure of the premises over all their subterms (plus any
     extra terms), with variables treated as opaque constants.  Returns the
-    class index of every term in the universe."""
-    universe: List[Formula] = []
-    seen: set[Formula] = set()
-
-    def collect(t: Formula) -> None:
-        if t in seen:
-            return
-        seen.add(t)
-        if isinstance(t, App):
-            for a in t.args:
-                collect(a)
-        universe.append(t)
-
-    for e in premises:
-        collect(e.lhs)
-        collect(e.rhs)
-    for t in extra_terms:
-        collect(t)
-
-    uf = _UnionFind()
-    for t in universe:
-        uf.add(t)
-
-    def parents_of() -> Dict[Formula, List[App]]:
-        out: Dict[Formula, List[App]] = {}
-        for t in universe:
-            if isinstance(t, App):
-                for a in t.args:
-                    out.setdefault(uf.find(a), []).append(t)
-        return out
-
-    pending: List[Tuple[Formula, Formula]] = [(e.lhs, e.rhs) for e in premises]
-    while pending:
-        a, b = pending.pop()
-        if uf.find(a) is uf.find(b):
-            continue
-        uf.union(a, b)
-        # re-propagate: matching signatures force parent merges
-        sig_table: Dict[Tuple, Formula] = {}
-        for t in universe:
-            if not isinstance(t, App):
-                continue
-            key = (_head(t),) + tuple(uf.find(x) for x in t.args)
-            other = sig_table.get(key)
-            if other is None:
-                sig_table[key] = t
-            elif uf.find(other) is not uf.find(t):
-                pending.append((other, t))
-
-    labels: Dict[Formula, int] = {}
-    roots: Dict[Formula, int] = {}
-    for t in universe:
-        r = uf.find(t)
-        labels[t] = roots.setdefault(r, len(roots))
-    return labels
+    class index of every term in the universe, the terms in _postorder."""
+    terms = [t for e in premises for t in (e.lhs, e.rhs)] + list(extra_terms)
+    position, universe = _postorder(terms)
+    apps = [
+        (i, t.connective, [position[a] for a in t.args])
+        for i, t in enumerate(universe)
+        if isinstance(t, App)
+    ]
+    pairs = [(position[e.lhs], position[e.rhs]) for e in premises]
+    return dict(zip(universe, _close(len(universe), apps, pairs)))
 
 
 def decide_ground_equational(

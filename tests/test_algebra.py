@@ -11,6 +11,7 @@ from matlogic import (
     clone_functions,
     congruence_closure_pairs,
     consequence,
+    decide_ground_equational,
     direct_product,
     eq_consequence,
     evaluate_term,
@@ -18,6 +19,7 @@ from matlogic import (
     generated_subalgebra,
     generates_carrier,
     greatest_congruence_below,
+    ground_closure,
     identity_congruence,
     imp,
     is_congruence,
@@ -76,6 +78,16 @@ class TestEvaluationKernel:
         assert (res.valid, res.assignment, res.filter_index) == (False, ((1, 0),), 0)
         assert consequence(m, [var(1)], f).holds
         assert eq_consequence("E", [alg], [], Equality(f, var(1))).holds
+
+    def test_deep_ground_closure_returns(self):
+        f = var(1)
+        for _ in range(3000):
+            f = neg(f)
+        labels = ground_closure([Equality(f, var(2))])
+        assert len(labels) == 3002 and len(set(labels.values())) == 3001
+        assert labels[f] == labels[var(2)] != labels[var(1)]
+        ok, _ = decide_ground_equational([Equality(f, var(1))], Equality(neg(f), neg(var(1))))
+        assert ok
 
     def test_scan_leaves_no_reference_cycle(self):
         m = make_preset("L3")
@@ -182,6 +194,20 @@ class TestCongruence:
         # every block of the result stays inside a block of the upper bound
         for block in best.blocks():
             assert len({upper.labels[e] for e in block}) == 1
+
+    @pytest.mark.parametrize("pair", [(-1, 0), (5, 0), (0, 3)])
+    def test_closure_pairs_rejects_elements_out_of_range(self, pair):
+        with pytest.raises(ValueError, match="out of range"):
+            congruence_closure_pairs(make_preset("L3").algebra, [(0, 1), pair])
+
+    @pytest.mark.parametrize("labels", [(0, 1), (0, 1, 2, 3)])
+    def test_greatest_below_rejects_partitions_of_another_size(self, labels):
+        with pytest.raises(ValueError, match="partition size mismatch"):
+            greatest_congruence_below(make_preset("L3").algebra, Congruence(labels))
+
+    @pytest.mark.parametrize("labels", [(0, 0), (0, 0, 0, 0)])
+    def test_partitions_of_another_size_are_not_congruences(self, labels):
+        assert not is_congruence(make_preset("L3").algebra, Congruence(labels))
 
     def test_quotient_preserves_operations(self, chain3_join):
         alg = chain3_join.algebra
