@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import re
@@ -781,7 +782,10 @@ def _cmd_int_glivenko(args) -> Report:
 # argument parsing
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and building it costs more than answering a small query."""
     p = argparse.ArgumentParser(prog="matlogic", description=__doc__)
     sub = p.add_subparsers(dest="command")
 
