@@ -282,10 +282,6 @@ class Substitution:
         return Substitution.of(out)
 
 
-def substitute(f: Formula, mapping: Mapping[int, Formula]) -> Formula:
-    return Substitution.of(mapping).apply(f)
-
-
 # ---------------------------------------------------------------------------
 # printing
 
@@ -371,12 +367,6 @@ class _Parser:
         if self.peek() != tok:
             raise ParseError(f"expected {tok!r}", self.pos())
         self.i += 1
-
-    def _binding(self, symbol: str) -> str:
-        name = _SYMBOL_BINDINGS[symbol]
-        if name not in self.sig:
-            raise ParseError(f"operator {symbol!r} has no connective {name!r} in signature", self.pos())
-        return name
 
     def parse_formula(self) -> Formula:
         return self.parse_iff()

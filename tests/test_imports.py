@@ -1,6 +1,8 @@
-"""Every module-level import in the package is used by its module."""
+"""Every module-level import in the package is used by its module, and
+every private or nested definition is referenced within the package."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -50,3 +52,70 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _private_definitions(tree):
+    """A module's private module-level functions and classes, the private
+    methods of its classes, and its nested defs."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    for stmt in tree.body:
+        if isinstance(stmt, (*functions, ast.ClassDef)) and stmt.name.startswith("_"):
+            found.append(stmt)
+        if isinstance(stmt, ast.ClassDef):
+            found += [
+                m
+                for m in stmt.body
+                if isinstance(m, functions) and m.name.startswith("_") and not m.name.endswith("__")
+            ]
+    for node in ast.walk(tree):
+        if isinstance(node, functions):
+            found += [d for d in ast.walk(node) if d is not node and isinstance(d, functions)]
+    return found
+
+
+def _names(node):
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def unreferenced_definitions(sources):
+    """(module, line, name) of each private or nested definition that no code
+    of the package outside the definition itself refers to."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    everywhere = sum((_names(tree) for tree in trees.values()), Counter())
+    return sorted(
+        (module, d.lineno, d.name)
+        for module, tree in trees.items()
+        for d in _private_definitions(tree)
+        if everywhere[d.name] == _names(d)[d.name]
+    )
+
+
+def test_detects_unreferenced_definitions():
+    source = (
+        "def _used():\n    return 1\n"
+        "def _dead():\n    return _used()\n"
+        "class _C:\n"
+        "    def __init__(self):\n        self._n()\n"
+        "    def _m(self):\n        return 0\n"
+        "    def _n(self):\n        return 0\n"
+        "def f():\n"
+        "    def inner():\n        return 1\n"
+        "    def again(x):\n        return again(x)\n"
+        "    return _C\n"
+    )
+    assert unreferenced_definitions({"m": source}) == [
+        ("m", 3, "_dead"),
+        ("m", 8, "_m"),
+        ("m", 13, "inner"),
+        ("m", 15, "again"),
+    ]
+
+
+def test_no_unreferenced_definitions():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert unreferenced_definitions(sources) == []
