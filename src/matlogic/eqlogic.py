@@ -327,7 +327,8 @@ def ground_closure(
 ) -> Dict[Formula, int]:
     """Congruence closure of the premises over all their subterms (plus any
     extra terms), with variables treated as opaque constants.  Returns the
-    class index of every term in the universe, the terms in _postorder."""
+    class index of every term in the universe, each term after its
+    subterms, in the order a left-to-right walk finishes them."""
     terms = [t for e in premises for t in (e.lhs, e.rhs)] + list(extra_terms)
     position, universe = _postorder(terms)
     apps = [
