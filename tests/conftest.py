@@ -9,6 +9,7 @@ import itertools
 import json
 
 import pytest
+from hypothesis import strategies as st
 
 from matlogic import (
     App,
@@ -18,6 +19,9 @@ from matlogic import (
     Matrix,
     Signature,
     Var,
+    app,
+    const,
+    var,
 )
 
 import numpy as np
@@ -147,6 +151,24 @@ EX_NONTR_DOC = {
     },
     "matrices": {"M": {"algebra": "A", "designated": ["1"]}},
 }
+
+
+# one connective of each arity 0-3
+ARITIES = {"c": 0, "u": 1, "b": 2, "t": 3}
+
+
+@st.composite
+def algebras(draw):
+    """An algebra of 1-5 elements over a nonempty subset of ARITIES."""
+    k = draw(st.integers(1, 5))
+    names = draw(st.lists(st.sampled_from(sorted(ARITIES)), min_size=1, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sig = Signature.of({name: ARITIES[name] for name in names})
+    tables = {
+        name: rng.integers(0, k, size=(k,) * arity, dtype=np.int64)
+        for name, arity in sig.operations
+    }
+    return FiniteAlgebra(sig, [f"e{i}" for i in range(k)], tables)
 
 
 # ---------------------------------------------------------------------------
@@ -333,3 +355,97 @@ def ground_closure_slow(premises, extra_terms=()):
         r = uf.find(t)
         labels[t] = roots.setdefault(r, len(roots))
     return labels
+
+
+# ---------------------------------------------------------------------------
+# generation and quotient oracles: the subalgebra-building generating-set
+# search and the itertools.product table loops, kept as they were
+
+
+def generated_subalgebra_slow(alg, seed):
+    """Generated element indices (ascending), witnesses in discovery order,
+    and the subalgebra on those elements."""
+    found = {}
+    order = []
+
+    def add(e: int, witness) -> bool:
+        if e in found:
+            return False
+        found[e] = witness
+        order.append(e)
+        return True
+
+    for i, e in enumerate(seed, start=1):
+        add(int(e), var(i))
+    for name in alg.signature.constants:
+        add(int(alg.table(name)), const(name))
+
+    changed = True
+    while changed:
+        changed = False
+        snapshot = list(order)
+        for name, arity in alg.signature.proper_connectives:
+            table = alg.table(name)
+            for combo in itertools.product(snapshot, repeat=arity):
+                value = int(table[combo])
+                if value not in found:
+                    witness = app(name, tuple(found[e] for e in combo))
+                    add(value, witness)
+                    changed = True
+
+    indices = tuple(sorted(order))
+    position = {e: i for i, e in enumerate(indices)}
+    sub_tables = {}
+    for name, arity in alg.signature.operations:
+        table = alg.table(name)
+        shape = (len(indices),) * arity
+        out = np.zeros(shape, dtype=np.int64)
+        for combo in itertools.product(range(len(indices)), repeat=arity):
+            value = int(table[tuple(indices[c] for c in combo)])
+            if value not in position:
+                raise ValueError("generated set not closed (internal error)")
+            out[combo] = position[value]
+        sub_tables[name] = out
+    sub = FiniteAlgebra(alg.signature, [alg.elements[e] for e in indices], sub_tables)
+    return indices, found, sub
+
+
+def minimal_generating_set_slow(alg, max_size=None):
+    """Smallest m with an m-element generating set (seeds in lexicographic
+    order), plus the first such seed."""
+    k = alg.size
+    bound = k if max_size is None else min(max_size, k)
+    start = 0 if alg.signature.constants else 1
+    for m in range(start, bound + 1):
+        for seed in itertools.combinations(range(k), m):
+            indices, _, _ = generated_subalgebra_slow(alg, seed)
+            if len(indices) == k:
+                return m, seed
+    raise ValueError(f"no generating set of size <= {bound}")
+
+
+def generates_carrier_slow(alg, seed) -> bool:
+    if not seed and not alg.signature.constants:
+        return alg.size == 0
+    indices, _, _ = generated_subalgebra_slow(alg, seed)
+    return len(indices) == alg.size
+
+
+def quotient_by_congruence_slow(alg, cong):
+    """Quotient algebra plus the projection (element index -> block index)."""
+    if len(cong.labels) != alg.size:
+        raise ValueError("partition size mismatch")
+    if not is_congruence_slow(alg, cong):
+        raise ValueError("partition is not a congruence")
+    blocks = cong.blocks()
+    names = ["{" + ",".join(alg.elements[e] for e in block) + "}" for block in blocks]
+    tables = {}
+    for name, arity in alg.signature.operations:
+        table = alg.table(name)
+        shape = (len(blocks),) * arity
+        out = np.zeros(shape, dtype=np.int64)
+        for combo in itertools.product(range(len(blocks)), repeat=arity):
+            reps = tuple(blocks[c][0] for c in combo)
+            out[combo] = cong.labels[int(table[reps])]
+        tables[name] = out
+    return FiniteAlgebra(alg.signature, names, tables), tuple(cong.labels)

@@ -2,14 +2,11 @@
 they replaced (the slow oracles in conftest): same partitions, same labels,
 and for the ground closure the same terms in the same order."""
 
-import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from matlogic import (
     Congruence,
     Equality,
-    FiniteAlgebra,
-    Signature,
     app,
     congruence_closure_pairs,
     const,
@@ -20,29 +17,12 @@ from matlogic import (
 )
 
 from conftest import (
+    algebras,
     congruence_closure_pairs_slow,
     greatest_congruence_below_slow,
     ground_closure_slow,
     is_congruence_slow,
 )
-
-# one connective of each arity 0-3
-ARITIES = {"c": 0, "u": 1, "b": 2, "t": 3}
-
-
-@st.composite
-def algebras(draw):
-    """An algebra of 1-5 elements over a nonempty subset of ARITIES."""
-    k = draw(st.integers(1, 5))
-    names = draw(st.lists(st.sampled_from(sorted(ARITIES)), min_size=1, unique=True))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    sig = Signature.of({name: ARITIES[name] for name in names})
-    tables = {
-        name: rng.integers(0, k, size=(k,) * arity, dtype=np.int64)
-        for name, arity in sig.operations
-    }
-    return FiniteAlgebra(sig, [f"e{i}" for i in range(k)], tables)
-
 
 @st.composite
 def algebra_partition_pairs(draw):
