@@ -225,7 +225,7 @@ def resolve_preset(name: str) -> mat_mod.Matrix:
     m = _PRESET_RE.match(name)
     if not m:
         raise WorkspaceError("/preset", f"unknown preset {name!r}")
-    if name.startswith("G") and name not in ("Gn",):
+    if name.startswith("G"):
         return mat_mod.make_preset("Gn", int(name[1:]))
     if name.startswith("LC"):
         return mat_mod.make_preset("LCchain", int(name[2:]))

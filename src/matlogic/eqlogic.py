@@ -273,9 +273,6 @@ class EqConsequenceResult:
     algebra_index: Optional[int] = None
     assignment: Optional[Tuple[Tuple[int, int], ...]] = None
 
-    def assignment_dict(self) -> Optional[Dict[int, int]]:
-        return dict(self.assignment) if self.assignment is not None else None
-
 
 def _first_difference(
     alg, premises: Sequence[Equality], goal: Equality, caps: ResourceCaps

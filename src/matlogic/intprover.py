@@ -88,9 +88,6 @@ class ProofTree:
         return 1 + sum(p.size() for p in self.premises)
 
 
-RULES = ("axiom", "→-1", "→-2", "∧-1", "∧-2", "∨-1", "∨-2", "¬-1", "¬-2")
-
-
 def _is(f: Formula, name: str) -> bool:
     return isinstance(f, App) and f.connective == name
 

@@ -116,9 +116,6 @@ class ValidityResult:
     assignment: Optional[Tuple[Tuple[int, int], ...]] = None
     filter_index: Optional[int] = None
 
-    def assignment_dict(self) -> Optional[Dict[int, int]]:
-        return dict(self.assignment) if self.assignment is not None else None
-
 
 def is_valid(
     target: "Matrix | Atlas", f: Formula, caps: ResourceCaps = DEFAULT_CAPS
@@ -135,9 +132,6 @@ class ConsequenceResult:
     holds: bool
     assignment: Optional[Tuple[Tuple[int, int], ...]] = None
     filter_index: Optional[int] = None
-
-    def assignment_dict(self) -> Optional[Dict[int, int]]:
-        return dict(self.assignment) if self.assignment is not None else None
 
 
 def consequence(

@@ -1,5 +1,6 @@
-"""Every module-level import in the package is used by its module, and
-every private or nested definition is referenced within the package."""
+"""Every module-level import in the package is used by its module, every
+private or nested definition is referenced within the package, and every
+public module-level name is exported by the package or referenced in it."""
 
 import ast
 from collections import Counter
@@ -119,3 +120,75 @@ def test_detects_unreferenced_definitions():
 def test_no_unreferenced_definitions():
     sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
     assert unreferenced_definitions(sources) == []
+
+
+def _public_definitions(tree):
+    """(name, statement) for each public module-level function, class and
+    assigned name of a module."""
+    found = []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        found += [(name, stmt) for name in names if not name.startswith("_")]
+    return found
+
+
+def unused_public_names(sources, users):
+    """(module, line, name) of each public module-level name of the package
+    that __init__.py does not import and that no code outside its own
+    definition refers to, in the package or in the users' sources."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    exported = {
+        (f"{stmt.module}.py", alias.name)
+        for stmt in trees.get("__init__.py", ast.Module(body=[])).body
+        if isinstance(stmt, ast.ImportFrom)
+        for alias in stmt.names
+    }
+    everywhere = sum(
+        (_names(ast.parse(source)) for source in users.values()),
+        sum((_names(tree) for tree in trees.values()), Counter()),
+    )
+    return sorted(
+        (module, stmt.lineno, name)
+        for module, tree in trees.items()
+        if module != "__init__.py"
+        for name, stmt in _public_definitions(tree)
+        if (module, name) not in exported and everywhere[name] == _names(stmt)[name]
+    )
+
+
+def test_detects_unused_public_names():
+    sources = {
+        "__init__.py": "from .m import api\n",
+        "m.py": (
+            "LIMIT = 3\n"
+            "TABLE = (1, 2)\n"
+            "SCHEMA: dict = {}\n"
+            "def api():\n    return helper() + LIMIT\n"
+            "def helper():\n    return 0\n"
+            "def orphan():\n    return orphan()\n"
+            "class Dead:\n    pass\n"
+        ),
+    }
+    users = {"test_m.py": "from m import SCHEMA\nassert SCHEMA == {}\n"}
+    assert unused_public_names(sources, users) == [
+        ("m.py", 2, "TABLE"),
+        ("m.py", 8, "orphan"),
+        ("m.py", 10, "Dead"),
+    ]
+
+
+def test_no_unused_public_names():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    root = SRC.parent.parent
+    users = {
+        str(p): p.read_text(encoding="utf-8")
+        for d in ("tests", "bench")
+        for p in (root / d).glob("*.py")
+    }
+    assert unused_public_names(sources, users) == []
