@@ -574,56 +574,46 @@ def clone_functions(
 # subalgebras and generation
 
 
-def generated_subalgebra(
-    alg: FiniteAlgebra, seed: Sequence[int]
-) -> Tuple[Tuple[int, ...], Dict[int, Formula], "FiniteAlgebra"]:
-    """Subuniverse generated by the seed elements.
-
-    Returns the generated element indices in discovery order, a witness term
-    for each (over p1..pm naming the seed in order, plus constants), and the
-    subalgebra on those elements.
-    """
+def _generate(alg: FiniteAlgebra, seed: Sequence[int]) -> Dict[int, Formula]:
+    """The elements the seed generates, in discovery order, each with a
+    witness term over p1..pm naming the seed in order, plus constants."""
     found: Dict[int, Formula] = {}
-    order: List[int] = []
-
-    def add(e: int, witness: Formula) -> bool:
-        if e in found:
-            return False
-        found[e] = witness
-        order.append(e)
-        return True
-
     for i, e in enumerate(seed, start=1):
-        add(int(e), var(i))
+        found.setdefault(int(e), var(i))
     for name in alg.signature.constants:
-        add(int(alg.table(name)), const(name))
-
+        found.setdefault(int(alg.table(name)), const(name))
     changed = True
     while changed:
         changed = False
-        snapshot = list(order)
+        snapshot = list(found)
         for name, arity in alg.signature.proper_connectives:
             table = alg.table(name)
             for combo in itertools.product(snapshot, repeat=arity):
                 value = int(table[combo])
                 if value not in found:
-                    witness = app(name, tuple(found[e] for e in combo))
-                    add(value, witness)
+                    found[value] = app(name, tuple(found[e] for e in combo))
                     changed = True
+    return found
 
-    indices = tuple(sorted(order))
-    position = {e: i for i, e in enumerate(indices)}
-    sub_tables: Dict[str, np.ndarray] = {}
-    for name, arity in alg.signature.operations:
-        table = alg.table(name)
-        shape = (len(indices),) * arity
-        out = np.zeros(shape, dtype=np.int64)
-        for combo in itertools.product(range(len(indices)), repeat=arity):
-            value = int(table[tuple(indices[c] for c in combo)])
-            if value not in position:
-                raise ValueError("generated set not closed (internal error)")
-            out[combo] = position[value]
-        sub_tables[name] = out
+
+def generated_subalgebra(
+    alg: FiniteAlgebra, seed: Sequence[int]
+) -> Tuple[Tuple[int, ...], Dict[int, Formula], "FiniteAlgebra"]:
+    """Subuniverse generated by the seed elements.
+
+    Returns the generated element indices in ascending order, a witness term
+    for each in discovery order (over p1..pm naming the seed in order, plus
+    constants), and the subalgebra on those elements.
+    """
+    found = _generate(alg, seed)
+    indices = tuple(sorted(found))
+    chosen = np.array(indices, dtype=np.int64)
+    position = np.full(alg.size, -1, dtype=np.int64)
+    position[chosen] = np.arange(len(indices))
+    sub_tables = {
+        name: position[alg.table(name)[np.ix_(*[chosen] * arity)]]
+        for name, arity in alg.signature.operations
+    }
     sub = FiniteAlgebra(alg.signature, [alg.elements[e] for e in indices], sub_tables)
     return indices, found, sub
 
@@ -641,17 +631,13 @@ def minimal_generating_set(
     start = 0 if alg.signature.constants else 1
     for m in range(start, bound + 1):
         for seed in itertools.combinations(range(k), m):
-            indices, _, _ = generated_subalgebra(alg, seed)
-            if len(indices) == k:
+            if len(_generate(alg, seed)) == k:
                 return m, seed
     raise ValueError(f"no generating set of size <= {bound}")
 
 
 def generates_carrier(alg: FiniteAlgebra, seed: Sequence[int]) -> bool:
-    if not seed and not alg.signature.constants:
-        return alg.size == 0
-    indices, _, _ = generated_subalgebra(alg, seed)
-    return len(indices) == alg.size
+    return len(_generate(alg, seed)) == alg.size
 
 
 # ---------------------------------------------------------------------------
@@ -837,15 +823,12 @@ def quotient_by_congruence(
         raise ValueError("partition is not a congruence")
     blocks = cong.blocks()
     names = ["{" + ",".join(alg.elements[e] for e in block) + "}" for block in blocks]
-    tables: Dict[str, np.ndarray] = {}
-    for name, arity in alg.signature.operations:
-        table = alg.table(name)
-        shape = (len(blocks),) * arity
-        out = np.zeros(shape, dtype=np.int64)
-        for combo in itertools.product(range(len(blocks)), repeat=arity):
-            reps = tuple(blocks[c][0] for c in combo)
-            out[combo] = cong.labels[int(table[reps])]
-        tables[name] = out
+    firsts = np.array([block[0] for block in blocks], dtype=np.int64)
+    labels = np.array(cong.labels, dtype=np.int64)
+    tables = {
+        name: labels[alg.table(name)[np.ix_(*[firsts] * arity)]]
+        for name, arity in alg.signature.operations
+    }
     return FiniteAlgebra(alg.signature, names, tables), tuple(cong.labels)
 
 

@@ -7,10 +7,10 @@ on the two sides of a combined matrix; atlas inclusion scans candidate
 entailments between representative sets.
 
 The variable count used for the representative scan matters for soundness:
-the scan is conclusive when the common algebra is generated by that many
-elements.  By default the smallest verified generating size is used.  A
-caller-supplied smaller count still runs and is reported as a spot check
-(stats carry ``sound: False``).
+the scan is conclusive when the refuting side's algebra is generated by
+that many elements.  By default the smallest verified generating size is
+used.  A caller-supplied smaller count still runs and is reported as a spot
+check (stats carry ``sound: False``).
 
 Counterexamples are always re-validated against the original matrices or
 atlases before being reported.
@@ -25,6 +25,7 @@ import numpy as np
 
 from .algebra import (
     FiniteAlgebra,
+    TermFunction,
     clone_discovery_order,
     minimal_generating_set,
 )
@@ -32,8 +33,9 @@ from .limits import DEFAULT_CAPS, CapExceeded, ResourceCaps
 from .matrices import (
     Atlas,
     Matrix,
+    _cyl_left,
+    _cyl_right,
     _filter_mask,
-    combine_atlases,
     consequence,
     direct_product,
     is_valid,
@@ -89,10 +91,68 @@ def _resolve_scan_size(
     if requested is None:
         size, seed = minimal_generating_set(alg)
         return max(size, 1), True, seed
-    found_size, seed = minimal_generating_set(alg, max_size=min(requested, alg.size))
-    if found_size <= requested:
-        return requested, True, seed
-    return requested, False, None
+    try:
+        _, seed = minimal_generating_set(alg, requested)
+    except ValueError:
+        return requested, False, None
+    return requested, True, seed
+
+
+def _scan_setup(
+    a1: Atlas,
+    a2: Atlas,
+    caps: ResourceCaps,
+    requested: Optional[int],
+    size_key: str,
+) -> Tuple[
+    FiniteAlgebra,
+    Tuple[frozenset, ...],
+    Tuple[frozenset, ...],
+    List[TermFunction],
+    Dict[str, object],
+]:
+    """Both filter families over one common algebra, its representatives and
+    the scan's stats (the scan size under size_key).
+
+    The common algebra is the shared one when the tables agree, else the
+    direct product with the first family cylindrified on the left factor and
+    the second on the right.  The scan size is a2's generating size: a
+    separating formula or sequent can always be rewritten over generator
+    terms of the refuting side, so that many variables make the scan
+    conclusive.  A smaller requested size still runs, as a spot check.
+    """
+    if a1.algebra.same_tables(a2.algebra):
+        common, fam1, fam2 = a1.algebra, a1.filters, a2.filters
+    else:
+        common = direct_product(a1.algebra, a2.algebra)
+        k1, k2 = a1.algebra.size, a2.algebra.size
+        fam1 = tuple(_cyl_left(d, k2) for d in a1.filters)
+        fam2 = tuple(_cyl_right(d, k1, k2) for d in a2.filters)
+    size, sound, seed = _resolve_scan_size(a2.algebra, requested)
+    reps = clone_discovery_order(common, size, caps)
+    stats: Dict[str, object] = {
+        size_key: size,
+        "sound": sound,
+        "representatives": len(reps),
+        "common_carrier": common.size,
+    }
+    if seed is not None:
+        stats["generating_seed"] = seed
+    return common, fam1, fam2, reps, stats
+
+
+def _both_directions(
+    question: str, inclusion, x, y, caps: ResourceCaps, size: Optional[int]
+) -> DecisionReport:
+    """The inclusion forward, then backward: the first answer other than yes,
+    with its direction, else yes with the forward stats."""
+    fwd = inclusion(x, y, caps, size)
+    rep, direction = fwd, "forward"
+    if fwd.answer == "yes":
+        rep, direction = inclusion(y, x, caps, size), "backward"
+    if rep.answer == "yes":
+        return DecisionReport(question, "yes", None, {**fwd.stats})
+    return DecisionReport(question, rep.answer, rep.witness, {"direction": direction, **rep.stats})
 
 
 def theorem_inclusion(
@@ -103,52 +163,25 @@ def theorem_inclusion(
 ) -> DecisionReport:
     """Are all theorems of m1 theorems of m2?
 
-    Both matrices are laid over one common algebra (the direct product, or
-    the shared algebra when the carriers agree), and every representative
+    Both matrices are laid over one common algebra, and every representative
     valid on the m1 side is checked on the m2 side.
     """
     question = "theorem-inclusion"
     if m1.algebra.signature != m2.algebra.signature:
         raise ValueError("matrices must share a signature")
-    if m1.algebra.same_tables(m2.algebra):
-        common = m1.algebra
-        d1, d2 = m1.designated, m2.designated
-    else:
-        common = direct_product(m1.algebra, m2.algebra)
-        k2 = m2.algebra.size
-        d1 = frozenset(i * k2 + j for i in m1.designated for j in range(k2))
-        d2 = frozenset(i * k2 + j for i in range(m1.algebra.size) for j in m2.designated)
     try:
-        found = None
-        # arity bound: a separating formula can always be rewritten over
-        # generator terms of the refuting side, so m2's generating size is
-        # enough while staying sound
-        try:
-            size, sound, seed = _resolve_scan_size(m2.algebra, n)
-        except ValueError:
-            size, sound, seed = (n if n is not None else m2.algebra.size), False, None
-        reps = clone_discovery_order(common, size, caps)
-        stats: Dict[str, object] = {
-            "n": size,
-            "sound": sound,
-            "representatives": len(reps),
-            "common_carrier": common.size,
-        }
-        if seed is not None:
-            stats["generating_seed"] = seed
+        _, (d1,), (d2,), reps, stats = _scan_setup(m1.as_atlas(), m2.as_atlas(), caps, n, "n")
         for tf in reps:
-            in_m1 = all(v in d1 for v in tf.table)
-            in_m2 = all(v in d2 for v in tf.table)
-            if in_m1 and not in_m2:
-                found = tf.witness
+            if all(v in d1 for v in tf.table) and not all(v in d2 for v in tf.table):
                 break
-        if found is None:
+        else:
             return DecisionReport(question, "yes", None, stats)
-        if not is_valid(m1, found, caps).valid or is_valid(m2, found, caps).valid:
+        keep = is_valid(m1, tf.witness, caps)
+        drop = is_valid(m2, tf.witness, caps)
+        if not keep.valid or drop.valid:
             raise AssertionError("witness failed re-validation")
-        refuter = is_valid(m2, found, caps)
-        stats["refuting_assignment"] = refuter.assignment
-        return DecisionReport(question, "no", found, stats)
+        stats["refuting_assignment"] = drop.assignment
+        return DecisionReport(question, "no", tf.witness, stats)
     except CapExceeded as exc:
         return _cap_report(question, exc, n=n)
 
@@ -160,17 +193,7 @@ def weak_equivalence(
     n: Optional[int] = None,
 ) -> DecisionReport:
     """Same theorem set in both directions."""
-    fwd = theorem_inclusion(m1, m2, caps, n)
-    if fwd.answer != "yes":
-        return DecisionReport(
-            "weak-equivalence", fwd.answer, fwd.witness, {"direction": "forward", **fwd.stats}
-        )
-    bwd = theorem_inclusion(m2, m1, caps, n)
-    if bwd.answer != "yes":
-        return DecisionReport(
-            "weak-equivalence", bwd.answer, bwd.witness, {"direction": "backward", **bwd.stats}
-        )
-    return DecisionReport("weak-equivalence", "yes", None, {**fwd.stats})
+    return _both_directions("weak-equivalence", theorem_inclusion, m1, m2, caps, n)
 
 
 def _column_masks(member: np.ndarray) -> List[int]:
@@ -199,35 +222,14 @@ def atlas_inclusion(
     question = "atlas-inclusion"
     if a1.algebra.signature != a2.algebra.signature:
         raise ValueError("atlases must share a signature")
-    if a1.algebra.same_tables(a2.algebra):
-        common = a1.algebra
-        fam1, fam2 = a1.filters, a2.filters
-    else:
-        left = combine_atlases("lsum", a1, a2)
-        right = combine_atlases("rsum", a1, a2)
-        common = left.algebra
-        fam1, fam2 = left.filters, right.filters
     try:
-        # like theorem inclusion, the refuting side's generating size bounds
-        # the variables a separating sequent needs
-        try:
-            size, sound, seed = _resolve_scan_size(a2.algebra, m)
-        except ValueError:
-            size, sound, seed = (m if m is not None else a2.algebra.size), False, None
-        reps = clone_discovery_order(common, size, caps)
+        common, fam1, fam2, reps, stats = _scan_setup(a1, a2, caps, m, "m")
+        size = stats["m"]
         R = len(reps)
         k = common.size
         tuples = k**size
         caps.check_tuples(tuples)
         stacked = np.stack([tf.values() for tf in reps])  # (R, tuples)
-        stats: Dict[str, object] = {
-            "m": size,
-            "sound": sound,
-            "representatives": R,
-            "common_carrier": k,
-        }
-        if seed is not None:
-            stats["generating_seed"] = seed
 
         def family_masks(filters) -> List[int]:
             # assignment-major, filter-minor ordering
@@ -287,14 +289,5 @@ def atlas_equivalence(
     caps: ResourceCaps = DEFAULT_CAPS,
     m: Optional[int] = None,
 ) -> DecisionReport:
-    fwd = atlas_inclusion(a1, a2, caps, m)
-    if fwd.answer != "yes":
-        return DecisionReport(
-            "atlas-equivalence", fwd.answer, fwd.witness, {"direction": "forward", **fwd.stats}
-        )
-    bwd = atlas_inclusion(a2, a1, caps, m)
-    if bwd.answer != "yes":
-        return DecisionReport(
-            "atlas-equivalence", bwd.answer, bwd.witness, {"direction": "backward", **bwd.stats}
-        )
-    return DecisionReport("atlas-equivalence", "yes", None, {**fwd.stats})
+    """Same consequences in both directions."""
+    return _both_directions("atlas-equivalence", atlas_inclusion, a1, a2, caps, m)
