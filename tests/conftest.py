@@ -23,6 +23,17 @@ from matlogic import (
     const,
     var,
 )
+from matlogic.lang import (
+    AND,
+    CLASSICAL_SIGNATURE,
+    IFF,
+    IMP,
+    NOT,
+    OR,
+    ParseError,
+    _VAR_RE,
+    _tokenize,
+)
 
 import numpy as np
 
@@ -449,3 +460,187 @@ def quotient_by_congruence_slow(alg, cong):
             out[combo] = cong.labels[int(table[reps])]
         tables[name] = out
     return FiniteAlgebra(alg.signature, names, tables), tuple(cong.labels)
+
+
+# ---------------------------------------------------------------------------
+# formula-language oracles: the recursive-descent parser, the recursive
+# printer and the equality splitter, kept as they were
+
+_SYMBOL_BINDINGS_SLOW = {"~": NOT, "&": AND, "|": OR, "->": IMP, "<->": IFF}
+_INFIX_SLOW = {IFF: ("<->", 1), IMP: ("->", 2), OR: ("|", 3), AND: ("&", 4)}
+_NEG_PREC_SLOW = 5
+
+
+def format_formula_slow(f) -> str:
+    def go(g, parent_prec: int) -> str:
+        if isinstance(g, Var):
+            return f"p{g.index}"
+        if isinstance(g, Const):
+            return g.name
+        assert isinstance(g, App)
+        name = g.connective
+        if name == NOT and len(g.args) == 1:
+            return "~" + go(g.args[0], _NEG_PREC_SLOW)
+        entry = _INFIX_SLOW.get(name)
+        if entry is not None and len(g.args) == 2:
+            symbol, prec = entry
+            if name in (IMP, IFF):  # right associative
+                left = go(g.args[0], prec + 1)
+                right = go(g.args[1], prec)
+            else:  # left associative
+                left = go(g.args[0], prec)
+                right = go(g.args[1], prec + 1)
+            text = f"{left} {symbol} {right}"
+            if prec < parent_prec:
+                text = f"({text})"
+            return text
+        return f"{name}({', '.join(go(a, 0) for a in g.args)})"
+
+    return go(f, 0)
+
+
+class ParserSlow:
+    def __init__(self, tokens, signature, length: int):
+        self.tokens = tokens
+        self.sig = signature
+        self.i = 0
+        self.length = length
+
+    def peek(self):
+        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
+
+    def pos(self) -> int:
+        return self.tokens[self.i][1] if self.i < len(self.tokens) else self.length
+
+    def expect(self, tok: str) -> None:
+        if self.peek() != tok:
+            raise ParseError(f"expected {tok!r}", self.pos())
+        self.i += 1
+
+    def parse_formula(self):
+        return self.parse_iff()
+
+    def parse_iff(self):
+        left = self.parse_imp()
+        if self.peek() == "<->":
+            self.i += 1
+            name = _SYMBOL_BINDINGS_SLOW["<->"]
+            if name not in self.sig:
+                raise ParseError(f"operator '<->' has no connective {name!r} in signature", self.pos())
+            right = self.parse_iff()
+            return app(name, (left, right))
+        return left
+
+    def parse_imp(self):
+        left = self.parse_or()
+        if self.peek() == "->":
+            self.i += 1
+            name = _SYMBOL_BINDINGS_SLOW["->"]
+            if name not in self.sig:
+                raise ParseError(f"operator '->' has no connective {name!r} in signature", self.pos())
+            right = self.parse_imp()  # right associative
+            return app(name, (left, right))
+        return left
+
+    def parse_or(self):
+        out = self.parse_and()
+        while self.peek() == "|":
+            pos = self.pos()
+            self.i += 1
+            name = _SYMBOL_BINDINGS_SLOW["|"]
+            if name not in self.sig:
+                raise ParseError(f"operator '|' has no connective {name!r} in signature", pos)
+            out = app(name, (out, self.parse_and()))
+        return out
+
+    def parse_and(self):
+        out = self.parse_unary()
+        while self.peek() == "&":
+            pos = self.pos()
+            self.i += 1
+            name = _SYMBOL_BINDINGS_SLOW["&"]
+            if name not in self.sig:
+                raise ParseError(f"operator '&' has no connective {name!r} in signature", pos)
+            out = app(name, (out, self.parse_unary()))
+        return out
+
+    def parse_unary(self):
+        if self.peek() == "~":
+            pos = self.pos()
+            self.i += 1
+            name = _SYMBOL_BINDINGS_SLOW["~"]
+            if name not in self.sig:
+                raise ParseError(f"operator '~' has no connective {name!r} in signature", pos)
+            return app(name, (self.parse_unary(),))
+        return self.parse_atom()
+
+    def parse_atom(self):
+        tok = self.peek()
+        pos = self.pos()
+        if tok is None:
+            raise ParseError("unexpected end of input", pos)
+        if tok == "(":
+            self.i += 1
+            out = self.parse_formula()
+            self.expect(")")
+            return out
+        if tok in ("", ")", ","):
+            raise ParseError(f"unexpected token {tok!r}", pos)
+        self.i += 1
+        m = _VAR_RE.match(tok)
+        if m:
+            return var(int(m.group(1)))
+        if tok in self.sig:
+            arity = self.sig.arity(tok)
+            if arity == 0:
+                return const(tok)
+            self.expect("(")
+            args = [self.parse_formula()]
+            while self.peek() == ",":
+                self.i += 1
+                args.append(self.parse_formula())
+            self.expect(")")
+            if len(args) != arity:
+                raise ParseError(
+                    f"connective {tok!r} expects {arity} arguments, got {len(args)}", pos
+                )
+            return app(tok, tuple(args))
+        raise ParseError(f"unknown symbol {tok!r}", pos)
+
+
+def parse_formula_slow(text: str, signature=CLASSICAL_SIGNATURE):
+    tokens = _tokenize(text)
+    parser = ParserSlow(tokens, signature, len(text))
+    out = parser.parse_formula()
+    if parser.peek() is not None:
+        raise ParseError(f"trailing input {parser.peek()!r}", parser.pos())
+    return out
+
+
+def parse_equality_slow(text: str, signature):
+    """(lhs, rhs) of ``term ~ term``, split at the first top-level ``~``
+    that leaves two well-formed terms."""
+    tokens = _tokenize(text)
+    depth = 0
+    last_error = None
+    for i, (tok, _pos) in enumerate(tokens):
+        if tok == "(":
+            depth += 1
+        elif tok == ")":
+            depth -= 1
+        elif tok == "~" and depth == 0 and i > 0:
+            try:
+                left = ParserSlow(tokens[:i], signature, len(text))
+                lhs = left.parse_formula()
+                if left.peek() is not None:
+                    raise ParseError("trailing input on left of '~'", left.pos())
+                right = ParserSlow(tokens[i + 1 :], signature, len(text))
+                rhs = right.parse_formula()
+                if right.peek() is not None:
+                    raise ParseError("trailing input on right of '~'", right.pos())
+                return lhs, rhs
+            except ParseError as exc:
+                last_error = exc
+    if last_error is not None:
+        raise last_error
+    raise ParseError("no top-level '~' separator found", 0)
