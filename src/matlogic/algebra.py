@@ -23,6 +23,7 @@ from .lang import (
     Formula,
     Signature,
     Var,
+    _postorder,
     app,
     const,
     var,
@@ -124,28 +125,6 @@ def _assignment_at(
     n = len(var_order)
     pairs = ((v, (flat // k ** (n - pos)) % k) for pos, v in enumerate(var_order, start=1))
     return tuple(sorted(pairs))
-
-
-def _postorder(formulas: Iterable[Formula]) -> Tuple[Dict[Formula, int], List[Formula]]:
-    """The distinct subformulas of the formulas, each after its arguments, in
-    the order a left-to-right recursive walk finishes them, and each one's
-    position in that list.  Listed without recursion, so nesting depth is
-    unbounded."""
-    position: Dict[Formula, int] = {}
-    order: List[Formula] = []
-    for f in formulas:
-        stack = [(f, False)]
-        while stack:
-            g, expanded = stack.pop()
-            if g in position:
-                continue
-            if expanded or not isinstance(g, App):
-                position[g] = len(order)
-                order.append(g)
-            else:
-                stack.append((g, True))
-                stack.extend((a, False) for a in reversed(g.args))
-    return position, order
 
 
 def _formula_tables(
@@ -465,6 +444,8 @@ def _closure_rounds(
     repeats a permutation listed before it in the same round and is
     skipped.  The clone cap is checked after every block.
     """
+    if n < 0:
+        raise ValueError(f"the number of variables must be at least 0, got {n}")
     k = alg.size
     size = k**n
     caps.check_tuples(size)

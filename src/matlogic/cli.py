@@ -951,7 +951,7 @@ def run_command(argv: Sequence[str]) -> Tuple[int, str]:
     except CapExceeded as exc:
         return 3, f"cap exceeded: {exc}"
     except RecursionError:
-        # the parser and the formula printer still recurse once per nesting level
+        # proof search still recurses once per nesting level of its formulas
         return 2, "error: formula nested too deeply"
     return report.exit_code(), text
 

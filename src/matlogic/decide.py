@@ -226,6 +226,9 @@ def atlas_inclusion(
         common, fam1, fam2, reps, stats = _scan_setup(a1, a2, caps, m, "m")
         size = stats["m"]
         R = len(reps)
+        if not R:
+            # no formulas over m variables, so no sequent can separate the atlases
+            return DecisionReport(question, "yes", None, stats)
         k = common.size
         tuples = k**size
         caps.check_tuples(tuples)

@@ -24,14 +24,15 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import _assignment_at, _close, _formula_tables, _lex_columns, _postorder
+from .algebra import _assignment_at, _close, _formula_tables, _lex_columns
 from .lang import (
     App,
     Formula,
     ParseError,
     Signature,
     Substitution,
-    _Parser,
+    _parse,
+    _postorder,
     _tokenize,
     app,
     conj,
@@ -70,14 +71,13 @@ def parse_equality(text: str, signature: Signature) -> Equality:
             depth -= 1
         elif tok == "~" and depth == 0 and i > 0:
             try:
-                left = _Parser(tokens[:i], signature, len(text))
-                lhs = left.parse_formula()
-                if left.peek() is not None:
-                    raise ParseError("trailing input on left of '~'", left.pos())
-                right = _Parser(tokens[i + 1 :], signature, len(text))
-                rhs = right.parse_formula()
-                if right.peek() is not None:
-                    raise ParseError("trailing input on right of '~'", right.pos())
+                lhs, end = _parse(tokens[:i], signature, len(text))
+                if end < i:
+                    raise ParseError("trailing input on left of '~'", tokens[end][1])
+                rhs, end = _parse(tokens[i + 1 :], signature, len(text))
+                end += i + 1
+                if end < len(tokens):
+                    raise ParseError("trailing input on right of '~'", tokens[end][1])
                 return Equality(lhs, rhs)
             except ParseError as exc:
                 last_error = exc

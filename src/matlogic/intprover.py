@@ -25,6 +25,7 @@ from .lang import (
     App,
     Const,
     Formula,
+    _postorder,
     app,
     conj,
     disj,
@@ -54,12 +55,18 @@ def _check_language(f: Formula) -> None:
 
 def expand_iff(f: Formula) -> Formula:
     """Replace every biconditional by the conjunction of two implications."""
-    if isinstance(g := f, App):
-        args = tuple(expand_iff(a) for a in g.args)
+    position, order = _postorder([f])
+    out: List[Formula] = []
+    for g in order:
+        if not isinstance(g, App):
+            out.append(g)
+            continue
+        args = tuple(out[position[a]] for a in g.args)
         if g.connective == IFF and len(args) == 2:
-            return conj(imp(args[0], args[1]), imp(args[1], args[0]))
-        return app(g.connective, args)
-    return f
+            out.append(conj(imp(args[0], args[1]), imp(args[1], args[0])))
+        else:
+            out.append(app(g.connective, args))
+    return out[-1]
 
 
 @dataclass(frozen=True)

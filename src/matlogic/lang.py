@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 NOT, AND, OR, IMP, IFF = "¬", "∧", "∨", "→", "↔"
 
@@ -89,10 +89,11 @@ class Formula:
     """Immutable propositional formula.  Instances are interned, so equal
     formulas are usually the same object; equality falls back to structure."""
 
-    __slots__ = ("_hash", "_depth")
+    __slots__ = ("_hash", "_depth", "_text")
 
     _hash: int
     _depth: int
+    _text: Optional[str]  # set once printed; variables and constants at creation
 
     def __hash__(self) -> int:
         return self._hash
@@ -160,6 +161,7 @@ def var(index: int) -> Var:
         f.index = index  # type: ignore[misc]
         f._hash = hash(("var", index))
         f._depth = 0
+        f._text = f"p{index}"
         _var_pool[index] = f
     return f
 
@@ -172,6 +174,7 @@ def const(name: str) -> Const:
         f.name = name  # type: ignore[misc]
         f._hash = hash(("const", name))
         f._depth = 0
+        f._text = name
         _const_pool[name] = f
     return f
 
@@ -187,6 +190,7 @@ def app(connective: str, args: Sequence[Formula]) -> Formula:
         f.args = key[1]  # type: ignore[misc]
         f._hash = hash(("app", connective, key[1]))
         f._depth = 1 + max(a._depth for a in key[1])
+        f._text = None
         _app_pool[key] = f
     return f
 
@@ -237,6 +241,28 @@ def subformulas(f: Formula) -> set[Formula]:
     return out
 
 
+def _postorder(formulas: Iterable[Formula]) -> Tuple[Dict[Formula, int], List[Formula]]:
+    """The distinct subformulas of the formulas, each after its arguments, in
+    the order a left-to-right recursive walk finishes them, and each one's
+    position in that list.  Listed without recursion, so nesting depth is
+    unbounded."""
+    position: Dict[Formula, int] = {}
+    order: List[Formula] = []
+    for f in formulas:
+        stack = [(f, False)]
+        while stack:
+            g, expanded = stack.pop()
+            if g in position:
+                continue
+            if expanded or not isinstance(g, App):
+                position[g] = len(order)
+                order.append(g)
+            else:
+                stack.append((g, True))
+                stack.extend((a, False) for a in reversed(g.args))
+    return position, order
+
+
 # ---------------------------------------------------------------------------
 # substitutions
 
@@ -256,23 +282,14 @@ class Substitution:
 
     def apply(self, f: Formula) -> Formula:
         table = self.as_dict()
-        memo: Dict[Formula, Formula] = {}
-
-        def go(g: Formula) -> Formula:
-            cached = memo.get(g)
-            if cached is not None:
-                return cached
-            if isinstance(g, Var):
-                out = table.get(g.index, g)
-            elif isinstance(g, Const):
-                out = g
+        position, order = _postorder([f])
+        out: List[Formula] = []
+        for g in order:
+            if isinstance(g, App):
+                out.append(app(g.connective, tuple(out[position[a]] for a in g.args)))
             else:
-                assert isinstance(g, App)
-                out = app(g.connective, tuple(go(a) for a in g.args))
-            memo[g] = out
-            return out
-
-        return go(f)
+                out.append(table.get(g.index, g) if isinstance(g, Var) else g)
+        return out[-1]
 
     def compose(self, other: "Substitution") -> "Substitution":
         """self after other: (self.compose(other)).apply(f) == self.apply(other.apply(f))."""
@@ -283,48 +300,61 @@ class Substitution:
 
 
 # ---------------------------------------------------------------------------
-# printing
+# concrete syntax: one table for the parser and the printer
 
-_INFIX = {IFF: ("<->", 1), IMP: ("->", 2), OR: ("|", 3), AND: ("&", 4)}
-_NEG_PREC = 5
+# connective: (symbol, argument count, binding strength, right associative).
+# A stronger operator binds more tightly; with any other argument count the
+# connective is written prefix, as every other connective is.
+_OPERATORS = {
+    NOT: ("~", 1, 5, False),
+    AND: ("&", 2, 4, False),
+    OR: ("|", 2, 3, False),
+    IMP: ("->", 2, 2, True),
+    IFF: ("<->", 2, 1, True),
+}
+_CONNECTIVE_OF = {entry[0]: name for name, entry in _OPERATORS.items()}
+
+
+def _wrapped(f: Formula, strength: int) -> str:
+    """f's text as an operand of an operator that binds that strongly."""
+    entry = _OPERATORS.get(f.connective) if isinstance(f, App) else None
+    if entry is not None and entry[1] == len(f.args) and entry[2] < strength:
+        return f"({f._text})"
+    return f._text
 
 
 def format_formula(f: Formula) -> str:
-    def go(g: Formula, parent_prec: int) -> str:
-        if isinstance(g, Var):
-            return f"p{g.index}"
-        if isinstance(g, Const):
-            return g.name
+    """f's text.  Each formula is printed after its arguments, without
+    recursion, and keeps its text, so nesting depth is unbounded and a
+    formula is printed once."""
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if g._text is not None:
+            stack.pop()
+            continue
         assert isinstance(g, App)
-        name = g.connective
-        if name == NOT and len(g.args) == 1:
-            body = go(g.args[0], _NEG_PREC)
-            text = "~" + body
-            return text  # unary never needs outer parens at higher levels
-        entry = _INFIX.get(name)
-        if entry is not None and len(g.args) == 2:
-            symbol, prec = entry
-            if name in (IMP, IFF):  # right associative
-                left = go(g.args[0], prec + 1)
-                right = go(g.args[1], prec)
-            else:  # left associative
-                left = go(g.args[0], prec)
-                right = go(g.args[1], prec + 1)
-            text = f"{left} {symbol} {right}"
-            if prec < parent_prec:
-                text = f"({text})"
-            return text
-        return f"{name}({', '.join(go(a, 0) for a in g.args)})"
-
-    return go(f, 0)
+        missing = [a for a in g.args if a._text is None]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
+        entry = _OPERATORS.get(g.connective)
+        if entry is None or entry[1] != len(g.args):
+            g._text = f"{g.connective}({', '.join(a._text for a in g.args)})"
+        elif entry[1] == 1:
+            g._text = entry[0] + _wrapped(g.args[0], entry[2])
+        else:
+            symbol, _, strength, right = entry
+            left = _wrapped(g.args[0], strength + 1 if right else strength)
+            g._text = f"{left} {symbol} {_wrapped(g.args[1], strength if right else strength + 1)}"
+    return f._text
 
 
 # ---------------------------------------------------------------------------
 # parsing
 
 _TOKEN_RE = re.compile(r"<->|->|[()~&|,]|[^()~&|,<>\-=\s]+")
-
-_SYMBOL_BINDINGS = {"~": NOT, "&": AND, "|": OR, "->": IMP, "<->": IFF}
 
 
 def _tokenize(text: str) -> List[Tuple[str, int]]:
@@ -343,128 +373,106 @@ def _tokenize(text: str) -> List[Tuple[str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: List[Tuple[str, int]], signature: Signature, length: int):
-        self.tokens = tokens
-        self.sig = signature
-        self.i = 0
-        self.length = length
+# A frame is a pending operator or an open bracket: (binding strength, 0 for
+# a bracket; connective, None for a parenthesis; index of its first operand;
+# position).
+_Frame = Tuple[int, Optional[str], int, int]
 
-    def peek(self) -> Optional[str]:
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
 
-    def pos(self) -> int:
-        return self.tokens[self.i][1] if self.i < len(self.tokens) else self.length
+def _reduce(frames: List[_Frame], operands: List[Formula], strength: int) -> None:
+    """Apply the pending operators that bind more strongly than strength."""
+    while frames and frames[-1][0] > strength:
+        _, name, base, _ = frames.pop()
+        operands[base:] = [app(name, operands[base:])]
 
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.length)
-        self.i += 1
-        return tok
 
-    def expect(self, tok: str) -> None:
-        if self.peek() != tok:
-            raise ParseError(f"expected {tok!r}", self.pos())
-        self.i += 1
+def _operator(tok: Optional[str], count: int, signature: Signature, pos: int) -> Optional[str]:
+    """The connective of an operator token with that argument count, if tok
+    is one; the signature must have it."""
+    name = _CONNECTIVE_OF.get(tok)
+    if name is None or _OPERATORS[name][1] != count:
+        return None
+    if name not in signature:
+        raise ParseError(f"operator {tok!r} has no connective {name!r} in signature", pos)
+    return name
 
-    def parse_formula(self) -> Formula:
-        return self.parse_iff()
 
-    def parse_iff(self) -> Formula:
-        left = self.parse_imp()
-        if self.peek() == "<->":
-            self.i += 1
-            name = _SYMBOL_BINDINGS["<->"]
-            if name not in self.sig:
-                raise ParseError(f"operator '<->' has no connective {name!r} in signature", self.pos())
-            right = self.parse_iff()
-            return app(name, (left, right))
-        return left
-
-    def parse_imp(self) -> Formula:
-        left = self.parse_or()
-        if self.peek() == "->":
-            self.i += 1
-            name = _SYMBOL_BINDINGS["->"]
-            if name not in self.sig:
-                raise ParseError(f"operator '->' has no connective {name!r} in signature", self.pos())
-            right = self.parse_imp()  # right associative
-            return app(name, (left, right))
-        return left
-
-    def parse_or(self) -> Formula:
-        out = self.parse_and()
-        while self.peek() == "|":
-            pos = self.pos()
-            self.i += 1
-            name = _SYMBOL_BINDINGS["|"]
-            if name not in self.sig:
-                raise ParseError(f"operator '|' has no connective {name!r} in signature", pos)
-            out = app(name, (out, self.parse_and()))
-        return out
-
-    def parse_and(self) -> Formula:
-        out = self.parse_unary()
-        while self.peek() == "&":
-            pos = self.pos()
-            self.i += 1
-            name = _SYMBOL_BINDINGS["&"]
-            if name not in self.sig:
-                raise ParseError(f"operator '&' has no connective {name!r} in signature", pos)
-            out = app(name, (out, self.parse_unary()))
-        return out
-
-    def parse_unary(self) -> Formula:
-        if self.peek() == "~":
-            pos = self.pos()
-            self.i += 1
-            name = _SYMBOL_BINDINGS["~"]
-            if name not in self.sig:
-                raise ParseError(f"operator '~' has no connective {name!r} in signature", pos)
-            return app(name, (self.parse_unary(),))
-        return self.parse_atom()
-
-    def parse_atom(self) -> Formula:
-        tok = self.peek()
-        pos = self.pos()
-        if tok is None:
-            raise ParseError("unexpected end of input", pos)
-        if tok == "(":
-            self.i += 1
-            out = self.parse_formula()
-            self.expect(")")
-            return out
-        if tok in ("", ")", ","):
-            raise ParseError(f"unexpected token {tok!r}", pos)
-        self.i += 1
-        m = _VAR_RE.match(tok)
-        if m:
-            return var(int(m.group(1)))
-        if tok in self.sig:
-            arity = self.sig.arity(tok)
-            if arity == 0:
-                return const(tok)
-            self.expect("(")
-            args = [self.parse_formula()]
-            while self.peek() == ",":
-                self.i += 1
-                args.append(self.parse_formula())
-            self.expect(")")
-            if len(args) != arity:
-                raise ParseError(
-                    f"connective {tok!r} expects {arity} arguments, got {len(args)}", pos
-                )
-            return app(tok, tuple(args))
-        raise ParseError(f"unknown symbol {tok!r}", pos)
+def _parse(
+    tokens: List[Tuple[str, int]], signature: Signature, length: int
+) -> Tuple[Formula, int]:
+    """The formula at the start of tokens and the index of the first token
+    after it.  Operator precedence over two explicit stacks, one of operands
+    and one of frames, so nesting depth is unbounded; length is the text's,
+    the position of its end."""
+    operands: List[Formula] = []
+    frames: List[_Frame] = []
+    i, n = 0, len(tokens)
+    while True:
+        # an operand: prefix operators and open brackets, then an atom
+        while True:
+            if i == n:
+                raise ParseError("unexpected end of input", length)
+            tok, pos = tokens[i]
+            i += 1
+            name = _operator(tok, 1, signature, pos)
+            if name is not None:
+                frames.append((_OPERATORS[name][2], name, len(operands), pos))
+                continue
+            if tok == "(":
+                frames.append((0, None, len(operands), pos))
+                continue
+            if tok in (")", ","):
+                raise ParseError(f"unexpected token {tok!r}", pos)
+            m = _VAR_RE.match(tok)
+            if m:
+                operands.append(var(int(m.group(1))))
+                break
+            if tok not in signature:
+                raise ParseError(f"unknown symbol {tok!r}", pos)
+            if signature.arity(tok) == 0:
+                operands.append(const(tok))
+                break
+            if i == n or tokens[i][0] != "(":
+                raise ParseError("expected '('", tokens[i][1] if i < n else length)
+            i += 1
+            frames.append((0, tok, len(operands), pos))
+        # after an operand: a binary operator, or the end of a bracket's part
+        while True:
+            tok, pos = tokens[i] if i < n else (None, length)
+            name = _operator(tok, 2, signature, pos)
+            if name is not None:
+                _, _, strength, right = _OPERATORS[name]
+                _reduce(frames, operands, strength if right else strength - 1)
+                frames.append((strength, name, len(operands) - 1, pos))
+                i += 1
+                break
+            _reduce(frames, operands, 0)
+            if not frames:
+                return operands[0], i
+            _, name, base, at = frames[-1]
+            if tok == "," and name is not None:
+                i += 1
+                break
+            if tok != ")":
+                raise ParseError("expected ')'", pos)
+            i += 1
+            frames.pop()
+            if name is not None:
+                arity = signature.arity(name)
+                if len(operands) - base != arity:
+                    raise ParseError(
+                        f"connective {name!r} expects {arity} arguments, got {len(operands) - base}",
+                        at,
+                    )
+                operands[base:] = [app(name, operands[base:])]
 
 
 def parse_formula(text: str, signature: Signature = CLASSICAL_SIGNATURE) -> Formula:
     tokens = _tokenize(text)
-    parser = _Parser(tokens, signature, len(text))
-    out = parser.parse_formula()
-    if parser.peek() is not None:
-        raise ParseError(f"trailing input {parser.peek()!r}", parser.pos())
+    out, end = _parse(tokens, signature, len(text))
+    if end < len(tokens):
+        tok, pos = tokens[end]
+        raise ParseError(f"trailing input {tok!r}", pos)
     return out
 
 

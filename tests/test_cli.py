@@ -55,18 +55,50 @@ class TestExitCodes:
         assert capsys.readouterr() == ("", "")
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, exit_code, last_line",
         [
-            ["valid", "--preset", "L3", "~" * 3000 + "p1"],
-            ["valid", "--preset", "L3", "(" * 3000 + "p1" + ")" * 3000],
-            ["int", "prove", "~" * 3000 + "p1"],
+            (["valid", "--preset", "L3", "~" * 3000 + "p1"], 1, "refuting assignment: {'p1': '0'}"),
+            (
+                ["valid", "--preset", "L3", "(" * 3000 + "p1" + ")" * 3000],
+                1,
+                "refuting assignment: {'p1': '0'}",
+            ),
+            # proof search still recurses once per nesting level
+            (["int", "prove", "~" * 3000 + "p1"], 2, "error: formula nested too deeply"),
         ],
         ids=["valid-neg", "valid-parens", "int-prove"],
     )
-    def test_deep_nesting_is_an_input_error(self, argv):
+    def test_deep_nesting_keeps_the_exit_code_contract(self, argv, exit_code, last_line):
         code, text = run_command(argv)
-        assert code == 2
-        assert text.startswith("error:")
+        assert code == exit_code
+        assert text.splitlines()[-1] == last_line
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["incl", "--preset", "L3", "--preset", "L3", "--n", "-1"],
+            ["weq", "--preset", "L3", "--preset", "G3", "--n", "-1"],
+            ["atlas-incl", "--preset", "L3", "--preset", "L3", "--m", "-2"],
+            ["reps", "--preset", "L3", "--n", "-1"],
+            ["free-algebra", "--preset", "B2c", "--n", "-1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_variable_count_is_an_input_error(self, argv):
+        count = argv[-1]
+        assert run_command(argv) == (
+            2,
+            f"error: the number of variables must be at least 0, got {count}",
+        )
+
+    @pytest.mark.parametrize("command", ["atlas-incl", "atlas-eq"])
+    def test_no_formulas_over_zero_variables_separate_nothing(self, command):
+        # L3 has no constants, so its 0-ary clone is empty
+        argv = [command, "--preset", "L3", "--preset", "L3", "--m", "0"]
+        assert run_command(argv) == (0, f"{command}: yes")
+        code, text = run_command(argv + ["--json"])
+        assert code == 0
+        assert json.loads(text)["stats"]["representatives"] == 0
 
     @pytest.mark.parametrize("case", HELP_TEXTS, ids=lambda c: " ".join(c["argv"]) or "-")
     def test_help_and_usage_texts_are_unchanged(self, case, monkeypatch):

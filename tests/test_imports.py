@@ -1,9 +1,10 @@
 """Every module-level import in the package is used by its module, every
-private or nested definition is referenced within the package, and every
-public module-level name is exported by the package or referenced in it."""
+private or nested definition is referenced within the package, every
+public module-level name is exported by the package or referenced in it,
+and no function of the formula language calls itself, directly or not."""
 
 import ast
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
@@ -192,3 +193,78 @@ def test_no_unused_public_names():
         for p in (root / d).glob("*.py")
     }
     assert unused_public_names(sources, users) == []
+
+
+def _own_calls(definition, by_name):
+    """The functions a definition calls in its own body, outside the defs and
+    classes nested in it: f(...) resolves to every function named f, and
+    self.f(...) to every function or method named f."""
+    out = set()
+    todo = list(ast.iter_child_nodes(definition))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                out |= by_name[func.id]
+            elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+                if func.value.id == "self":
+                    out |= by_name[func.attr]
+        todo.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def call_cycles(source):
+    """Qualified names of the functions, methods and nested defs of a module
+    that lie on a cycle of its call graph, the graph built by name."""
+    functions = {}
+    todo = [(ast.parse(source), "")]
+    while todo:
+        node, prefix = todo.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not isinstance(child, ast.ClassDef):
+                    functions[prefix + child.name] = child
+                todo.append((child, f"{prefix}{child.name}."))
+            else:
+                todo.append((child, prefix))
+    by_name = defaultdict(set)
+    for qualified, definition in functions.items():
+        by_name[definition.name].add(qualified)
+    calls = {q: _own_calls(d, by_name) for q, d in functions.items()}
+    cyclic = []
+    for start, callees in calls.items():
+        seen, todo = set(), list(callees)
+        while todo:
+            q = todo.pop()
+            if q == start:
+                cyclic.append(start)
+                break
+            if q not in seen:
+                seen.add(q)
+                todo.extend(calls[q])
+    return sorted(cyclic)
+
+
+def test_detects_call_cycles():
+    source = (
+        "class P:\n"
+        "    def a(self):\n        return self.b()\n"
+        "    def b(self):\n        return self.c() or self.a()\n"
+        "    def c(self):\n        return leaf()\n"
+        "def leaf():\n    return 0\n"
+        "def fmt(f):\n"
+        "    def go(g):\n        return [go(x) for x in g]\n"
+        "    return go(f)\n"
+        "def walk(f):\n"
+        "    stack = [f]\n"
+        "    while stack:\n        stack.pop()\n"
+        "    return leaf()\n"
+    )
+    assert call_cycles(source) == ["P.a", "P.b", "fmt.go"]
+
+
+def test_formula_language_has_no_call_cycles():
+    assert call_cycles((SRC / "lang.py").read_text(encoding="utf-8")) == []

@@ -112,6 +112,49 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_formula("p1 -> q", CLASSICAL_SIGNATURE)
 
+    @pytest.mark.parametrize("text", ["p1 -> p2", "p1 ->", "p1 <-> p2", "p1 <->", "p1 & p2", "p1 | p2"])
+    def test_missing_operator_connective_is_reported_at_the_operator(self, text):
+        sig = Signature.of({"¬": 1})
+        with pytest.raises(ParseError) as info:
+            parse_formula(text, sig)
+        assert info.value.position == 3
+        assert str(info.value).startswith(f"operator {text.split()[1]!r} has no connective")
+
+
+def _nested(step, depth=3000):
+    f = var(1)
+    for _ in range(depth):
+        f = step(f)
+    return f
+
+
+DEEP_SIGNATURE = Signature.of({"¬": 1, "∧": 2, "∨": 2, "→": 2, "↔": 2, "□": 1})
+
+
+class TestDeepNesting:
+    """Parsing and printing use no recursion, so nesting depth is unbounded."""
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("connective", ["∧", "∨", "→", "↔"])
+    def test_binary_round_trip(self, connective, side):
+        if side == "left":
+            f = _nested(lambda g: app(connective, (g, var(1))))
+        else:
+            f = _nested(lambda g: app(connective, (var(1), g)))
+        assert parse_formula(str(f), DEEP_SIGNATURE) == f
+
+    @pytest.mark.parametrize("connective", ["¬", "□"], ids=["negation", "prefix"])
+    def test_unary_round_trip(self, connective):
+        f = _nested(lambda g: app(connective, (g,)))
+        assert parse_formula(str(f), DEEP_SIGNATURE) == f
+
+    def test_parentheses(self):
+        assert parse_formula("(" * 3000 + "p1" + ")" * 3000, DEEP_SIGNATURE) == var(1)
+        f = _nested(lambda g: neg(neg(g)), 1500)
+        text = "~(" * 3000 + "p1" + ")" * 3000
+        assert parse_formula(text, DEEP_SIGNATURE) == f
+        assert parse_formula(str(f), DEEP_SIGNATURE) == f
+
 
 class TestEnumeration:
     def test_depth_zero_first(self):
