@@ -458,13 +458,12 @@ def _parse(
             i += 1
             frames.pop()
             if name is not None:
-                arity = signature.arity(name)
-                if len(operands) - base != arity:
+                arity, args = signature.arity(name), operands[base:]
+                if len(args) != arity:
                     raise ParseError(
-                        f"connective {name!r} expects {arity} arguments, got {len(operands) - base}",
-                        at,
+                        f"connective {name!r} expects {arity} arguments, got {len(args)}", at
                     )
-                operands[base:] = [app(name, operands[base:])]
+                operands[base:] = [app(name, args)]
 
 
 def parse_formula(text: str, signature: Signature = CLASSICAL_SIGNATURE) -> Formula:

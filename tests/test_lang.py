@@ -113,7 +113,9 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_formula("p1 -> q", CLASSICAL_SIGNATURE)
 
-    @pytest.mark.parametrize("text", ["p1 -> p2", "p1 ->", "p1 <-> p2", "p1 <->", "p1 & p2", "p1 | p2"])
+    @pytest.mark.parametrize(
+        "text", ["p1 -> p2", "p1 ->", "p1 <-> p2", "p1 <->", "p1 & p2", "p1 | p2"]
+    )
     def test_missing_operator_connective_is_reported_at_the_operator(self, text):
         sig = Signature.of({"¬": 1})
         with pytest.raises(ParseError) as info:

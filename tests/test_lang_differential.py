@@ -57,7 +57,8 @@ signatures = st.sampled_from(SIGNATURES)
 @st.composite
 def token_strings(draw):
     """Random tokens, each followed by a space or by nothing."""
-    parts = draw(st.lists(st.tuples(st.sampled_from(TOKENS), st.sampled_from([" ", ""])), max_size=14))
+    token = st.tuples(st.sampled_from(TOKENS), st.sampled_from([" ", ""]))
+    parts = draw(st.lists(token, max_size=14))
     return "".join(tok + sep for tok, sep in parts)
 
 
