@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -100,7 +100,11 @@ class FiniteAlgebra:
 # A flat table holds a formula's value under each of the k**n assignments to
 # a variable order, listed lexicographically with the first variable most
 # significant.  ``_formula_tables`` is the one evaluator; everything that
-# needs formula values goes through it.
+# needs formula values goes through it.  A scan for a first counterexample
+# evaluates slices of _SLICE_ROWS consecutive assignments, one after another,
+# and stops at the first slice that holds one; its memory is bounded.
+
+_SLICE_ROWS = 1 << 14
 
 
 class _Unbound(KeyError):
@@ -111,10 +115,10 @@ class _Unbound(KeyError):
         self.index = index
 
 
-def _lex_columns(k: int, var_order: Sequence[int]) -> Dict[int, np.ndarray]:
-    """Value of each variable in each of the k**n assignments to var_order."""
+def _lex_columns(k: int, var_order: Sequence[int], start: int, stop: int) -> Dict[int, np.ndarray]:
+    """Value of each variable in the assignments start..stop-1 to var_order."""
     n = len(var_order)
-    idx = np.arange(k**n, dtype=np.int64)
+    idx = np.arange(start, stop, dtype=np.int64)
     return {v: (idx // k ** (n - pos)) % k for pos, v in enumerate(var_order, start=1)}
 
 
@@ -154,6 +158,17 @@ def _formula_tables(
     return [values[position[f]] for f in formulas]
 
 
+def _sliced_tables(
+    alg: FiniteAlgebra, formulas: Sequence[Formula], var_order: Sequence[int]
+) -> Iterator[Tuple[int, List[np.ndarray]]]:
+    """Per slice of _SLICE_ROWS assignments to var_order: (start, formula values)."""
+    size = alg.size ** len(var_order)
+    for start in range(0, size, _SLICE_ROWS):
+        stop = min(start + _SLICE_ROWS, size)
+        columns = _lex_columns(alg.size, var_order, start, stop)
+        yield start, _formula_tables(alg, formulas, columns, stop - start)
+
+
 def evaluate_term(alg: FiniteAlgebra, f: Formula, assignment: Mapping[int, int]) -> int:
     """Value of f under an assignment of element indices to variable indices."""
     columns = {v: np.array([e], dtype=np.int64) for v, e in assignment.items()}
@@ -163,7 +178,7 @@ def evaluate_term(alg: FiniteAlgebra, f: Formula, assignment: Mapping[int, int])
 
 def term_table(alg: FiniteAlgebra, f: Formula, n: int) -> np.ndarray:
     """Flat table of f as an n-ary term function (all variables must be <= pn)."""
-    columns = _lex_columns(alg.size, range(1, n + 1))
+    columns = _lex_columns(alg.size, range(1, n + 1), 0, alg.size**n)
     try:
         (table,) = _formula_tables(alg, [f], columns, alg.size**n)
     except _Unbound as exc:
@@ -452,7 +467,7 @@ def _closure_rounds(
     arities = [arity for _, arity in alg.signature.proper_connectives]
     layout = _layout(k, size, max(arities, default=1))
     seeds = [var(i) for i in range(1, n + 1)] + [const(c) for c in alg.signature.constants]
-    columns = _lex_columns(k, range(1, n + 1))
+    columns = _lex_columns(k, range(1, n + 1), 0, size)
     seed_tables = np.array(_formula_tables(alg, seeds, columns, size), dtype=np.int64)
     seed_codes = layout.codes(seed_tables.reshape(len(seeds), size))
     seed_keys = layout.keys(seed_codes)

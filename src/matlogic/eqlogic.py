@@ -24,7 +24,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import _assignment_at, _close, _formula_tables, _lex_columns
+from .algebra import _assignment_at, _close, _sliced_tables
 from .lang import (
     App,
     Formula,
@@ -278,18 +278,19 @@ def _first_difference(
     alg, premises: Sequence[Equality], goal: Equality, caps: ResourceCaps
 ) -> Optional[Tuple[Tuple[int, int], ...]]:
     """First assignment, in lexicographic order over the sorted variables,
-    that satisfies every premise and separates the goal's sides."""
-    k = alg.size
+    that satisfies every premise and separates the goal's sides.  The
+    assignments are scanned a slice at a time, up to the first slice with one."""
     var_order = sorted({v for e in (*premises, goal) for v in e.variables()})
-    size = k ** len(var_order)
-    caps.check_tuples(size)
+    caps.check_tuples(alg.size ** len(var_order))
     terms = [t for e in (*premises, goal) for t in (e.lhs, e.rhs)]
-    tables = _formula_tables(alg, terms, _lex_columns(k, var_order), size)
-    bad = tables[-2] != tables[-1]
-    for lhs, rhs in zip(tables[:-2:2], tables[1:-2:2]):
-        bad &= lhs == rhs
-    flat = int(np.argmax(bad))
-    return _assignment_at(flat, var_order, k) if bad[flat] else None
+    for start, tables in _sliced_tables(alg, terms, var_order):
+        bad = tables[-2] != tables[-1]
+        for lhs, rhs in zip(tables[:-2:2], tables[1:-2:2]):
+            bad &= lhs == rhs
+        flat = int(np.argmax(bad))
+        if bad[flat]:
+            return _assignment_at(start + flat, var_order, alg.size)
+    return None
 
 
 def eq_consequence(

@@ -20,8 +20,7 @@ from .algebra import (
     Congruence,
     FiniteAlgebra,
     _assignment_at,
-    _formula_tables,
-    _lex_columns,
+    _sliced_tables,
     direct_product,
     greatest_congruence_below,
     quotient_by_congruence,
@@ -86,26 +85,22 @@ def _first_refutation(
 ) -> Optional[Tuple[Tuple[Tuple[int, int], ...], int]]:
     """First assignment, in lexicographic order over the sorted variables,
     under which some filter holds every premise but not the conclusion, and
-    the family position of the first such filter; None if there is none."""
+    the family position of the first such filter; None if there is none.
+    The assignments are scanned a slice at a time, every filter at once, up
+    to the first slice with a refutation: a later one comes later in order."""
     alg = atlas.algebra
     k = alg.size
     var_order = sorted({v for g in (*premises, conclusion) for v in variables(g)})
-    size = k ** len(var_order)
-    caps.check_tuples(size)
-    tables = _formula_tables(alg, [*premises, conclusion], _lex_columns(k, var_order), size)
-    refutations = []
-    for fi, d in enumerate(atlas.filters):
-        mask = _filter_mask(d, k)
-        bad = ~mask[tables[-1]]
+    caps.check_tuples(k ** len(var_order))
+    masks = np.array([_filter_mask(d, k) for d in atlas.filters])
+    for start, tables in _sliced_tables(alg, [*premises, conclusion], var_order):
+        bad = ~masks[:, tables[-1]]
         for t in tables[:-1]:
-            bad &= mask[t]
-        flat = int(np.argmax(bad))
-        if bad[flat]:
-            refutations.append((flat, fi))
-    if not refutations:
-        return None
-    flat, fi = min(refutations)
-    return _assignment_at(flat, var_order, k), fi
+            bad &= masks[:, t]
+        flat = int(np.argmax(bad.any(axis=0)))
+        if bad[:, flat].any():
+            return _assignment_at(start + flat, var_order, k), int(np.argmax(bad[:, flat]))
+    return None
 
 
 @dataclass(frozen=True)

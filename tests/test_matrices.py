@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -81,6 +82,29 @@ class TestValidity:
         )
         with pytest.raises(CapExceeded):
             is_valid(m, f, ResourceCaps(max_tuples=100))
+
+    @pytest.mark.parametrize(
+        "text, refuter",
+        [
+            (" | ".join(f"p{i}" for i in range(1, 11)), tuple((i, 0) for i in range(1, 11))),
+            # prelinearity around a cycle: some p_i is at most the next
+            (" | ".join(f"(p{i} -> p{i % 10 + 1})" for i in range(1, 11)), None),
+        ],
+        ids=["refuted-first", "valid"],
+    )
+    def test_ten_variable_scan_memory_is_bounded(self, text, refuter):
+        # 4**10 assignments; evaluated whole, each subformula's table alone
+        # takes 8 MiB
+        g4 = make_preset("Gn", 4)
+        f = parse_formula(text, g4.algebra.signature)
+        tracemalloc.start()
+        try:
+            result = is_valid(g4, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (result.valid, result.assignment) == (refuter is None, refuter)
+        assert peak < 16 * 2**20
 
 
 class TestConsequence:

@@ -42,7 +42,7 @@ def at_each_slice_size(decide):
         if rows is None:
             out.append(decide())
         else:
-            with mock.patch.object(algebra, "_SLICE_ROWS", rows, create=True):
+            with mock.patch.object(algebra, "_SLICE_ROWS", rows):
                 out.append(decide())
     return out
 
