@@ -60,30 +60,33 @@ class Equality:
 
 def parse_equality(text: str, signature: Signature) -> Equality:
     """Parse ``term ~ term``; the separator is the first top-level ``~``
-    that splits the input into two well-formed terms."""
+    that splits the input into two well-formed terms.  Only the one where a
+    parse of the whole input stops can; the last one's failure is reported."""
     tokens = _tokenize(text)
-    depth = 0
-    last_error: Optional[Exception] = None
+    depth, separators = 0, []
     for i, (tok, _pos) in enumerate(tokens):
-        if tok == "(":
-            depth += 1
-        elif tok == ")":
-            depth -= 1
-        elif tok == "~" and depth == 0 and i > 0:
-            try:
-                lhs, end = _parse(tokens[:i], signature, len(text))
-                if end < i:
-                    raise ParseError("trailing input on left of '~'", tokens[end][1])
-                rhs, end = _parse(tokens[i + 1 :], signature, len(text))
-                end += i + 1
-                if end < len(tokens):
-                    raise ParseError("trailing input on right of '~'", tokens[end][1])
-                return Equality(lhs, rhs)
-            except ParseError as exc:
-                last_error = exc
-    if last_error is not None:
-        raise last_error
-    raise ParseError("no top-level '~' separator found", 0)
+        depth += (tok == "(") - (tok == ")")
+        if tok == "~" and depth == 0 and i > 0:
+            separators.append(i)
+    if not separators:
+        raise ParseError("no top-level '~' separator found", 0)
+    try:
+        stop = _parse(tokens, signature, len(text))[1]
+    except ParseError:
+        stop = None
+    for i in sorted({stop, separators[-1]} & set(separators)):
+        try:
+            lhs, end = _parse(tokens[:i], signature, len(text))
+            if end < i:
+                raise ParseError("trailing input on left of '~'", tokens[end][1])
+            rhs, end = _parse(tokens[i + 1 :], signature, len(text))
+            end += i + 1
+            if end < len(tokens):
+                raise ParseError("trailing input on right of '~'", tokens[end][1])
+            return Equality(lhs, rhs)
+        except ParseError:
+            if i == separators[-1]:
+                raise
 
 
 # ---------------------------------------------------------------------------

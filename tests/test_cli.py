@@ -65,8 +65,14 @@ class TestExitCodes:
             ),
             # proof search still recurses once per nesting level
             (["int", "prove", "~" * 3000 + "p1"], 2, "error: formula nested too deeply"),
+            (
+                ["eq", "ground", "~" * 3000 + "p1"],
+                2,
+                "error: unexpected end of input (at position 3002)",
+            ),
+            (["eq", "conseq", "--preset", "B2", "~" * 3000 + "p1 ~ p1"], 0, "eq conseq (E): yes"),
         ],
-        ids=["valid-neg", "valid-parens", "int-prove"],
+        ids=["valid-neg", "valid-parens", "int-prove", "eq-ground", "eq-conseq"],
     )
     def test_deep_nesting_keeps_the_exit_code_contract(self, argv, exit_code, last_line):
         code, text = run_command(argv)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 
@@ -27,6 +28,7 @@ from matlogic import (
     var,
 )
 
+from matlogic import lang
 from conftest import eq_refuter_slow
 
 
@@ -49,6 +51,27 @@ class TestParseEquality:
     def test_str_round_trip(self):
         e = eq("p1 -> p2 ~ p2")
         assert parse_equality(str(e), SIG) == e
+
+    @pytest.mark.parametrize(
+        "text, depths",
+        [
+            ("~" * 3000 + "p1 ~ p1", (3000, 0)),
+            ("p1 ~ " + "~" * 3000 + "p1", (0, 3000)),
+            ("~" * 3000 + "p1", None),
+        ],
+        ids=["deep-left", "deep-right", "no-split"],
+    )
+    def test_a_few_parses_whatever_the_count_of_tildes(self, text, depths):
+        # only the separator where a parse of the whole input stops, and the
+        # last one for the error, are tried
+        with mock.patch("matlogic.eqlogic._parse", wraps=lang._parse) as parse:
+            if depths is None:
+                with pytest.raises(lang.ParseError, match="unexpected end of input"):
+                    eq(text)
+            else:
+                e = eq(text)
+                assert (e.lhs.depth, e.rhs.depth) == depths
+        assert parse.call_count <= 5
 
 
 class TestDerivationChecking:
