@@ -103,7 +103,6 @@ class FiniteAlgebra:
 # needs formula values goes through it.  A scan for a first counterexample
 # evaluates slices of _SLICE_ROWS consecutive assignments, one after another,
 # and stops at the first slice that holds one; its memory is bounded.
-
 _SLICE_ROWS = 1 << 14
 
 

@@ -71,14 +71,15 @@ def parse_equality(text: str, signature: Signature) -> Equality:
     if not separators:
         raise ParseError("no top-level '~' separator found", 0)
     try:
-        stop = _parse(tokens, signature, len(text))[1]
+        lhs, stop = _parse(tokens, signature, len(text))
     except ParseError:
         stop = None
     for i in sorted({stop, separators[-1]} & set(separators)):
         try:
-            lhs, end = _parse(tokens[:i], signature, len(text))
-            if end < i:
-                raise ParseError("trailing input on left of '~'", tokens[end][1])
+            if i != stop:
+                lhs, end = _parse(tokens[:i], signature, len(text))
+                if end < i:
+                    raise ParseError("trailing input on left of '~'", tokens[end][1])
             rhs, end = _parse(tokens[i + 1 :], signature, len(text))
             end += i + 1
             if end < len(tokens):
