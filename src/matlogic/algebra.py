@@ -101,8 +101,8 @@ class FiniteAlgebra:
 # a variable order, listed lexicographically with the first variable most
 # significant.  ``_formula_tables`` is the one evaluator; everything that
 # needs formula values goes through it.  A scan for a first counterexample
-# evaluates slices of _SLICE_ROWS consecutive assignments, one after another,
-# and stops at the first slice that holds one; its memory is bounded.
+# evaluates it on slices of _SLICE_ROWS assignments, one after another, and
+# stops at the first slice that holds one, so its memory is bounded.
 _SLICE_ROWS = 1 << 14
 
 

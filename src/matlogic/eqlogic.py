@@ -281,9 +281,8 @@ class EqConsequenceResult:
 def _first_difference(
     alg, premises: Sequence[Equality], goal: Equality, caps: ResourceCaps
 ) -> Optional[Tuple[Tuple[int, int], ...]]:
-    """First assignment, in lexicographic order over the sorted variables,
-    that satisfies every premise and separates the goal's sides.  The
-    assignments are scanned a slice at a time, up to the first slice with one."""
+    """First assignment, in lexicographic order over the sorted variables, that
+    satisfies every premise and separates the goal's sides; the scan stops at its slice."""
     var_order = sorted({v for e in (*premises, goal) for v in e.variables()})
     caps.check_tuples(alg.size ** len(var_order))
     terms = [t for e in (*premises, goal) for t in (e.lhs, e.rhs)]

@@ -86,20 +86,22 @@ def _first_refutation(
     """First assignment, in lexicographic order over the sorted variables,
     under which some filter holds every premise but not the conclusion, and
     the family position of the first such filter; None if there is none.
-    The assignments are scanned a slice at a time, every filter at once, up
-    to the first slice with a refutation: a later one comes later in order."""
+    Scanned slice by slice, up to the first slice that holds a refutation."""
     alg = atlas.algebra
-    k = alg.size
     var_order = sorted({v for g in (*premises, conclusion) for v in variables(g)})
-    caps.check_tuples(k ** len(var_order))
-    masks = np.array([_filter_mask(d, k) for d in atlas.filters])
+    caps.check_tuples(alg.size ** len(var_order))
+    masks = [_filter_mask(d, alg.size) for d in atlas.filters]
     for start, tables in _sliced_tables(alg, [*premises, conclusion], var_order):
-        bad = ~masks[:, tables[-1]]
-        for t in tables[:-1]:
-            bad &= masks[:, t]
-        flat = int(np.argmax(bad.any(axis=0)))
-        if bad[:, flat].any():
-            return _assignment_at(start + flat, var_order, k), int(np.argmax(bad[:, flat]))
+        refutations = []
+        for fi, mask in enumerate(masks):
+            bad = ~mask[tables[-1]]
+            for t in tables[:-1]:
+                bad &= mask[t]
+            if bad.any():
+                refutations.append((int(np.argmax(bad)), fi))
+        if refutations:
+            flat, fi = min(refutations)
+            return _assignment_at(start + flat, var_order, alg.size), fi
     return None
 
 
