@@ -99,10 +99,13 @@ class FiniteAlgebra:
 #
 # A flat table holds a formula's value under each of the k**n assignments to
 # a variable order, listed lexicographically with the first variable most
-# significant.  ``_formula_tables`` is the one evaluator; everything that
-# needs formula values goes through it.  A scan for a first counterexample
-# evaluates it on slices of _SLICE_ROWS assignments, one after another, and
-# stops at the first slice that holds one, so its memory is bounded.
+# significant.  ``_formula_tables``, the one evaluator, walks the formulas
+# once and then evaluates them on each slice of assignments it is given, a
+# connective as a flat gather: its raveled table at the arguments' values read
+# base k.  A scan for a first counterexample takes slices of k**s rows, s the
+# largest with k**s at most _SLICE_ROWS, and stops at the first slice holding
+# one, so its memory is bounded; the last s variables have one column, built
+# once, for every slice, and each other variable one value per slice.
 _SLICE_ROWS = 1 << 14
 
 
@@ -114,10 +117,10 @@ class _Unbound(KeyError):
         self.index = index
 
 
-def _lex_columns(k: int, var_order: Sequence[int], start: int, stop: int) -> Dict[int, np.ndarray]:
-    """Value of each variable in the assignments start..stop-1 to var_order."""
+def _lex_columns(k: int, var_order: Sequence[int]) -> Dict[int, np.ndarray]:
+    """Value of each variable in each of the k**n assignments to var_order."""
     n = len(var_order)
-    idx = np.arange(start, stop, dtype=np.int64)
+    idx = np.arange(k**n, dtype=np.int64)
     return {v: (idx // k ** (n - pos)) % k for pos, v in enumerate(var_order, start=1)}
 
 
@@ -131,55 +134,61 @@ def _assignment_at(
 
 
 def _formula_tables(
-    alg: FiniteAlgebra,
-    formulas: Sequence[Formula],
-    columns: Mapping[int, np.ndarray],
-    size: int,
-) -> List[np.ndarray]:
-    """Value tables of the formulas, given each variable's column of length size.
-
-    One loop evaluates the distinct subformulas in _postorder, so nesting
-    depth is unbounded, the first unbound variable met is the leftmost one,
-    and the values, shared by all the formulas, are freed on return.
-    """
+    alg: FiniteAlgebra, formulas: Sequence[Formula], slices: Iterable[Tuple[Mapping, int]]
+) -> Iterator[List[np.ndarray]]:
+    """Value tables of the formulas on each slice, given as each variable's
+    column there and the row count.  One _postorder walk serves every slice,
+    so nesting depth is unbounded and the first unbound variable met is the
+    leftmost one; a slice's values are dropped before the next is evaluated."""
+    k = alg.size
+    flat = {name: table.ravel() for name, table in alg.tables.items()}
     position, order = _postorder(formulas)
-    values: List[np.ndarray] = []
-    for g in order:
-        if isinstance(g, App):
-            args = tuple(values[position[a]] for a in g.args)
-            values.append(alg.tables[g.connective][args])
-        elif isinstance(g, Var):
-            if g.index not in columns:
-                raise _Unbound(g.index)
-            values.append(columns[g.index])
-        else:
-            values.append(np.full(size, int(alg.tables[g.name]), dtype=np.int64))
-    return [values[position[f]] for f in formulas]
+    steps = [(g, [position[a] for a in g.args] if isinstance(g, App) else None) for g in order]
+    for columns, rows in slices:
+        values: List[np.ndarray] = []
+        for g, args in steps:
+            if args is not None:
+                j = values[args[0]]
+                for a in args[1:]:
+                    j = j * k + values[a]
+                values.append(flat[g.connective].take(j))
+            elif isinstance(g, Var):
+                if g.index not in columns:
+                    raise _Unbound(g.index)
+                values.append(columns[g.index])
+            else:
+                values.append(np.full(rows, int(flat[g.name][0]), dtype=np.int64))
+        yield [values[position[f]] for f in formulas]
 
 
 def _sliced_tables(
     alg: FiniteAlgebra, formulas: Sequence[Formula], var_order: Sequence[int]
 ) -> Iterator[Tuple[int, List[np.ndarray]]]:
-    """Per slice of _SLICE_ROWS assignments to var_order: (start, formula values)."""
-    size = alg.size ** len(var_order)
-    for start in range(0, size, _SLICE_ROWS):
-        stop = min(start + _SLICE_ROWS, size)
-        columns = _lex_columns(alg.size, var_order, start, stop)
-        yield start, _formula_tables(alg, formulas, columns, stop - start)
+    """Per slice of the assignments to var_order, in order: (start, formula values)."""
+    k, n = alg.size, len(var_order)
+    s = max(e for e in range(n + 1) if k**e <= _SLICE_ROWS)
+    low, high, rows = _lex_columns(k, var_order[n - s :]), var_order[: n - s], k**s
+    slices = (
+        ({**low, **{v: np.full(rows, e) for v, e in _assignment_at(i, high, k)}}, rows)
+        for i in range(k ** (n - s))
+    )
+    return zip(range(0, k**n, rows), _formula_tables(alg, formulas, slices))
 
 
 def evaluate_term(alg: FiniteAlgebra, f: Formula, assignment: Mapping[int, int]) -> int:
     """Value of f under an assignment of element indices to variable indices."""
+    if any(not 0 <= e < alg.size for e in assignment.values()):
+        raise ValueError(f"element index out of range 0..{alg.size - 1}")
     columns = {v: np.array([e], dtype=np.int64) for v, e in assignment.items()}
-    (table,) = _formula_tables(alg, [f], columns, 1)
+    (table,) = next(_formula_tables(alg, [f], [(columns, 1)]))
     return int(table[0])
 
 
 def term_table(alg: FiniteAlgebra, f: Formula, n: int) -> np.ndarray:
     """Flat table of f as an n-ary term function (all variables must be <= pn)."""
-    columns = _lex_columns(alg.size, range(1, n + 1), 0, alg.size**n)
+    columns = _lex_columns(alg.size, range(1, n + 1))
     try:
-        (table,) = _formula_tables(alg, [f], columns, alg.size**n)
+        (table,) = next(_formula_tables(alg, [f], [(columns, alg.size**n)]))
     except _Unbound as exc:
         raise ValueError(f"variable p{exc.index} exceeds arity {n}") from None
     return np.array(table, dtype=np.int64)
@@ -466,8 +475,8 @@ def _closure_rounds(
     arities = [arity for _, arity in alg.signature.proper_connectives]
     layout = _layout(k, size, max(arities, default=1))
     seeds = [var(i) for i in range(1, n + 1)] + [const(c) for c in alg.signature.constants]
-    columns = _lex_columns(k, range(1, n + 1), 0, size)
-    seed_tables = np.array(_formula_tables(alg, seeds, columns, size), dtype=np.int64)
+    columns = _lex_columns(k, range(1, n + 1))
+    seed_tables = np.array(next(_formula_tables(alg, seeds, [(columns, size)])), dtype=np.int64)
     seed_codes = layout.codes(seed_tables.reshape(len(seeds), size))
     seed_keys = layout.keys(seed_codes)
     first = _first_occurrences(seed_keys)

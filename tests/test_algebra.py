@@ -64,6 +64,15 @@ def test_unbound_variable_errors_name_the_leftmost(chain3_arrow):
         term_table(alg, f, 2)
 
 
+def test_element_indices_out_of_range_are_refused(chain3_arrow):
+    # a flat gather at p1 * 3 + p2 would read another cell, not fail
+    alg = chain3_arrow.algebra
+    f = parse_formula("p1 -> p2", alg.signature)
+    for assignment in ({1: 0, 2: 3}, {1: -1, 2: 0}):
+        with pytest.raises(ValueError, match="element index out of range 0..2"):
+            evaluate_term(alg, f, assignment)
+
+
 class TestEvaluationKernel:
     def test_deep_formula_evaluates_without_recursion(self):
         # 3,000 negations: deeper than the interpreter's recursion limit

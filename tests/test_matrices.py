@@ -1,8 +1,10 @@
 import itertools
 import tracemalloc
+from unittest import mock
 
 import pytest
 
+from matlogic import algebra, lang
 from matlogic import (
     Atlas,
     CapExceeded,
@@ -105,6 +107,32 @@ class TestValidity:
             tracemalloc.stop()
         assert (result.valid, result.assignment) == (refuter is None, refuter)
         assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize(
+        "text, slices",
+        [
+            (" | ".join(f"p{i}" for i in range(1, 11)), 1),
+            (" | ".join(f"(p{i} -> p{i % 10 + 1})" for i in range(1, 11)), 4**3),
+        ],
+        ids=["refuted-first", "valid"],
+    )
+    def test_a_scan_walks_its_formulas_once(self, text, slices):
+        # 4**10 assignments in slices of 4**7 rows, and one walk for all of them
+        g4 = make_preset("Gn", 4)
+        f = parse_formula(text, g4.algebra.signature)
+        starts = []
+
+        def counted(*args):
+            for start, tables in algebra._sliced_tables(*args):
+                starts.append(start)
+                yield start, tables
+
+        with mock.patch("matlogic.matrices._sliced_tables", counted), mock.patch(
+            "matlogic.algebra._postorder", wraps=lang._postorder
+        ) as walk:
+            is_valid(g4, f)
+        assert starts == list(range(0, slices * 4**7, 4**7))
+        assert walk.call_count == 1
 
 
 class TestConsequence:
