@@ -104,6 +104,7 @@ def _scan_setup(
     caps: ResourceCaps,
     requested: Optional[int],
     size_key: str,
+    clones: Optional[Dict[int, List[TermFunction]]] = None,
 ) -> Tuple[
     FiniteAlgebra,
     Tuple[frozenset, ...],
@@ -120,16 +121,21 @@ def _scan_setup(
     separating formula or sequent can always be rewritten over generator
     terms of the refuting side, so that many variables make the scan
     conclusive.  A smaller requested size still runs, as a spot check.
+    A shared algebra's clones are kept in clones, by size, for the reverse
+    direction, whose product algebra would differ.
     """
+    clones = {} if clones is None else clones
     if a1.algebra.same_tables(a2.algebra):
         common, fam1, fam2 = a1.algebra, a1.filters, a2.filters
     else:
-        common = direct_product(a1.algebra, a2.algebra)
+        common, clones = direct_product(a1.algebra, a2.algebra), {}
         k1, k2 = a1.algebra.size, a2.algebra.size
         fam1 = tuple(_cyl_left(d, k2) for d in a1.filters)
         fam2 = tuple(_cyl_right(d, k1, k2) for d in a2.filters)
     size, sound, seed = _resolve_scan_size(a2.algebra, requested)
-    reps = clone_discovery_order(common, size, caps)
+    if size not in clones:
+        clones[size] = clone_discovery_order(common, size, caps)
+    reps = clones[size]
     stats: Dict[str, object] = {
         size_key: size,
         "sound": sound,
@@ -145,11 +151,12 @@ def _both_directions(
     question: str, inclusion, x, y, caps: ResourceCaps, size: Optional[int]
 ) -> DecisionReport:
     """The inclusion forward, then backward: the first answer other than yes,
-    with its direction, else yes with the forward stats."""
-    fwd = inclusion(x, y, caps, size)
+    with its direction, else yes with the forward stats; one clone serves both."""
+    clones: Dict[int, List[TermFunction]] = {}
+    fwd = inclusion(x, y, caps, size, clones)
     rep, direction = fwd, "forward"
     if fwd.answer == "yes":
-        rep, direction = inclusion(y, x, caps, size), "backward"
+        rep, direction = inclusion(y, x, caps, size, clones), "backward"
     if rep.answer == "yes":
         return DecisionReport(question, "yes", None, {**fwd.stats})
     return DecisionReport(question, rep.answer, rep.witness, {"direction": direction, **rep.stats})
@@ -160,17 +167,19 @@ def theorem_inclusion(
     m2: Matrix,
     caps: ResourceCaps = DEFAULT_CAPS,
     n: Optional[int] = None,
+    clones: Optional[Dict[int, List[TermFunction]]] = None,
 ) -> DecisionReport:
     """Are all theorems of m1 theorems of m2?
 
     Both matrices are laid over one common algebra, and every representative
-    valid on the m1 side is checked on the m2 side.
+    valid on the m1 side is checked on the m2 side (clones: see _scan_setup).
     """
     question = "theorem-inclusion"
     if m1.algebra.signature != m2.algebra.signature:
         raise ValueError("matrices must share a signature")
     try:
-        _, (d1,), (d2,), reps, stats = _scan_setup(m1.as_atlas(), m2.as_atlas(), caps, n, "n")
+        setup = _scan_setup(m1.as_atlas(), m2.as_atlas(), caps, n, "n", clones)
+        _, (d1,), (d2,), reps, stats = setup
         for tf in reps:
             if all(v in d1 for v in tf.table) and not all(v in d2 for v in tf.table):
                 break
@@ -211,19 +220,21 @@ def atlas_inclusion(
     a2: Atlas,
     caps: ResourceCaps = DEFAULT_CAPS,
     m: Optional[int] = None,
+    clones: Optional[Dict[int, List[TermFunction]]] = None,
 ) -> DecisionReport:
     """Is every consequence of the first atlas a consequence of the second?
 
     Both filter families are laid over one common algebra; a violation is a
     set of representatives entailing another on the first side while some
     valuation-filter slice of the second side separates them.  Reported
-    counterexample sequents are greedily minimised and re-validated.
+    counterexample sequents are greedily minimised and re-validated (clones:
+    see _scan_setup).
     """
     question = "atlas-inclusion"
     if a1.algebra.signature != a2.algebra.signature:
         raise ValueError("atlases must share a signature")
     try:
-        common, fam1, fam2, reps, stats = _scan_setup(a1, a2, caps, m, "m")
+        common, fam1, fam2, reps, stats = _scan_setup(a1, a2, caps, m, "m", clones)
         size = stats["m"]
         R = len(reps)
         if not R:

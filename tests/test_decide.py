@@ -1,9 +1,12 @@
 import itertools
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from matlogic import algebra
+from matlogic.cli import run_command
 from matlogic import (
     Atlas,
     FiniteAlgebra,
@@ -87,6 +90,27 @@ class TestWeakEquivalence:
         )
         other = Matrix(relabeled, frozenset({2}))
         assert weak_equivalence(chain3_arrow, other).answer == "yes"
+
+
+class TestBothDirections:
+    @pytest.mark.parametrize(
+        "argv, exit_code, builds",
+        [
+            # shared tables: one clone serves both directions
+            (["weq", "--preset", "L3", "--preset", "L3"], 0, 1),
+            (["weq", "--preset", "G3", "--preset", "LC3"], 0, 1),
+            (["atlas-eq", "--preset", "L3", "--preset", "L3"], 0, 1),
+            # G4 x G3 forward, then G3 x G4 backward: the products differ
+            (["weq", "--preset", "G4", "--preset", "G3"], 1, 2),
+            (["weq", "--preset", "G3", "--preset", "L3", "--n", "1"], 1, 1),
+        ],
+    )
+    def test_a_clone_is_built_once_per_algebra(self, argv, exit_code, builds):
+        with mock.patch(
+            "matlogic.decide.clone_discovery_order", wraps=algebra.clone_discovery_order
+        ) as build:
+            code, _ = run_command(argv)
+        assert (code, build.call_count) == (exit_code, builds)
 
 
 def random_matrix(rng, sig, size):
