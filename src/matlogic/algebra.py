@@ -120,8 +120,7 @@ class _Unbound(KeyError):
 def _lex_columns(k: int, var_order: Sequence[int]) -> Dict[int, np.ndarray]:
     """Value of each variable in each of the k**n assignments to var_order."""
     n = len(var_order)
-    idx = np.arange(k**n, dtype=np.int64)
-    return {v: (idx // k ** (n - pos)) % k for pos, v in enumerate(var_order, start=1)}
+    return dict(zip(var_order, np.indices((k,) * n, dtype=np.int64).reshape(n, k**n)))
 
 
 def _assignment_at(
@@ -167,9 +166,10 @@ def _sliced_tables(
     """Per slice of the assignments to var_order, in order: (start, formula values)."""
     k, n = alg.size, len(var_order)
     s = max(e for e in range(n + 1) if k**e <= _SLICE_ROWS)
-    low, high, rows = _lex_columns(k, var_order[n - s :]), var_order[: n - s], k**s
+    low, rows = _lex_columns(k, var_order[n - s :]), k**s
+    high = [(v, k ** (n - s - pos)) for pos, v in enumerate(var_order[: n - s], start=1)]
     slices = (
-        ({**low, **{v: np.full(rows, e) for v, e in _assignment_at(i, high, k)}}, rows)
+        ({**low, **{v: np.full(rows, i // weight % k) for v, weight in high}}, rows)
         for i in range(k ** (n - s))
     )
     return zip(range(0, k**n, rows), _formula_tables(alg, formulas, slices))

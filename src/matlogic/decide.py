@@ -121,8 +121,7 @@ def _scan_setup(
     separating formula or sequent can always be rewritten over generator
     terms of the refuting side, so that many variables make the scan
     conclusive.  A smaller requested size still runs, as a spot check.
-    A shared algebra's clones are kept in clones, by size, for the reverse
-    direction, whose product algebra would differ.
+    A shared algebra's clones are kept in clones by size; a product's never.
     """
     clones = {} if clones is None else clones
     if a1.algebra.same_tables(a2.algebra):
