@@ -121,7 +121,8 @@ def _scan_setup(
     separating formula or sequent can always be rewritten over generator
     terms of the refuting side, so that many variables make the scan
     conclusive.  A smaller requested size still runs, as a spot check.
-    A shared algebra's clones are kept in clones by size; a product's never.
+    clones, shared by the two directions of one question, keeps the shared
+    algebra's clone by size; a product's clone is not kept.
     """
     clones = {} if clones is None else clones
     if a1.algebra.same_tables(a2.algebra):

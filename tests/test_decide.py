@@ -102,6 +102,7 @@ class TestBothDirections:
             (["atlas-eq", "--preset", "L3", "--preset", "L3"], 0, 1),
             # G4 x G3 forward, then G3 x G4 backward: the products differ
             (["weq", "--preset", "G4", "--preset", "G3"], 1, 2),
+            # a forward no ends the question before the backward direction
             (["weq", "--preset", "G3", "--preset", "L3", "--n", "1"], 1, 1),
         ],
     )
