@@ -138,13 +138,12 @@ def _formula_tables(
     """Value tables of the formulas on each slice, given as each variable's
     column there and the row count.  One _postorder walk serves every slice,
     so nesting depth is unbounded and the first unbound variable met is the
-    leftmost one; a slice's values are dropped before the next is evaluated."""
-    k = alg.size
-    flat = {name: table.ravel() for name, table in alg.tables.items()}
+    leftmost one; a slice's values are dropped before the next slice is taken."""
+    k, flat = alg.size, {name: table.ravel() for name, table in alg.tables.items()}
     position, order = _postorder(formulas)
     steps = [(g, [position[a] for a in g.args] if isinstance(g, App) else None) for g in order]
+    values: List[np.ndarray] = []
     for columns, rows in slices:
-        values: List[np.ndarray] = []
         for g, args in steps:
             if args is not None:
                 j = values[args[0]]
@@ -158,6 +157,7 @@ def _formula_tables(
             else:
                 values.append(np.full(rows, int(flat[g.name][0]), dtype=np.int64))
         yield [values[position[f]] for f in formulas]
+        values.clear()
 
 
 def _sliced_tables(
