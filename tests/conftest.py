@@ -34,6 +34,9 @@ from matlogic.lang import (
     _VAR_RE,
     _tokenize,
 )
+from matlogic.decide import DecisionReport, _cap_report, _scan_setup
+from matlogic.limits import DEFAULT_CAPS, CapExceeded
+from matlogic.matrices import _filter_mask, consequence
 
 import numpy as np
 
@@ -644,3 +647,83 @@ def parse_equality_slow(text: str, signature):
     if last_error is not None:
         raise last_error
     raise ParseError("no top-level '~' separator found", 0)
+
+
+# ---------------------------------------------------------------------------
+# atlas inclusion oracle: the big-integer bitmask scan that the boolean
+# closure of theories replaced, reading the representatives' tables directly
+
+
+def _column_masks_slow(member):
+    """member is a bool matrix (representatives x assignments); returns one
+    integer per column with bit r set when representative r is in."""
+    packed = np.packbits(member.astype(np.uint8), axis=0, bitorder="little")
+    return [
+        int.from_bytes(packed[:, col].tobytes(), "little")
+        for col in range(member.shape[1])
+    ]
+
+
+def atlas_inclusion_slow(a1, a2, caps=DEFAULT_CAPS, m=None, clones=None):
+    """decide.atlas_inclusion as a scan of candidate entailments between
+    representative sets, each set a Python integer bitmask."""
+    question = "atlas-inclusion"
+    if a1.algebra.signature != a2.algebra.signature:
+        raise ValueError("atlases must share a signature")
+    try:
+        common, fam1, fam2, reps, stats = _scan_setup(a1, a2, caps, m, "m", clones)
+        size = stats["m"]
+        R = len(reps)
+        if not R:
+            return DecisionReport(question, "yes", None, stats)
+        k = common.size
+        tuples = k**size
+        caps.check_tuples(tuples)
+        stacked = np.stack([np.asarray(tf.table, dtype=np.int64) for tf in reps])
+
+        def family_masks(filters):
+            # assignment-major, filter-minor ordering
+            cols = [_column_masks_slow(_filter_mask(d, k)[stacked]) for d in filters]
+            return [cols[fi][a] for a in range(tuples) for fi in range(len(filters))]
+
+        masks1 = family_masks(fam1)
+        masks2 = family_masks(fam2)
+        full = (1 << R) - 1
+
+        def entails_side1(xmask, r0):
+            for m1 in masks1:
+                if xmask & ~m1 == 0 and not (m1 >> r0) & 1:
+                    return False
+            return True
+
+        for t_mask in masks2:
+            if t_mask == full:
+                continue
+            entailed = full
+            for m1 in masks1:
+                if t_mask & ~m1 == 0:
+                    entailed &= m1
+                    if entailed == t_mask:
+                        break
+            violations = entailed & ~t_mask
+            if not violations:
+                continue
+            r0 = (violations & -violations).bit_length() - 1
+            premise_ids = [r for r in range(R) if (t_mask >> r) & 1]
+            xmask = t_mask
+            for p in premise_ids:
+                trial = xmask & ~(1 << p)
+                if entails_side1(trial, r0):
+                    xmask = trial
+            chosen = [reps[r].witness for r in range(R) if (xmask >> r) & 1]
+            concl = reps[r0].witness
+            keep = consequence(a1, chosen, concl, caps)
+            drop = consequence(a2, chosen, concl, caps)
+            if not keep.holds or drop.holds:
+                raise AssertionError("counterexample sequent failed re-validation")
+            stats["separating_assignment"] = drop.assignment
+            stats["separating_filter"] = drop.filter_index
+            return DecisionReport(question, "no", (tuple(chosen), concl), stats)
+        return DecisionReport(question, "yes", None, stats)
+    except CapExceeded as exc:
+        return _cap_report(question, exc, m=m)
