@@ -203,9 +203,6 @@ class TermFunction:
     table: Tuple[int, ...]
     witness: Formula
 
-    def values(self) -> np.ndarray:
-        return np.asarray(self.table, dtype=np.int64)
-
 
 # ---------------------------------------------------------------------------
 # clone closure

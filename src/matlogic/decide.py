@@ -3,8 +3,9 @@
 All three questions reduce to scans of representative term functions over a
 common algebra: triviality looks for one designated-everywhere
 representative; theorem inclusion compares validity of each representative
-on the two sides of a combined matrix; atlas inclusion scans candidate
-entailments between representative sets.
+on the two sides of a combined matrix; atlas inclusion closes every theory
+of the second atlas under the first atlas's consequence operation and looks
+for a representative the closure adds.
 
 The variable count used for the representative scan matters for soundness:
 the scan is conclusive when the refuting side's algebra is generated by
@@ -205,16 +206,6 @@ def weak_equivalence(
     return _both_directions("weak-equivalence", theorem_inclusion, m1, m2, caps, n)
 
 
-def _column_masks(member: np.ndarray) -> List[int]:
-    """member is a bool matrix (representatives x assignments); returns one
-    integer per column with bit r set when representative r is in."""
-    packed = np.packbits(member.astype(np.uint8), axis=0, bitorder="little")
-    out = []
-    for col in range(member.shape[1]):
-        out.append(int.from_bytes(packed[:, col].tobytes(), "little"))
-    return out
-
-
 def atlas_inclusion(
     a1: Atlas,
     a2: Atlas,
@@ -224,75 +215,58 @@ def atlas_inclusion(
 ) -> DecisionReport:
     """Is every consequence of the first atlas a consequence of the second?
 
-    Both filter families are laid over one common algebra; a violation is a
-    set of representatives entailing another on the first side while some
-    valuation-filter slice of the second side separates them.  Reported
-    counterexample sequents are greedily minimised and re-validated (clones:
-    see _scan_setup).
+    Both filter families are laid over one common algebra.  A theory is the
+    set of representatives one filter keeps at one assignment.  Each side-2
+    theory is closed under side 1: the representatives in every side-1
+    theory that contains it.  A representative of the closure outside the
+    theory is a consequence of side 1 that side 2 refutes.  The first such
+    one, in assignment-major then filter order, is reported with premises
+    greedily dropped while side 1 still entails it, and re-validated
+    (clones: see _scan_setup).
     """
     question = "atlas-inclusion"
     if a1.algebra.signature != a2.algebra.signature:
         raise ValueError("atlases must share a signature")
     try:
         common, fam1, fam2, reps, stats = _scan_setup(a1, a2, caps, m, "m", clones)
-        size = stats["m"]
-        R = len(reps)
-        if not R:
+        if not reps:
             # no formulas over m variables, so no sequent can separate the atlases
             return DecisionReport(question, "yes", None, stats)
         k = common.size
-        tuples = k**size
-        caps.check_tuples(tuples)
-        stacked = np.stack([tf.values() for tf in reps])  # (R, tuples)
+        caps.check_tuples(k ** stats["m"])
+        tables = np.array([tf.table for tf in reps]).T  # (assignments, R)
 
-        def family_masks(filters) -> List[int]:
-            # assignment-major, filter-minor ordering
-            masks: List[int] = []
-            cols = [_column_masks(_filter_mask(d, k)[stacked]) for d in filters]
-            for a in range(tuples):
-                for fi in range(len(filters)):
-                    masks.append(cols[fi][a])
-            return masks
+        def theories(filters) -> np.ndarray:
+            # row a * len(filters) + f: the representatives filter f keeps at assignment a
+            masks = np.array([_filter_mask(d, k) for d in filters])
+            return masks[:, tables].transpose(1, 0, 2).reshape(-1, len(reps))
 
-        masks1 = family_masks(fam1)
-        masks2 = family_masks(fam2)
-        full = (1 << R) - 1
-
-        def entails_side1(xmask: int, r0: int) -> bool:
-            for m1 in masks1:
-                if xmask & ~m1 == 0 and not (m1 >> r0) & 1:
-                    return False
-            return True
-
-        for t_mask in masks2:
-            if t_mask == full:
-                continue
-            entailed = full
-            for m1 in masks1:
-                if t_mask & ~m1 == 0:
-                    entailed &= m1
-                    if entailed == t_mask:
-                        break
-            violations = entailed & ~t_mask
-            if not violations:
-                continue
-            r0 = (violations & -violations).bit_length() - 1
-            premise_ids = [r for r in range(R) if (t_mask >> r) & 1]
-            xmask = t_mask
-            for p in premise_ids:
-                trial = xmask & ~(1 << p)
-                if entails_side1(trial, r0):
-                    xmask = trial
-            chosen = [reps[r].witness for r in range(R) if (xmask >> r) & 1]
-            concl = reps[r0].witness
-            keep = consequence(a1, chosen, concl, caps)
-            drop = consequence(a2, chosen, concl, caps)
-            if not keep.holds or drop.holds:
-                raise AssertionError("counterexample sequent failed re-validation")
-            stats["separating_assignment"] = drop.assignment
-            stats["separating_filter"] = drop.filter_index
-            return DecisionReport(question, "no", (tuple(chosen), concl), stats)
-        return DecisionReport(question, "yes", None, stats)
+        side1, side2 = theories(fam1), theories(fam2)
+        above = ~(side2 @ ~side1.T)  # [t, s]: side-2 theory t lies within side-1 theory s
+        violations = ~(above @ ~side1) & ~side2
+        hits = np.flatnonzero(violations.any(axis=1))
+        if not hits.size:
+            return DecisionReport(question, "yes", None, stats)
+        theory = side2[hits[0]].copy()
+        r0 = int(np.argmax(violations[hits[0]]))
+        # side 1 entails r0 from the premises while each side-1 theory without
+        # r0 misses at least one of them
+        outside = ~side1[~side1[:, r0]]
+        missing = (outside & theory).sum(axis=1)
+        for p in np.flatnonzero(theory):
+            lacking = outside[:, p]
+            if (missing[lacking] > 1).all():
+                missing[lacking] -= 1
+                theory[p] = False
+        chosen = [reps[r].witness for r in np.flatnonzero(theory)]
+        concl = reps[r0].witness
+        keep = consequence(a1, chosen, concl, caps)
+        drop = consequence(a2, chosen, concl, caps)
+        if not keep.holds or drop.holds:
+            raise AssertionError("counterexample sequent failed re-validation")
+        stats["separating_assignment"] = drop.assignment
+        stats["separating_filter"] = drop.filter_index
+        return DecisionReport(question, "no", (tuple(chosen), concl), stats)
     except CapExceeded as exc:
         return _cap_report(question, exc, m=m)
 
