@@ -61,9 +61,7 @@ def _cap_report(question: str, exc: CapExceeded, **stats: object) -> DecisionRep
     return DecisionReport(question, "cap-exceeded", None, info)
 
 
-def has_theorems(
-    m: Matrix, caps: ResourceCaps = DEFAULT_CAPS, n: int = 1
-) -> DecisionReport:
+def has_theorems(m: Matrix, caps: ResourceCaps = DEFAULT_CAPS) -> DecisionReport:
     """Does the matrix have any valid formula at all?  Scans the one-variable
     representatives (theoremhood collapses variables, so one variable is
     enough)."""
@@ -71,18 +69,17 @@ def has_theorems(
     if not m.designated:
         return DecisionReport(question, "no", None, {"reason": "empty designated set"})
     try:
-        reps = clone_discovery_order(m.algebra, n, caps)
+        reps = clone_discovery_order(m.algebra, 1, caps)
     except CapExceeded as exc:
-        return _cap_report(question, exc, n=n)
+        return _cap_report(question, exc, n=1)
+    stats = {"n": 1, "representatives": len(reps)}
     for tf in reps:
         if all(v in m.designated for v in tf.table):
             check = is_valid(m, tf.witness, caps)
             if not check.valid:
                 raise AssertionError("representative failed re-validation")
-            return DecisionReport(
-                question, "yes", tf.witness, {"n": n, "representatives": len(reps)}
-            )
-    return DecisionReport(question, "no", None, {"n": n, "representatives": len(reps)})
+            return DecisionReport(question, "yes", tf.witness, stats)
+    return DecisionReport(question, "no", None, stats)
 
 
 def _resolve_scan_size(

@@ -92,7 +92,11 @@ class ProofTree:
     principal: Optional[Formula] = None
 
     def size(self) -> int:
-        return 1 + sum(p.size() for p in self.premises)
+        count, stack = 0, [self]
+        while stack:
+            count += 1
+            stack.extend(stack.pop().premises)
+        return count
 
 
 def _is(f: Formula, name: str) -> bool:
@@ -217,13 +221,11 @@ def g3_prove(
     antecedent: Sequence[Formula],
     succedent: Optional[Formula],
     caps: ResourceCaps = DEFAULT_CAPS,
-    prover: Optional[_Prover] = None,
 ) -> Optional[ProofTree]:
     for f in list(antecedent) + ([succedent] if succedent is not None else []):
         _check_language(f)
     seq = Sequent(frozenset(antecedent), succedent)
-    engine = prover if prover is not None else _Prover(caps)
-    tree, _ = engine.prove(seq, frozenset())
+    tree, _ = _Prover(caps).prove(seq, frozenset())
     return tree
 
 
@@ -235,8 +237,8 @@ def provable(f: Formula, caps: ResourceCaps = DEFAULT_CAPS) -> bool:
 # independent proof verification
 
 
-def check_proof(tree: ProofTree) -> bool:
-    """Replay a proof tree against the rule schemata."""
+def _rule_holds(tree: ProofTree) -> bool:
+    """Does the node follow from its premises by its rule?"""
     seq = tree.sequent
     ant, suc = seq.antecedent, seq.succedent
     kids = tree.premises
@@ -287,9 +289,18 @@ def check_proof(tree: ProofTree) -> bool:
         if len(kids) == 1 and _is(f, NOT) and f in ant:
             (a,) = f.args  # type: ignore[union-attr]
             ok = kids[0].sequent == Sequent(ant, a)
-    if not ok:
-        return False
-    return all(check_proof(k) for k in kids)
+    return ok
+
+
+def check_proof(tree: ProofTree) -> bool:
+    """Replay a proof tree against the rule schemata."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if not _rule_holds(node):
+            return False
+        stack.extend(node.premises)
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -77,9 +77,6 @@ class Signature:
         """Symbols of arity >= 1, in name order."""
         return tuple(sorted((op, ar) for op, ar in self.operations if ar >= 1))
 
-    def as_dict(self) -> Dict[str, int]:
-        return dict(self.operations)
-
 
 INT_SIGNATURE = Signature.of({NOT: 1, AND: 2, OR: 2, IMP: 2})
 CLASSICAL_SIGNATURE = Signature.of({NOT: 1, AND: 2, OR: 2, IMP: 2, IFF: 2})

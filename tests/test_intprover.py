@@ -2,6 +2,8 @@ import pytest
 
 from matlogic import (
     CLASSICAL_SIGNATURE,
+    ProofTree,
+    Sequent,
     check_proof,
     conj,
     disj,
@@ -75,6 +77,24 @@ class TestProver:
         p = var(1)
         tree = g3_prove((p, neg(p)), None)
         assert tree is not None and check_proof(tree)
+
+    def test_deep_proof_replays(self):
+        # p1 => p1, then p1 => f | p2 from p1 => f, 3,000 times
+        p1, p2 = var(1), var(2)
+
+        def chain(tampered=None):
+            f = p1
+            node = ProofTree("axiom", Sequent(frozenset({p1}), p1), ())
+            for i in range(3000):
+                f = disj(f, p2)
+                ant = frozenset({p2} if i == tampered else {p1})
+                node = ProofTree("∨-1", Sequent(ant, f), (node,))
+            return node
+
+        tree = chain()
+        assert tree.size() == 3001
+        assert check_proof(tree)
+        assert not check_proof(chain(tampered=1500))
 
     def test_constants_rejected(self):
         from matlogic import const
