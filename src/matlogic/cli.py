@@ -81,6 +81,20 @@ def _parse_table(
     return np.array(go(raw, arity, pointer), dtype=np.int64)
 
 
+def _element_set(raw: Any, alg: alg_mod.FiniteAlgebra, pointer: str) -> frozenset:
+    """The indices of an array of carrier element names."""
+    _expect(isinstance(raw, list), pointer, "expected an array")
+    idxs = set()
+    for i, e in enumerate(raw):
+        _expect(
+            isinstance(e, str) and e in alg.elements,
+            f"{pointer}/{i}",
+            f"{e!r} is not a carrier element",
+        )
+        idxs.add(alg.element_index(e))
+    return frozenset(idxs)
+
+
 def load_spec(path: str) -> WorkspaceSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -155,17 +169,8 @@ def load_spec(path: str) -> WorkspaceSpec:
         aref = mdoc.get("algebra")
         _expect(aref in algebras, f"{ptr}/algebra", f"unknown algebra {aref!r}")
         alg = algebras[aref]
-        des = mdoc.get("designated")
-        _expect(isinstance(des, list), f"{ptr}/designated", "expected an array")
-        idxs = set()
-        for i, e in enumerate(des):
-            _expect(
-                isinstance(e, str) and e in alg.elements,
-                f"{ptr}/designated/{i}",
-                f"{e!r} is not a carrier element",
-            )
-            idxs.add(alg.element_index(e))
-        matrices[name] = mat_mod.Matrix(alg, frozenset(idxs))
+        des = _element_set(mdoc.get("designated"), alg, f"{ptr}/designated")
+        matrices[name] = mat_mod.Matrix(alg, des)
 
     atlases: Dict[str, mat_mod.Atlas] = {}
     for name, adoc in (doc.get("atlases") or {}).items():
@@ -180,19 +185,10 @@ def load_spec(path: str) -> WorkspaceSpec:
             f"{ptr}/filters",
             "expected a nonempty array",
         )
-        fams = []
-        for fi, fdoc in enumerate(filters_doc):
-            _expect(isinstance(fdoc, list), f"{ptr}/filters/{fi}", "expected an array")
-            idxs = set()
-            for i, e in enumerate(fdoc):
-                _expect(
-                    isinstance(e, str) and e in alg.elements,
-                    f"{ptr}/filters/{fi}/{i}",
-                    f"{e!r} is not a carrier element",
-                )
-                idxs.add(alg.element_index(e))
-            fams.append(frozenset(idxs))
-        atlases[name] = mat_mod.Atlas(alg, tuple(fams))
+        fams = tuple(
+            _element_set(fdoc, alg, f"{ptr}/filters/{fi}") for fi, fdoc in enumerate(filters_doc)
+        )
+        atlases[name] = mat_mod.Atlas(alg, fams)
 
     opts = doc.get("options") or {}
     _expect(isinstance(opts, dict), "/options", "expected an object")
@@ -527,18 +523,10 @@ def _cmd_congruence(args) -> Report:
 
 def _matrix_to_doc(m: mat_mod.Matrix, name: str) -> Dict[str, Any]:
     alg = m.algebra
-
-    def table_doc(t: np.ndarray, arity: int) -> Any:
-        if arity == 0:
-            return alg.elements[int(t)]
-
-        def go(node, depth):
-            if depth == 0:
-                return alg.elements[int(node)]
-            return [go(x, depth - 1) for x in node]
-
-        return go(t, arity)
-
+    names = np.array(alg.elements, dtype=object)
+    # the ellipsis keeps a constant's 0-d table an array, whose tolist() is
+    # the bare element name
+    operations = {n: names[alg.table(n), ...].tolist() for n, _ in alg.signature.operations}
     return {
         "signature": {
             "connectives": [
@@ -548,9 +536,7 @@ def _matrix_to_doc(m: mat_mod.Matrix, name: str) -> Dict[str, Any]:
         "algebras": {
             name: {
                 "elements": list(alg.elements),
-                "operations": {
-                    n: table_doc(alg.table(n), a) for n, a in alg.signature.operations
-                },
+                "operations": operations,
             }
         },
         "matrices": {

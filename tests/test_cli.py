@@ -5,6 +5,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from matlogic import combine_matrices, make_preset
 from matlogic.cli import REPORT_SCHEMA, load_spec, run_command, WorkspaceError
 
 from conftest import EX_NONTR_DOC, EX_TR_DOC, write_workspace
@@ -149,6 +150,14 @@ class TestWorkspace:
             load_spec(ws)
         assert "/matrices/M/designated/0" in str(exc.value)
 
+    def test_filter_violation_reports_pointer(self, tmp_path):
+        doc = copy.deepcopy(EX_NONTR_DOC)
+        doc["atlases"] = {"T": {"algebra": "A", "filters": [["1"], ["2", "1"]]}}
+        ws = write_workspace(tmp_path / "bad.json", doc)
+        with pytest.raises(WorkspaceError) as exc:
+            load_spec(ws)
+        assert str(exc.value) == "/atlases/T/filters/1/0: '2' is not a carrier element"
+
     def test_dangling_algebra_reference(self, tmp_path):
         doc = copy.deepcopy(EX_TR_DOC)
         doc["matrices"]["M"]["algebra"] = "missing"
@@ -244,6 +253,19 @@ class TestOperands:
         ws.write_text(json.dumps(doc["witness"]), encoding="utf-8")
         spec = load_spec(str(ws))
         assert spec.matrices["product"].algebra.size == 9
+
+    def test_combine_with_constants_roundtrips(self, tmp_path):
+        code, text = run_command(
+            ["combine", "--preset", "B2c", "--preset", "B2c", "product", "--json"]
+        )
+        assert code == 0
+        ws = tmp_path / "combined.json"
+        ws.write_text(json.dumps(json.loads(text)["witness"]), encoding="utf-8")
+        b2c = make_preset("B2c")
+        want = combine_matrices("product", b2c, b2c)
+        got = load_spec(str(ws)).matrices["product"]
+        assert got.algebra.same_tables(want.algebra)
+        assert got.designated == want.designated
 
     def test_free_algebra(self):
         code, text = run_command(["free-algebra", "--preset", "B2c", "--n", "1"])
