@@ -664,14 +664,14 @@ def _column_masks_slow(member):
     ]
 
 
-def atlas_inclusion_slow(a1, a2, caps=DEFAULT_CAPS, m=None, clones=None):
+def atlas_inclusion_slow(a1, a2, caps=DEFAULT_CAPS, m=None):
     """decide.atlas_inclusion as a scan of candidate entailments between
     representative sets, each set a Python integer bitmask."""
     question = "atlas-inclusion"
     if a1.algebra.signature != a2.algebra.signature:
         raise ValueError("atlases must share a signature")
     try:
-        common, fam1, fam2, reps, stats = _scan_setup(a1, a2, caps, m, "m", clones)
+        common, fam1, fam2, reps, stats = _scan_setup(a1, a2, caps, m, "m")
         size = stats["m"]
         R = len(reps)
         if not R:
