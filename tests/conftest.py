@@ -32,6 +32,7 @@ from matlogic.lang import (
     OR,
     ParseError,
     _VAR_RE,
+    _postorder,
     _tokenize,
 )
 from matlogic.decide import DecisionReport, _cap_report, _scan_setup
@@ -108,6 +109,35 @@ def first_refuter_slow(atlas, premises, conclusion):
 
 def consequence_slow(atlas, premises, conclusion) -> bool:
     return first_refuter_slow(atlas, premises, conclusion) is None
+
+
+def sliced_tables_slow(alg, formulas, var_order, slice_rows):
+    """(start, formula values) per slice of the assignments to var_order: the
+    full-column evaluator that support-shaped scans replaced.  Slices hold
+    k**s rows, s the largest with k**s at most slice_rows; the last s
+    variables have one column of k**s values, every other variable one value
+    per slice, and every subformula is gathered at every row of every slice."""
+    k, n = alg.size, len(var_order)
+    s = max(e for e in range(n + 1) if k**e <= slice_rows)
+    rows = k**s
+    low = dict(zip(var_order[n - s :], np.indices((k,) * s, dtype=np.int64).reshape(s, rows)))
+    high = [(v, k ** (n - s - pos)) for pos, v in enumerate(var_order[: n - s], start=1)]
+    flat = {name: table.ravel() for name, table in alg.tables.items()}
+    position, order = _postorder(formulas)
+    for i in range(k ** (n - s)):
+        columns = {**low, **{v: np.full(rows, i // weight % k) for v, weight in high}}
+        values = []
+        for g in order:
+            if isinstance(g, App):
+                j = values[position[g.args[0]]]
+                for a in g.args[1:]:
+                    j = j * k + values[position[a]]
+                values.append(flat[g.connective].take(j))
+            elif isinstance(g, Var):
+                values.append(columns[g.index])
+            else:
+                values.append(np.full(rows, int(flat[g.name][0]), dtype=np.int64))
+        yield i * rows, [values[position[f]] for f in formulas]
 
 
 def eq_refuter_slow(mode, algebras, premises, goal):
