@@ -100,27 +100,33 @@ class FiniteAlgebra:
 # A flat table holds a formula's value under each of the k**n assignments to
 # a variable order, listed lexicographically with the first variable most
 # significant.  ``_formula_tables``, the one evaluator, walks the formulas
-# once and then evaluates them on each slice of assignments it is given, a
-# connective as a flat gather: its raveled table at the arguments' values read
-# base k.  A scan for a first counterexample takes slices of k**s rows, s the
-# largest with k**s at most _SLICE_ROWS, and stops at the first slice holding
-# one, so its memory is bounded; the last s variables have one column, built
-# once, for every slice, and each other variable one value per slice.
+# once and then evaluates them on each slice of assignments it is given.  A
+# slice is a grid with one axis per grid variable, whose values are that
+# axis's range(k) (``_axes``); every other variable and every constant has a
+# 0-d value.  A connective is a flat gather, its raveled table at the
+# arguments' values read base k, and broadcasting makes each value span only
+# the axes of its own variables.  A scan for a first counterexample takes
+# slices of k**s rows, s the largest with k**s at most _SLICE_ROWS, the last
+# s variables as the grid, and stops at the first slice holding one, so no
+# array outgrows a slice; values over the grid alone are kept from the first.
 _SLICE_ROWS = 1 << 14
 
 
 class _Unbound(KeyError):
-    """Raised for the leftmost variable of a formula that has no column."""
+    """Raised for the leftmost variable of a formula that has no value."""
 
     def __init__(self, index: int) -> None:
         super().__init__(f"assignment missing variable p{index}")
         self.index = index
 
 
-def _lex_columns(k: int, var_order: Sequence[int]) -> Dict[int, np.ndarray]:
-    """Value of each variable in each of the k**n assignments to var_order."""
-    n = len(var_order)
-    return dict(zip(var_order, np.indices((k,) * n, dtype=np.int64).reshape(n, k**n)))
+@functools.lru_cache(maxsize=64)
+def _axes(k: int, s: int) -> Tuple[np.ndarray, ...]:
+    """Axis i of a (k,) * s grid: range(k) shaped to broadcast along it (read-only)."""
+    axes = np.ix_(*[np.arange(k, dtype=np.int64)] * s)
+    for axis in axes:
+        axis.setflags(write=False)
+    return axes
 
 
 def _assignment_at(
@@ -133,31 +139,55 @@ def _assignment_at(
 
 
 def _formula_tables(
-    alg: FiniteAlgebra, formulas: Sequence[Formula], slices: Iterable[Tuple[Mapping, int]]
+    alg: FiniteAlgebra,
+    formulas: Sequence[Formula],
+    grid: Sequence[int],
+    slices: Iterable[Mapping[int, int]],
 ) -> Iterator[List[np.ndarray]]:
-    """Value tables of the formulas on each slice, given as each variable's
-    column there and the row count.  One _postorder walk serves every slice,
-    so nesting depth is unbounded and the first unbound variable met is the
-    leftmost one; a slice's values are dropped before the next slice is taken."""
+    """Flat tables of the formulas over the grid variables, in order, on each
+    slice, given as the value of every other variable.  One _postorder walk
+    serves every slice, so nesting depth is unbounded and the first unbound
+    variable met is the leftmost one.  A subformula over grid variables and
+    constants alone is evaluated in the first slice and kept; the other
+    values are dropped before the next slice is taken.  Only the requested
+    formulas are spread over the whole grid, and only those not spanning it."""
     k, flat = alg.size, {name: table.ravel() for name, table in alg.tables.items()}
+    shape, axes = (k,) * len(grid), dict(zip(grid, _axes(k, len(grid))))
     position, order = _postorder(formulas)
-    steps = [(g, [position[a] for a in g.args] if isinstance(g, App) else None) for g in order]
-    values: List[np.ndarray] = []
-    for columns, rows in slices:
-        for g, args in steps:
+    steps = [
+        (i, g, [position[a] for a in g.args] if isinstance(g, App) else None)
+        for i, g in enumerate(order)
+    ]
+    values: List = [None] * len(order)
+    todo, kept = steps, None
+    for high in slices:
+        columns = {**axes, **high}
+        for i, g, args in todo:
             if args is not None:
                 j = values[args[0]]
                 for a in args[1:]:
                     j = j * k + values[a]
-                values.append(flat[g.connective].take(j))
+                values[i] = flat[g.connective].take(j)
             elif isinstance(g, Var):
                 if g.index not in columns:
                     raise _Unbound(g.index)
-                values.append(columns[g.index])
+                values[i] = columns[g.index]
             else:
-                values.append(np.full(rows, int(flat[g.name][0]), dtype=np.int64))
-        yield [values[position[f]] for f in formulas]
-        values.clear()
+                values[i] = alg.tables[g.name]
+        tables = [values[position[f]] for f in formulas]
+        yield [
+            t.ravel() if type(t) is np.ndarray and t.shape == shape else np.full(shape, t).ravel()
+            for t in tables
+        ]
+        if kept is None:
+            # a step varies when it reads a variable outside the grid, directly or not
+            varies: List[bool] = []
+            for _, g, args in steps:
+                outside = isinstance(g, Var) and g.index not in axes
+                varies.append(outside or args is not None and any(varies[a] for a in args))
+            kept = [None if v else x for v, x in zip(varies, values)]
+            todo = [step for step, v in zip(steps, varies) if v]
+        values[:] = kept
 
 
 def _sliced_tables(
@@ -166,29 +196,23 @@ def _sliced_tables(
     """Per slice of the assignments to var_order, in order: (start, formula values)."""
     k, n = alg.size, len(var_order)
     s = max(e for e in range(n + 1) if k**e <= _SLICE_ROWS)
-    low, rows = _lex_columns(k, var_order[n - s :]), k**s
     high = [(v, k ** (n - s - pos)) for pos, v in enumerate(var_order[: n - s], start=1)]
-    slices = (
-        ({**low, **{v: np.full(rows, i // weight % k) for v, weight in high}}, rows)
-        for i in range(k ** (n - s))
-    )
-    return zip(range(0, k**n, rows), _formula_tables(alg, formulas, slices))
+    slices = ({v: i // weight % k for v, weight in high} for i in range(k ** (n - s)))
+    return zip(range(0, k**n, k**s), _formula_tables(alg, formulas, var_order[n - s :], slices))
 
 
 def evaluate_term(alg: FiniteAlgebra, f: Formula, assignment: Mapping[int, int]) -> int:
     """Value of f under an assignment of element indices to variable indices."""
     if any(not 0 <= e < alg.size for e in assignment.values()):
         raise ValueError(f"element index out of range 0..{alg.size - 1}")
-    columns = {v: np.array([e], dtype=np.int64) for v, e in assignment.items()}
-    (table,) = next(_formula_tables(alg, [f], [(columns, 1)]))
+    (table,) = next(_formula_tables(alg, [f], (), [assignment]))
     return int(table[0])
 
 
 def term_table(alg: FiniteAlgebra, f: Formula, n: int) -> np.ndarray:
     """Flat table of f as an n-ary term function (all variables must be <= pn)."""
-    columns = _lex_columns(alg.size, range(1, n + 1))
     try:
-        (table,) = next(_formula_tables(alg, [f], [(columns, alg.size**n)]))
+        (table,) = next(_formula_tables(alg, [f], range(1, n + 1), [{}]))
     except _Unbound as exc:
         raise ValueError(f"variable p{exc.index} exceeds arity {n}") from None
     return np.array(table, dtype=np.int64)
@@ -472,8 +496,7 @@ def _closure_rounds(
     arities = [arity for _, arity in alg.signature.proper_connectives]
     layout = _layout(k, size, max(arities, default=1))
     seeds = [var(i) for i in range(1, n + 1)] + [const(c) for c in alg.signature.constants]
-    columns = _lex_columns(k, range(1, n + 1))
-    seed_tables = np.array(next(_formula_tables(alg, seeds, [(columns, size)])), dtype=np.int64)
+    seed_tables = np.array(next(_formula_tables(alg, seeds, range(1, n + 1), [{}])), dtype=np.int64)
     seed_codes = layout.codes(seed_tables.reshape(len(seeds), size))
     seed_keys = layout.keys(seed_codes)
     first = _first_occurrences(seed_keys)

@@ -43,6 +43,11 @@ from .matrices import (
 )
 
 
+# side-2 theories closed at once by atlas_inclusion; bounds its (block, side-1
+# theories) array
+_THEORY_BLOCK = 1 << 10
+
+
 @dataclass(frozen=True)
 class DecisionReport:
     question: str
@@ -219,7 +224,8 @@ def atlas_inclusion(
     theory is a consequence of side 1 that side 2 refutes.  The first such
     one, in assignment-major then filter order, is reported with premises
     greedily dropped while side 1 still entails it, and re-validated
-    (clones: see _scan_setup).
+    (clones: see _scan_setup).  Side-2 theories are closed in order, a block
+    of _THEORY_BLOCK at a time, up to the first block holding a violation.
     """
     question = "atlas-inclusion"
     if a1.algebra.signature != a2.algebra.signature:
@@ -239,12 +245,16 @@ def atlas_inclusion(
             return masks[:, tables].transpose(1, 0, 2).reshape(-1, len(reps))
 
         side1, side2 = theories(fam1), theories(fam2)
-        above = ~(side2 @ ~side1.T)  # [t, s]: side-2 theory t lies within side-1 theory s
-        violations = ~(above @ ~side1) & ~side2
-        hits = np.flatnonzero(violations.any(axis=1))
-        if not hits.size:
+        for lo in range(0, len(side2), _THEORY_BLOCK):
+            block = side2[lo : lo + _THEORY_BLOCK]
+            above = ~(block @ ~side1.T)  # [t, s]: block theory t lies within side-1 theory s
+            violations = ~(above @ ~side1) & ~block
+            hits = np.flatnonzero(violations.any(axis=1))
+            if hits.size:
+                break
+        else:
             return DecisionReport(question, "yes", None, stats)
-        theory = side2[hits[0]].copy()
+        theory = block[hits[0]].copy()
         r0 = int(np.argmax(violations[hits[0]]))
         # side 1 entails r0 from the premises while each side-1 theory without
         # r0 misses at least one of them

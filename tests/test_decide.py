@@ -11,6 +11,7 @@ from matlogic import (
     Atlas,
     FiniteAlgebra,
     Matrix,
+    ResourceCaps,
     Signature,
     atlas_equivalence,
     atlas_inclusion,
@@ -24,7 +25,11 @@ from matlogic import (
     weak_equivalence,
 )
 
-from conftest import consequence_slow
+from hypothesis import given, settings, strategies as st
+
+from matlogic import decide
+from conftest import atlas_inclusion_slow, consequence_slow
+from test_atlas_differential import atlas_pairs
 
 
 class TestHasTheorems:
@@ -188,3 +193,13 @@ class TestAtlasInclusion:
                 premises, conclusion = rep.witness
                 assert consequence_slow(src, premises, conclusion)
                 assert not consequence_slow(dst, premises, conclusion)
+
+
+@settings(max_examples=200, deadline=None)
+@given(atlas_pairs(), st.sampled_from([None, 0, 1, 2]), st.sampled_from([1, 2, 5]))
+def test_atlas_inclusion_closes_side_2_theories_in_blocks(pair, m, block):
+    # the first violation, its premises and stats do not depend on the block size
+    a1, a2 = pair
+    caps = ResourceCaps(max_clone=100, max_tuples=100)
+    with mock.patch.object(decide, "_THEORY_BLOCK", block):
+        assert atlas_inclusion(a1, a2, caps, m) == atlas_inclusion_slow(a1, a2, caps, m)

@@ -10,6 +10,7 @@ formulas without variables, variables that are not contiguous, and slices of
 2, 6, 50 and 1000 rows.
 """
 
+import collections
 import itertools
 from unittest import mock
 
@@ -17,19 +18,25 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from matlogic import (
+    App,
     Atlas,
     FiniteAlgebra,
+    Matrix,
     Signature,
     app,
     consequence,
     const,
     evaluate_term,
+    is_valid,
+    make_preset,
+    parse_formula,
     term_table,
     var,
     variables,
 )
 from matlogic import algebra
 from matlogic.eqlogic import Equality, eq_consequence
+from matlogic.lang import _postorder
 
 from conftest import eval_slow, sliced_tables_slow
 
@@ -155,3 +162,35 @@ def test_term_tables_and_single_values(case, data):
         if alg.size**n <= MOST_ROWS:
             (expected,) = slow_rows(alg, [f], range(1, n + 1))
             assert term_table(alg, f, n).tolist() == expected.tolist()
+
+
+class CountingTable(np.ndarray):
+    """A connective table that records how many cells each gather reads."""
+
+    gathers = []
+
+    def take(self, indices, *args, **kwargs):
+        CountingTable.gathers.append(int(np.size(indices)))
+        return np.asarray(self).take(indices, *args, **kwargs)
+
+
+def test_a_scan_gathers_each_unchanging_subformula_once():
+    # 4**10 assignments in slices of 4**7 rows: p1..p3 are fixed in a slice
+    g4 = make_preset("Gn", 4).algebra
+    sig = g4.signature
+    a = parse_formula("((p1 -> p2) & (p3 | ~p4)) -> (p5 | ~~p1)", sig)
+    b = parse_formula("((p6 -> p7) & (p8 | ~p9)) -> (p10 | ~~p6)", sig)
+    f = parse_formula(f"({a}) -> (({b}) -> ({a}))", sig)
+    counted = FiniteAlgebra(sig, g4.elements, g4.tables)
+    counted.tables = {name: t.view(CountingTable) for name, t in g4.tables.items()}
+    CountingTable.gathers = []
+    assert is_valid(Matrix(counted, frozenset({3})), f).valid
+    slices, low = 4**3, set(range(4, 11))
+    expected = collections.Counter()
+    for g in _postorder([f])[1]:
+        if isinstance(g, App):
+            used = set(variables(g))
+            expected[4 ** len(used & low)] += slices if used - low else 1
+    assert collections.Counter(CountingTable.gathers) == expected
+    # gathering every subformula at every row reads 18 times 4**10
+    assert sum(CountingTable.gathers) < 3 * 4**10
