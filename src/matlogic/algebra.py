@@ -231,32 +231,33 @@ class TermFunction:
 # ---------------------------------------------------------------------------
 # clone closure
 #
-# Candidate term functions are handled a block at a time, through codes
-# rather than tables.  The k**n positions of a flat table are cut into
-# groups of `span` consecutive positions, and a table is summarised by its
-# code on each group: its digits there read base k.  One lookup per
-# connective maps the arguments' joint code on a group to the result's code
-# there, so the codes of op(t1, ..., ta) come from the codes of t1..ta without
-# building a table.  Positions past the table's end repeat its first
-# position, which every connective maps alike.  A function's key packs its
-# codes into 62-bit words: an int64 when one word holds them, else the words'
-# bytes as a void scalar.  A lookup has at most as many entries as the larger
-# of _LOOKUP_ENTRIES and the connective's own table, and a block's arrays hold
-# at most _BLOCK codes, so memory stays linear in the tables whatever k is.
+# Candidate term functions are handled through codes rather than tables.
+# The k**n positions of a flat table are cut into groups of `span`
+# consecutive positions (past the end, the first position again), and a
+# table is summarised by its code on each group: its digits there read
+# base k.  One lookup per connective maps the arguments' joint code on a
+# group to the result's code there; it is shaped (prefix, last argument).
+# A function's key packs its codes times their place values into 62-bit
+# words: an int64 when one word holds them, else the words' bytes as a void.
 #
-# Small clones cost a few numpy calls per round, so what depends only on
-# integers (layouts, digit cells, a small round's argument tuples) and the
-# lookups of small connective tables are kept between calls.
+# A round's argument tuples are taken as grids, prefix rows times a run of
+# last arguments.  The tuples a grid holds that the round skips add nothing:
+# each was a candidate before or, for a symmetric connective, permutes one
+# before it.  A group costs a gather of lookup rows at the prefix rows,
+# scaled by its place value, and a gather of their columns at the last
+# arguments, added into the key word, so nothing is built per candidate.
+# Rounds of at most _SMALL_ROUND tuples a shape, where Python overhead
+# dominates, share joint codes between connectives of one shape and check
+# all their candidates at once.  Memory stays linear in the tables: grids
+# hold at most _CELLS key words, lookups at most _LOOKUP_ENTRIES entries
+# unless the table has more.
 
-# group codes (candidates times groups) in one block; bounds the block's arrays
-_BLOCK = 1 << 14
-# argument tuples listed at once, then cut into blocks
-_CHUNK = 1 << 16
-# entries of a lookup, unless the connective's own table has more
+# clone of G3 at n = 2: 3.0-3.7 ms at 2**10 to 2**14, 7.6 ms at 2**15 (2 vCPU Xeon)
+_SMALL_ROUND = 1 << 12
+_CELLS = 1 << 15
 _LOOKUP_ENTRIES = 1 << 12
-# most possible keys for which seen keys are kept as one flag per key: a
-# gather instead of a binary search (clone of L3 at n = 2, 3**9 keys: 1.0 s
-# against 3.8 s with the sorted keys alone, 2 vCPU Xeon)
+# most possible keys for which seen keys are kept as one flag per key (clone
+# of L3 at n = 2, 3**9 keys: 0.23-0.41 s against 4.8-5.3 s in sorted runs)
 _DENSE_KEYS = 1 << 22
 
 
@@ -283,12 +284,11 @@ class _Codes:
         self.groups = groups
         self.radix = k**span
         self.digit_weights = k ** np.arange(span - 1, -1, -1, dtype=np.int64)
-        self.word_weights = self.radix ** np.arange(per_word - 1, -1, -1, dtype=np.int64)[:, None]
+        self.place_values = self.radix ** np.arange(per_word - 1, -1, -1, dtype=np.int64)
         self.digit_weights.setflags(write=False)
-        self.word_weights.setflags(write=False)
+        self.place_values.setflags(write=False)
         # distinct keys when one word holds them
         self.space = self.radix**groups if self.words == 1 else None
-        self.block = max(1, _BLOCK // groups)
 
     def codes(self, tables: np.ndarray) -> np.ndarray:
         """The (groups, count) codes of the rows of a (count, size) table array."""
@@ -304,20 +304,26 @@ class _Codes:
         return flat.astype(np.uint8 if self.k <= 256 else np.int64)
 
     def keys(self, codes: np.ndarray) -> np.ndarray:
-        """Keys of the columns of codes, equal exactly when the tables are."""
-        codes = codes.reshape(self.words, self.per_word, codes.shape[1])
-        words = (codes * self.word_weights).sum(axis=1)
+        """Keys of the columns of codes, equal exactly when the tables are;
+        given (words, count) key words when codes has one row a word."""
+        if len(codes) > self.words:
+            codes = self.place_values @ codes.reshape(self.words, self.per_word, -1)
         if self.words == 1:
-            return words[0]
-        return np.ascontiguousarray(words.T).view(np.dtype((np.void, 8 * self.words))).ravel()
+            return codes[0]
+        return np.ascontiguousarray(codes.T).view(np.dtype((np.void, 8 * self.words))).ravel()
 
-    def joint(self, codes: np.ndarray, args: np.ndarray) -> np.ndarray:
-        """The arguments' joint codes, first argument most significant, for
-        argument tuples given as an (arity, tuples) array of column indices."""
-        joint = codes.take(args[0], axis=1)
-        for a in args[1:]:
-            joint *= self.radix
-            joint += codes.take(a, axis=1)
+    def decode(self, keys: np.ndarray) -> np.ndarray:
+        """The (groups, count) codes of keys."""
+        words = keys.view(np.int64).reshape(len(keys), self.words).T
+        codes = words[:, None] // self.place_values[:, None] % self.radix
+        return codes.reshape(self.groups, len(keys))
+
+    def joint(self, codes: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The (groups, rows) joint codes, first argument most significant, of
+        an (arguments, rows) array of argument columns; 0 for no arguments."""
+        joint = codes.take(rows[0], axis=1) if len(rows) else np.zeros((self.groups, 1), np.int64)
+        for r in rows[1:]:
+            joint = joint * self.radix + codes.take(r, axis=1)
         return joint
 
 
@@ -328,7 +334,8 @@ def _layout(k: int, size: int, arity: int) -> _Codes:
 
 class _Operation:
     """A connective as a lookup from its arguments' joint code on a group of
-    `span` digits below k to the result's code there."""
+    `span` digits below k to the result's code there, shaped
+    (joint code of all arguments but the last, code of the last)."""
 
     def __init__(self, table: np.ndarray, k: int, span: int) -> None:
         self.arity = arity = table.ndim
@@ -338,9 +345,10 @@ class _Operation:
         flat = table.ravel()
         if span == 1:
             # one digit per argument: the joint code is the table position
-            self.lookup = flat
+            lookup = flat
         else:
-            self.lookup = k ** np.arange(span - 1, -1, -1) @ flat[_digit_cells(k, span, arity)]
+            lookup = k ** np.arange(span - 1, -1, -1) @ flat[_digit_cells(k, span, arity)]
+        self.lookup = lookup.reshape(-1, k**span)
         self.lookup.setflags(write=False)
 
 
@@ -370,71 +378,116 @@ def _digit_cells(k: int, span: int, arity: int) -> np.ndarray:
     return cells
 
 
-def _argument_tuples(
-    arity: int, count: int, frontier: int, symmetric: bool, block: int
-) -> Iterable[np.ndarray]:
-    """Blocks of at most `block` tuples over range(count), as (arity, tuples)
-    index arrays, in lexicographic order; only tuples holding an index >=
-    frontier, and only non-decreasing ones when symmetric.  Each tuple is a
-    prefix row plus a run of last indices."""
-    if arity == 1:
-        for lo in range(frontier, count, block):
-            yield np.arange(lo, min(lo + block, count))[None]
-        return
-    rows_per_chunk = max(1, _CHUNK // count)
-    prefix_count = count ** (arity - 1)
-    for p0 in range(0, prefix_count, rows_per_chunk):
-        ranks = np.arange(p0, min(p0 + rows_per_chunk, prefix_count))
-        prefix = [ranks // count ** (arity - 2 - j) % count for j in range(arity - 1)]
-        top = prefix[0] if arity == 2 else np.max(prefix, axis=0)
-        first = np.where(top >= frontier, 0, frontier)
+_Grid = Tuple[np.ndarray, int, int]
+
+
+def _grid_rows(
+    arity: int, count: int, frontier: int, symmetric: bool, r0: int, r1: int
+) -> Tuple[np.ndarray, int]:
+    """Prefix rows r0..r1-1 of the argument tuples over range(count) (less
+    decreasing ones when symmetric) as an (arity - 1, rows) array, and the
+    least last argument of their tuples that hold an index >= frontier and,
+    when symmetric, are non-decreasing (count when there are none)."""
+    if arity <= 2:
+        # a row's rank is its argument
+        prefix = np.arange(r0, r1)[None][: arity - 1]
+        top, least_last = r1 - 1 if arity == 2 else -1, r0
+    else:
+        prefix = np.arange(r0, r1) // count ** np.arange(arity - 2, -1, -1)[:, None] % count
         if symmetric:
-            first = np.maximum(first, prefix[-1])
-            for lo, hi in zip(prefix, prefix[1:]):
-                first[lo > hi] = count
-        lengths = count - first
-        ends = lengths.cumsum()
-        tuples = np.empty((arity, ends[-1]), dtype=np.intp)
-        for j, c in enumerate(prefix):
-            tuples[j] = c.repeat(lengths)
-        tuples[-1] = np.arange(ends[-1]) - (ends - count).repeat(lengths)
-        for b0 in range(0, ends[-1], block):
-            yield tuples[:, b0 : b0 + block]
+            prefix = prefix[:, (prefix[:-1] <= prefix[1:]).all(axis=0)]
+        top, least_last = int(prefix.max(initial=-1)), int(prefix[-1].min(initial=count))
+    # the last argument of a non-decreasing tuple is its largest
+    return prefix, max(frontier, least_last) if symmetric else 0 if top >= frontier else frontier
 
 
-@functools.lru_cache(maxsize=64)
-def _round_tuples(arity: int, count: int, frontier: int, symmetric: bool) -> np.ndarray:
-    """All the argument tuples of a round that one block holds, read-only."""
-    (tuples,) = _argument_tuples(arity, count, frontier, symmetric, count**arity)
-    tuples.setflags(write=False)
-    return tuples
+def _grids(arity: int, count: int, frontier: int, symmetric: bool, cells: int) -> Iterator[_Grid]:
+    """Grids (prefix rows, lo, hi) of at most `cells` tuples, each prefix row
+    then each last argument in lo..hi-1, that hold those tuples in order."""
+    rows_per_grid = max(1, cells // count)
+    prefix_count = count ** (arity - 1)
+    for r0 in range(0, prefix_count, rows_per_grid):
+        r1 = min(r0 + rows_per_grid, prefix_count)
+        prefix, lo = _grid_rows(arity, count, frontier, symmetric, r0, r1)
+        for c0 in range(lo, count, cells):
+            yield prefix, c0, min(c0 + cells, count)
+
+
+def _grid_words(op: _Operation, layout: _Codes, codes: np.ndarray, grid: _Grid) -> np.ndarray:
+    """Key words, (words, cells), of the connective on the grid's cells in
+    order, for arguments of the given codes."""
+    prefix, lo, hi = grid
+    joint, rows = layout.joint(codes, prefix), prefix.shape[1]
+    words = np.zeros((layout.words, rows, hi - lo), dtype=np.int64)
+    scratch = np.empty((rows, hi - lo), dtype=np.int64)
+    for g in range(layout.groups):
+        part = op.lookup.take(joint[g], axis=0)
+        part *= layout.place_values[g % layout.per_word]
+        words[g // layout.per_word] += part.take(codes[g, lo:hi], axis=1, out=scratch, mode="clip")
+    return words.reshape(layout.words, -1)
 
 
 class _SeenKeys:
     """The keys met so far: one flag per possible key when there are at most
-    _DENSE_KEYS of them, else the keys in sorted order."""
+    _DENSE_KEYS of them, else runs of keys sorted by 64-bit hash, a run
+    merged into the next one added when no longer than it or than a grid
+    (Bentley and Saxe, J. Algorithms 1(4), 1980); a key is looked up by one
+    binary search of its hash a run, longest first, and compared on a hit."""
 
     def __init__(self, layout: _Codes, keys: np.ndarray) -> None:
         dense = layout.space is not None and layout.space <= _DENSE_KEYS
         self.flags = np.zeros(layout.space, bool) if dense else None
-        self.keys = keys[:0]
+        self.runs: List[Tuple[np.ndarray, np.ndarray]] = []
+        self.words, self.shortest = layout.words, max(1, _CELLS // layout.words)
         self.add(keys)
+
+    def hashes(self, words: np.ndarray) -> np.ndarray:
+        """Hashes of keys given as (keys, words) arrays: a one-word key's own."""
+        if words.shape[1] == 1:
+            return words[:, 0]
+        weyl = np.arange(1, words.shape[1] + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        hashes = words.view(np.uint64) @ (weyl | np.uint64(1))
+        return (hashes ^ hashes >> np.uint64(31)).view(np.int64)
 
     def contains(self, keys: np.ndarray) -> np.ndarray:
         if self.flags is not None:
             return self.flags[keys]
-        at = np.minimum(self.keys.searchsorted(keys), len(self.keys) - 1)
-        return self.keys[at] == keys
+        words = keys.view(np.int64).reshape(-1, self.words)
+        hashes, found, todo = self.hashes(words), np.zeros(len(keys), bool), np.arange(len(keys))
+        for run_hashes, run_words in self.runs:
+            at = run_hashes.searchsorted(hashes[todo])
+            last = len(run_hashes) - 1
+            hit = run_hashes[np.minimum(at, last)] == hashes[todo]
+            at, hit = at[hit], todo[hit]
+            # keys of one hash lie side by side; a one-word key is its own hash
+            while len(hit) and self.words > 1:
+                same = (run_words[at] == words[hit]).all(axis=1)
+                found[hit[same]] = True
+                at, hit = at[~same] + 1, hit[~same]
+                more = (at <= last) & (run_hashes[np.minimum(at, last)] == hashes[hit])
+                at, hit = at[more], hit[more]
+            found[hit] = True
+            todo = todo[~found[todo]]
+        return found
 
     def add(self, keys: np.ndarray) -> None:
+        """Marks distinct keys not seen before as seen."""
         if self.flags is not None:
             self.flags[keys] = True
-        else:
-            self.keys = np.sort(np.concatenate([self.keys, keys]))
+            return
+        words = keys.view(np.int64).reshape(-1, self.words)
+        hashes = self.hashes(words)
+        while self.runs and len(self.runs[-1][0]) <= max(len(hashes), self.shortest):
+            run_hashes, run_words = self.runs.pop()
+            hashes, words = np.concatenate([run_hashes, hashes]), np.concatenate([run_words, words])
+        order = hashes.argsort(kind="stable")
+        self.runs.append((hashes[order], words[order]))
 
 
 def _first_occurrences(keys: np.ndarray) -> np.ndarray:
     """Ascending positions of the first occurrence of each distinct key."""
+    if len(keys) < 2:
+        return np.arange(len(keys))
     order = keys.argsort(kind="stable")
     ordered = keys[order]
     starts = np.empty(len(keys), dtype=bool)
@@ -446,30 +499,30 @@ def _first_occurrences(keys: np.ndarray) -> np.ndarray:
 
 
 def _append_first_new(
-    block: Sequence[Tuple[str, np.ndarray, np.ndarray]],
+    pieces: Sequence[Tuple[str, _Grid]],
+    codes: np.ndarray,
     layout: _Codes,
     seen: _SeenKeys,
     chunks: List[np.ndarray],
     witnesses: List[Formula],
 ) -> None:
-    """Appends the first candidate of each key of the block not yet seen, in
-    candidate order, to chunks (its codes) and witnesses, and marks their
-    keys seen.  A block is a run of (connective, argument tuples, result
-    codes) pieces in candidate order."""
-    results = block[0][2] if len(block) == 1 else np.concatenate([p[2] for p in block], axis=1)
-    keys = layout.keys(results)
+    """Appends the first candidate of each key not yet seen, in order, to
+    chunks (its codes) and witnesses, and marks their keys seen; the
+    candidates are the cells of (connective, grid) pieces, as codes or key words."""
+    keys = layout.keys(codes)
     fresh = (~seen.contains(keys)).nonzero()[0]
     if not len(fresh):
         return
     new = fresh[_first_occurrences(keys[fresh])]
-    chunks.append(results.take(new, axis=1))
+    chunks.append(codes[:, new] if len(codes) == layout.groups else layout.decode(keys[new]))
     seen.add(keys[new])
-    ends = list(itertools.accumulate(p[1].shape[1] for p in block))
+    ends = list(itertools.accumulate(g[0].shape[1] * (g[2] - g[1]) for _, g in pieces))
     cuts = new.searchsorted(ends).tolist()
-    for (name, args, _), lo, hi, offset in zip(block, [0] + cuts, cuts, [0] + ends):
-        if lo < hi:
-            rows = args.take(new[lo:hi] - offset, axis=1).T.tolist()
-            witnesses.extend(app(name, tuple(witnesses[i] for i in row)) for row in rows)
+    for (name, (prefix, lo, hi)), start, end, offset in zip(pieces, [0] + cuts, cuts, [0] + ends):
+        rows = prefix.T.tolist() if start < end else []
+        for cell in (new[start:end] - offset).tolist():
+            args = (*rows[cell // (hi - lo)], lo + cell % (hi - lo))
+            witnesses.append(app(name, tuple(witnesses[i] for i in args)))
 
 
 def _closure_rounds(
@@ -481,20 +534,20 @@ def _closure_rounds(
     Its candidates apply each connective, in name order, to argument tuples
     over the functions of earlier rounds with at least one from round d-1,
     the tuples in lexicographic order of discovery positions.  The
-    candidates go through in blocks of consecutive candidates: keys already
+    candidates go through in grids of consecutive candidates: keys already
     seen are dropped, and the first occurrence of each remaining key is
     appended, in candidate order, with its candidate as witness.  For a
     connective whose table is symmetric, a tuple that is not non-decreasing
     repeats a permutation listed before it in the same round and is
-    skipped.  The clone cap is checked after every block.
+    skipped.  The clone cap is checked after every grid.
     """
     if n < 0:
         raise ValueError(f"the number of variables must be at least 0, got {n}")
     k = alg.size
     size = k**n
     caps.check_tuples(size)
-    arities = [arity for _, arity in alg.signature.proper_connectives]
-    layout = _layout(k, size, max(arities, default=1))
+    arity = max([a for _, a in alg.signature.proper_connectives], default=1)
+    layout = _layout(k, size, arity)
     seeds = [var(i) for i in range(1, n + 1)] + [const(c) for c in alg.signature.constants]
     seed_tables = np.array(next(_formula_tables(alg, seeds, range(1, n + 1), [{}])), dtype=np.int64)
     seed_codes = layout.codes(seed_tables.reshape(len(seeds), size))
@@ -509,39 +562,34 @@ def _closure_rounds(
         (name, _operation(alg.table(name), layout))
         for name, _ in alg.signature.proper_connectives
     ]
+    cells = max(1, _CELLS // layout.words)
     round_start = 0
-    while round_start < len(witnesses):
-        boundary = len(witnesses)
+    while connectives and round_start < len(witnesses):
+        count = len(witnesses)
         codes = chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=1)
         chunks = [codes]
-        # a round's argument tuples and joint codes, shared by the connectives
-        # of one shape when one block holds them
-        small: Dict[Tuple[int, bool], List[Tuple[np.ndarray, np.ndarray]]] = {}
-        block: List[Tuple[str, np.ndarray, np.ndarray]] = []
-        pending = 0
-        for name, op in connectives:
-            shape = (op.arity, op.symmetric)
-            pieces = small.get(shape)
-            if pieces is None:
-                if boundary**op.arity <= layout.block:
-                    args = _round_tuples(op.arity, boundary, round_start, op.symmetric)
-                    pieces = small[shape] = [(args, layout.joint(codes, args))]
-                else:
-                    tuples = _argument_tuples(
-                        op.arity, boundary, round_start, op.symmetric, layout.block
-                    )
-                    pieces = ((args, layout.joint(codes, args)) for args in tuples)
-            for args, joint in pieces:
-                block.append((name, args, op.lookup[joint]))
-                pending += args.shape[1]
-                if pending >= layout.block:
-                    _append_first_new(block, layout, seen, chunks, witnesses)
+        if count**arity > _SMALL_ROUND:
+            for name, op in connectives:
+                for grid in _grids(op.arity, count, round_start, op.symmetric, cells):
+                    words = _grid_words(op, layout, codes, grid)
+                    _append_first_new([(name, grid)], words, layout, seen, chunks, witnesses)
                     caps.check_clone(len(witnesses))
-                    block, pending = [], 0
-        if block:
-            _append_first_new(block, layout, seen, chunks, witnesses)
+        else:
+            joints: Dict[Tuple[int, bool], Tuple[_Grid, np.ndarray]] = {}
+            pieces, results = [], []
+            for name, op in connectives:
+                shape = (op.arity, op.symmetric)
+                if shape not in joints:
+                    rows = count ** (op.arity - 1)
+                    prefix, lo = _grid_rows(op.arity, count, round_start, op.symmetric, 0, rows)
+                    joint = layout.joint(codes, prefix)[:, :, None] * layout.radix + codes[:, None, lo:]
+                    joints[shape] = (prefix, lo, count), joint.reshape(layout.groups, -1)
+                grid, joint = joints[shape]
+                pieces.append((name, grid))
+                results.append(op.lookup.take(joint))
+            _append_first_new(pieces, np.concatenate(results, axis=1), layout, seen, chunks, witnesses)
             caps.check_clone(len(witnesses))
-        round_start = boundary
+        round_start = count
     return layout.tables(np.concatenate(chunks, axis=1)), witnesses
 
 
@@ -550,8 +598,8 @@ def _operations_on(alg: FiniteAlgebra, tables: np.ndarray) -> Dict[str, np.ndarr
     tables over one arity, as row indices in an array of shape
     (rows,) * arity; -1 where the result is not a row."""
     count, size = tables.shape
-    arities = [arity for _, arity in alg.signature.proper_connectives]
-    layout = _layout(alg.size, size, max(arities, default=1))
+    arity = max([a for _, a in alg.signature.proper_connectives], default=1)
+    layout = _layout(alg.size, size, arity)
     codes = layout.codes(tables)
     keys = layout.keys(codes)
     order = np.argsort(keys)
@@ -567,12 +615,9 @@ def _operations_on(alg: FiniteAlgebra, tables: np.ndarray) -> Dict[str, np.ndarr
             constant = np.full((1, size), alg.table(name))
             out[name] = rows(layout.keys(layout.codes(constant)))[0]
             continue
-        op = _operation(alg.table(name), layout)
-        blocks = [
-            rows(layout.keys(op.lookup[layout.joint(codes, args)]))
-            for args in _argument_tuples(arity, count, 0, False, layout.block)
-        ]
-        out[name] = np.concatenate(blocks).reshape((count,) * arity)
+        op, cells = _operation(alg.table(name), layout), max(1, _CELLS // layout.words)
+        words = [_grid_words(op, layout, codes, g) for g in _grids(arity, count, 0, False, cells)]
+        out[name] = rows(layout.keys(np.concatenate(words, axis=1))).reshape((count,) * arity)
     return out
 
 
@@ -867,7 +912,7 @@ def find_isomorphism(
     designated2: Optional[frozenset] = None,
 ) -> Optional[Tuple[int, ...]]:
     """Backtracking search for an isomorphism a1 -> a2 (optionally matching
-    designated sets).  Returns the image tuple, or None."""
+    designated sets).  Returns the least image tuple, or None."""
     if a1.signature != a2.signature or a1.size != a2.size:
         return None
     if (designated1 is None) != (designated2 is None):
@@ -875,68 +920,35 @@ def find_isomorphism(
     if designated1 is not None and len(designated1) != len(designated2 or frozenset()):
         return None
     k = a1.size
-    ops = a1.signature.operations
-
-    # constants pin their own images
+    tables = [(a1.table(name), a2.table(name)) for name, _ in a1.signature.operations]
     image: List[Optional[int]] = [None] * k
-    used = [False] * k
-    for name, arity in ops:
-        if arity == 0:
-            e1, e2 = int(a1.table(name)), int(a2.table(name))
-            if image[e1] is not None and image[e1] != e2:
-                return None
-            if image[e1] is None:
-                if used[e2]:
-                    return None
-                image[e1] = e2
-                used[e2] = True
 
-    def consistent(e: int) -> bool:
-        if designated1 is not None:
-            assert designated2 is not None
-            if (e in designated1) != (image[e] in designated2):
-                return False
-        for name, arity in ops:
-            if arity == 0:
-                continue
-            t1, t2 = a1.table(name), a2.table(name)
-            assigned = [x for x in range(k) if image[x] is not None]
-            for combo in itertools.product(assigned, repeat=arity):
-                if e not in combo:
-                    continue
-                out = int(t1[combo])
-                if image[out] is None:
-                    continue
-                mapped = tuple(image[c] for c in combo)
-                if int(t2[mapped]) != image[out]:
-                    return False
-        return True
+    def consistent() -> bool:
+        # the map so far respects the designated sets and every operation
+        # on the elements it maps, where it maps the result too
+        done = [x for x in range(k) if image[x] is not None]
+        if designated1 is not None and any(
+            (x in designated1) != (image[x] in designated2) for x in done  # type: ignore[operator]
+        ):
+            return False
+        return all(
+            image[int(t1[combo])] in (None, int(t2[tuple(image[c] for c in combo)]))  # type: ignore[misc]
+            for t1, t2 in tables
+            for combo in itertools.product(done, repeat=t1.ndim)
+        )
 
-    def backtrack(e: int) -> bool:
-        if e == k:
-            # final full check including outputs not previously pinned
-            for name, arity in ops:
-                if arity == 0:
-                    continue
-                t1, t2 = a1.table(name), a2.table(name)
-                for combo in itertools.product(range(k), repeat=arity):
-                    mapped = tuple(image[c] for c in combo)  # type: ignore[misc]
-                    if image[int(t1[combo])] != int(t2[mapped]):
-                        return False
-            return True
-        if image[e] is not None:
-            return backtrack(e + 1)
-        for target in range(k):
-            if used[target]:
-                continue
-            image[e] = target
-            used[target] = True
-            if consistent(e) and backtrack(e + 1):
-                return True
-            image[e] = None
-            used[target] = False
-        return False
-
-    if backtrack(0):
-        return tuple(int(x) for x in image)  # type: ignore[arg-type]
-    return None
+    # depth-first on an explicit stack: element d tries the unused targets
+    # in ascending order from tried[d] on, so the first isomorphism met is
+    # the least one
+    tried = [0] * k
+    depth = 0
+    while 0 <= depth < k:
+        image[depth] = None
+        target = next((t for t in range(tried[depth], k) if t not in image), None)
+        tried[depth] = 0 if target is None else target + 1
+        if target is None:
+            depth -= 1
+        else:
+            image[depth] = target
+            depth += consistent()
+    return tuple(int(x) for x in image) if depth == k else None  # type: ignore[arg-type]

@@ -1,7 +1,9 @@
 import gc
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matlogic import (
     Congruence,
@@ -34,7 +36,7 @@ from matlogic import (
 )
 from matlogic.lindenbaum import representatives
 
-from conftest import eval_slow
+from conftest import algebras, eval_slow
 
 
 def test_evaluate_term_matches_slow_walk(chain3_arrow):
@@ -246,3 +248,35 @@ class TestIsomorphism:
             chain3_arrow.algebra, reversed_imp, frozenset({2}), frozenset({2})
         )
         assert iso is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(algebras(), st.randoms(use_true_random=False), st.booleans())
+    def test_least_isomorphism_against_all_permutations(self, alg, rnd, designate):
+        # a relabelled copy, sometimes with one table entry changed
+        k = alg.size
+        perm = list(range(k))
+        rnd.shuffle(perm)
+        inverse = np.argsort(perm)
+        tables = {
+            name: np.asarray(perm)[t[np.ix_(*[inverse] * t.ndim)]] if t.ndim else np.int64(perm[int(t)])
+            for name, t in alg.tables.items()
+        }
+        name = rnd.choice(sorted(tables))
+        if tables[name].ndim and rnd.random() < 0.3:
+            tables[name] = tables[name].copy()
+            tables[name].flat[0] = (tables[name].flat[0] + 1) % k
+        other = FiniteAlgebra(alg.signature, alg.elements, tables)
+        d1 = frozenset(range(0, k, 2)) if designate else None
+        d2 = frozenset(perm[e] for e in d1) if designate else None
+
+        def is_isomorphism(image):
+            if designate and any((e in d1) != (image[e] in d2) for e in range(k)):
+                return False
+            return all(
+                image[int(t[combo])] == int(other.table(n)[tuple(image[c] for c in combo)])
+                for n, t in alg.tables.items()
+                for combo in itertools.product(range(k), repeat=t.ndim)
+            )
+
+        least = next(filter(is_isomorphism, itertools.permutations(range(k))), None)
+        assert find_isomorphism(alg, other, d1, d2) == least

@@ -39,7 +39,7 @@ def closure(alg, n, caps=ResourceCaps()):
 @contextlib.contextmanager
 def chunk_cells(cells):
     """Candidates taken at most `cells` at a time."""
-    with mock.patch.object(algebra, "_CHUNK", cells), mock.patch.object(algebra, "_BLOCK", cells):
+    with mock.patch.object(algebra, "_CELLS", cells):
         algebra._layout.cache_clear()
         try:
             yield

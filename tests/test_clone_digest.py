@@ -4,6 +4,7 @@ any rewrite must reproduce every table, witness and discovery position."""
 
 import hashlib
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,12 +20,13 @@ from matlogic import (
     make_preset,
     representatives_by_enumeration,
 )
+from matlogic import algebra
 from matlogic.algebra import clone_discovery_order
 
 
-def _clone_digest(alg, n):
+def _clone_digest(alg, n, caps=ResourceCaps()):
     h = hashlib.sha256()
-    fns = clone_discovery_order(alg, n)
+    fns = clone_discovery_order(alg, n, caps)
     for tf in fns:
         h.update(np.asarray(tf.table, dtype=np.int64).tobytes())
         h.update(str(tf.witness).encode())
@@ -58,6 +60,19 @@ def test_large_carrier_clone_stays_small():
         tracemalloc.stop()
     assert result == (6, "ea3399a2e3f68089565fd4147d5ff9a2d16ebbf0df34c6bfc276210b6ce1ca35")
     assert peak < 16 * 2**20
+
+
+def test_binary_l3_clone_stays_small():
+    # 3,888 functions from about 30M candidates, taken a grid at a time
+    alg = make_preset("L3").algebra
+    tracemalloc.start()
+    try:
+        result = _clone_digest(alg, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (3888, "dd493835ac39f5c93f24872226a7b3d9a10c07f9e44c40e35416c8538a690344")
+    assert peak < 3 * 2**20
 
 
 def test_free_matrix_algebra_digest():
@@ -97,3 +112,17 @@ def test_ternary_clone_matches_enumeration(n):
     slow, _ = representatives_by_enumeration(alg, n)
     assert [t.table for t in fast] == [t.table for t in slow]
     assert [t.witness for t in fast] == [t.witness for t in slow]
+
+
+def test_colliding_key_hashes_keep_the_digest():
+    # wide keys hashed by their first word alone: functions that agree on
+    # the first word collide, and are told apart by their other words
+    def first_word(self, words):
+        return words[:, 0].copy()
+
+    with mock.patch.object(algebra._SeenKeys, "hashes", first_word):
+        alg = direct_product(godel_chain(3), godel_chain(2))
+        assert _clone_digest(alg, 2, ResourceCaps(max_clone=162)) == (
+            162,
+            "16f96d281401dea0bf0ab8a46096925f2a6bf48b8650cbe103527f0569e8bafb",
+        )

@@ -268,3 +268,7 @@ def test_detects_call_cycles():
 
 def test_formula_language_has_no_call_cycles():
     assert call_cycles((SRC / "lang.py").read_text(encoding="utf-8")) == []
+
+
+def test_algebra_has_no_call_cycles():
+    assert call_cycles((SRC / "algebra.py").read_text(encoding="utf-8")) == []
