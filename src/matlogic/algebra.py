@@ -234,23 +234,21 @@ class TermFunction:
 # Candidate term functions are handled through codes rather than tables.
 # The k**n positions of a flat table are cut into groups of `span`
 # consecutive positions (past the end, the first position again), and a
-# table is summarised by its code on each group: its digits there read
-# base k.  One lookup per connective maps the arguments' joint code on a
-# group to the result's code there; it is shaped (prefix, last argument).
-# A function's key packs its codes times their place values into 62-bit
-# words: an int64 when one word holds them, else the words' bytes as a void.
+# table is summarised by its code on each group: its digits read base k.
+# One lookup per connective, shaped (prefix, last argument), maps the
+# arguments' joint code on a group to the result's code there.  A key packs
+# the codes times their place values into 62-bit words: an int64 when one
+# word holds them, else the words' bytes as a void scalar.
 #
 # A round's argument tuples are taken as grids, prefix rows times a run of
-# last arguments.  The tuples a grid holds that the round skips add nothing:
-# each was a candidate before or, for a symmetric connective, permutes one
-# before it.  A group costs a gather of lookup rows at the prefix rows,
-# scaled by its place value, and a gather of their columns at the last
-# arguments, added into the key word, so nothing is built per candidate.
-# Rounds of at most _SMALL_ROUND tuples a shape, where Python overhead
-# dominates, share joint codes between connectives of one shape and check
-# all their candidates at once.  Memory stays linear in the tables: grids
-# hold at most _CELLS key words, lookups at most _LOOKUP_ENTRIES entries
-# unless the table has more.
+# last arguments; a grid's tuples that the round skips were candidates
+# before or permute one before them under a symmetric connective.  A group
+# costs a gather of lookup rows at the prefix rows, scaled by its place
+# value, and a gather of their columns at the last arguments, so nothing is
+# built per candidate.  Rounds of at most _SMALL_ROUND tuples a shape share
+# joint codes between connectives of one shape and check all candidates at
+# once, as Python overhead dominates there.  Grids hold at most _CELLS key
+# words and lookups _LOOKUP_ENTRIES entries unless the table has more.
 
 # clone of G3 at n = 2: 3.0-3.7 ms at 2**10 to 2**14, 7.6 ms at 2**15 (2 vCPU Xeon)
 _SMALL_ROUND = 1 << 12
@@ -304,8 +302,7 @@ class _Codes:
         return flat.astype(np.uint8 if self.k <= 256 else np.int64)
 
     def keys(self, codes: np.ndarray) -> np.ndarray:
-        """Keys of the columns of codes, equal exactly when the tables are;
-        given (words, count) key words when codes has one row a word."""
+        """Keys of the columns of codes (or of key words), equal exactly when the tables are."""
         if len(codes) > self.words:
             codes = self.place_values @ codes.reshape(self.words, self.per_word, -1)
         if self.words == 1:
@@ -319,8 +316,7 @@ class _Codes:
         return codes.reshape(self.groups, len(keys))
 
     def joint(self, codes: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """The (groups, rows) joint codes, first argument most significant, of
-        an (arguments, rows) array of argument columns; 0 for no arguments."""
+        """Joint codes (groups, rows), first argument most significant, of argument columns."""
         joint = codes.take(rows[0], axis=1) if len(rows) else np.zeros((self.groups, 1), np.int64)
         for r in rows[1:]:
             joint = joint * self.radix + codes.take(r, axis=1)
@@ -378,16 +374,16 @@ def _digit_cells(k: int, span: int, arity: int) -> np.ndarray:
     return cells
 
 
-_Grid = Tuple[np.ndarray, int, int]
+_Grid = Tuple[np.ndarray, int, int]  # prefix rows, lo, hi
 
 
 def _grid_rows(
     arity: int, count: int, frontier: int, symmetric: bool, r0: int, r1: int
 ) -> Tuple[np.ndarray, int]:
-    """Prefix rows r0..r1-1 of the argument tuples over range(count) (less
-    decreasing ones when symmetric) as an (arity - 1, rows) array, and the
-    least last argument of their tuples that hold an index >= frontier and,
-    when symmetric, are non-decreasing (count when there are none)."""
+    """Prefix rows r0..r1-1 over range(count), less decreasing ones when
+    symmetric, as an (arity - 1, rows) array, and the least last argument of
+    their tuples holding an index >= frontier, non-decreasing when symmetric
+    (count if none)."""
     if arity <= 2:
         # a row's rank is its argument
         prefix = np.arange(r0, r1)[None][: arity - 1]
@@ -414,8 +410,7 @@ def _grids(arity: int, count: int, frontier: int, symmetric: bool, cells: int) -
 
 
 def _grid_words(op: _Operation, layout: _Codes, codes: np.ndarray, grid: _Grid) -> np.ndarray:
-    """Key words, (words, cells), of the connective on the grid's cells in
-    order, for arguments of the given codes."""
+    """Key words (words, cells) of the connective on the grid, arguments given by codes."""
     prefix, lo, hi = grid
     joint, rows = layout.joint(codes, prefix), prefix.shape[1]
     words = np.zeros((layout.words, rows, hi - lo), dtype=np.int64)
@@ -428,11 +423,10 @@ def _grid_words(op: _Operation, layout: _Codes, codes: np.ndarray, grid: _Grid) 
 
 
 class _SeenKeys:
-    """The keys met so far: one flag per possible key when there are at most
-    _DENSE_KEYS of them, else runs of keys sorted by 64-bit hash, a run
-    merged into the next one added when no longer than it or than a grid
-    (Bentley and Saxe, J. Algorithms 1(4), 1980); a key is looked up by one
-    binary search of its hash a run, longest first, and compared on a hit."""
+    """The keys met so far: a flag per possible key when there are at most
+    _DENSE_KEYS of them, else runs sorted by 64-bit hash, each merged into the
+    next added when no longer than it or a grid (Bentley and Saxe, J.
+    Algorithms 1(4), 1980), searched longest first and compared on a hit."""
 
     def __init__(self, layout: _Codes, keys: np.ndarray) -> None:
         dense = layout.space is not None and layout.space <= _DENSE_KEYS
@@ -455,8 +449,7 @@ class _SeenKeys:
         words = keys.view(np.int64).reshape(-1, self.words)
         hashes, found, todo = self.hashes(words), np.zeros(len(keys), bool), np.arange(len(keys))
         for run_hashes, run_words in self.runs:
-            at = run_hashes.searchsorted(hashes[todo])
-            last = len(run_hashes) - 1
+            at, last = run_hashes.searchsorted(hashes[todo]), len(run_hashes) - 1
             hit = run_hashes[np.minimum(at, last)] == hashes[todo]
             at, hit = at[hit], todo[hit]
             # keys of one hash lie side by side; a one-word key is its own hash
@@ -519,10 +512,11 @@ def _append_first_new(
     ends = list(itertools.accumulate(g[0].shape[1] * (g[2] - g[1]) for _, g in pieces))
     cuts = new.searchsorted(ends).tolist()
     for (name, (prefix, lo, hi)), start, end, offset in zip(pieces, [0] + cuts, cuts, [0] + ends):
-        rows = prefix.T.tolist() if start < end else []
-        for cell in (new[start:end] - offset).tolist():
-            args = (*rows[cell // (hi - lo)], lo + cell % (hi - lo))
-            witnesses.append(app(name, tuple(witnesses[i] for i in args)))
+        if start < end:
+            rows = prefix.T.tolist()
+            for cell in (new[start:end] - offset).tolist():
+                args = (*rows[cell // (hi - lo)], lo + cell % (hi - lo))
+                witnesses.append(app(name, tuple(witnesses[i] for i in args)))
 
 
 def _closure_rounds(
@@ -562,8 +556,7 @@ def _closure_rounds(
         (name, _operation(alg.table(name), layout))
         for name, _ in alg.signature.proper_connectives
     ]
-    cells = max(1, _CELLS // layout.words)
-    round_start = 0
+    cells, round_start = max(1, _CELLS // layout.words), 0
     while connectives and round_start < len(witnesses):
         count = len(witnesses)
         codes = chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=1)
@@ -598,8 +591,7 @@ def _operations_on(alg: FiniteAlgebra, tables: np.ndarray) -> Dict[str, np.ndarr
     tables over one arity, as row indices in an array of shape
     (rows,) * arity; -1 where the result is not a row."""
     count, size = tables.shape
-    arity = max([a for _, a in alg.signature.proper_connectives], default=1)
-    layout = _layout(alg.size, size, arity)
+    layout = _layout(alg.size, size, max([a for _, a in alg.signature.proper_connectives], default=1))
     codes = layout.codes(tables)
     keys = layout.keys(codes)
     order = np.argsort(keys)
@@ -616,8 +608,9 @@ def _operations_on(alg: FiniteAlgebra, tables: np.ndarray) -> Dict[str, np.ndarr
             out[name] = rows(layout.keys(layout.codes(constant)))[0]
             continue
         op, cells = _operation(alg.table(name), layout), max(1, _CELLS // layout.words)
-        words = [_grid_words(op, layout, codes, g) for g in _grids(arity, count, 0, False, cells)]
-        out[name] = rows(layout.keys(np.concatenate(words, axis=1))).reshape((count,) * arity)
+        grids = _grids(arity, count, 0, False, cells)
+        blocks = [rows(layout.keys(_grid_words(op, layout, codes, g))) for g in grids]
+        out[name] = np.concatenate(blocks).reshape((count,) * arity)
     return out
 
 
@@ -924,8 +917,6 @@ def find_isomorphism(
     image: List[Optional[int]] = [None] * k
 
     def consistent() -> bool:
-        # the map so far respects the designated sets and every operation
-        # on the elements it maps, where it maps the result too
         done = [x for x in range(k) if image[x] is not None]
         if designated1 is not None and any(
             (x in designated1) != (image[x] in designated2) for x in done  # type: ignore[operator]
@@ -940,15 +931,12 @@ def find_isomorphism(
     # depth-first on an explicit stack: element d tries the unused targets
     # in ascending order from tried[d] on, so the first isomorphism met is
     # the least one
-    tried = [0] * k
-    depth = 0
+    tried, depth = [0] * k, 0
     while 0 <= depth < k:
         image[depth] = None
         target = next((t for t in range(tried[depth], k) if t not in image), None)
         tried[depth] = 0 if target is None else target + 1
-        if target is None:
-            depth -= 1
-        else:
+        if target is not None:
             image[depth] = target
-            depth += consistent()
+        depth += -1 if target is None else consistent()
     return tuple(int(x) for x in image) if depth == k else None  # type: ignore[arg-type]

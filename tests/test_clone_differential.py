@@ -38,13 +38,9 @@ def closure(alg, n, caps=ResourceCaps()):
 
 @contextlib.contextmanager
 def chunk_cells(cells):
-    """Candidates taken at most `cells` at a time."""
-    with mock.patch.object(algebra, "_CELLS", cells):
-        algebra._layout.cache_clear()
-        try:
-            yield
-        finally:
-            algebra._layout.cache_clear()
+    """Every round's candidates taken in grids of at most `cells` at a time."""
+    with mock.patch.object(algebra, "_CELLS", cells), mock.patch.object(algebra, "_SMALL_ROUND", 0):
+        yield
 
 
 class TestCloneAgainstEnumeration:
