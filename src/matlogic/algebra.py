@@ -241,14 +241,14 @@ class TermFunction:
 # word holds them, else the words' bytes as a void scalar.
 #
 # A round's argument tuples are taken as grids, prefix rows times a run of
-# last arguments; a grid's tuples that the round skips were candidates
-# before or permute one before them under a symmetric connective.  A group
-# costs a gather of lookup rows at the prefix rows, scaled by its place
-# value, and a gather of their columns at the last arguments, so nothing is
-# built per candidate.  Rounds of at most _SMALL_ROUND tuples a shape share
-# joint codes between connectives of one shape and check all candidates at
-# once, as Python overhead dominates there.  Grids hold at most _CELLS key
-# words and lookups _LOOKUP_ENTRIES entries unless the table has more.
+# last arguments; the other tuples a grid holds add nothing: each was a
+# candidate before or, for a symmetric connective, permutes an earlier one.
+# A group costs a gather of lookup rows at the prefix rows, scaled by its
+# place value, and a gather of their columns at the last arguments, so
+# nothing is built per candidate.  Rounds of at most _SMALL_ROUND tuples an
+# arity share joint codes between the connectives of that arity and check
+# all candidates at once, as Python overhead dominates there.  Grids hold
+# at most _CELLS key words, lookups _LOOKUP_ENTRIES unless the table has more.
 
 # clone of G3 at n = 2: 3.0-3.7 ms at 2**10 to 2**14, 7.6 ms at 2**15 (2 vCPU Xeon)
 _SMALL_ROUND = 1 << 12
@@ -568,16 +568,16 @@ def _closure_rounds(
                     _append_first_new([(name, grid)], words, layout, seen, chunks, witnesses)
                     caps.check_clone(len(witnesses))
         else:
-            joints: Dict[Tuple[int, bool], Tuple[_Grid, np.ndarray]] = {}
+            joints: Dict[int, Tuple[_Grid, np.ndarray]] = {}
             pieces, results = [], []
             for name, op in connectives:
-                shape = (op.arity, op.symmetric)
-                if shape not in joints:
-                    rows = count ** (op.arity - 1)
-                    prefix, lo = _grid_rows(op.arity, count, round_start, op.symmetric, 0, rows)
-                    joint = layout.joint(codes, prefix)[:, :, None] * layout.radix + codes[:, None, lo:]
-                    joints[shape] = (prefix, lo, count), joint.reshape(layout.groups, -1)
-                grid, joint = joints[shape]
+                if op.arity not in joints:
+                    prefix, lo = _grid_rows(op.arity, count, round_start, False, 0, count ** (op.arity - 1))
+                    joint = codes[:, lo:] if op.arity == 1 else (
+                        (layout.joint(codes, prefix) * layout.radix)[:, :, None] + codes[:, None, lo:]
+                    ).reshape(layout.groups, -1)
+                    joints[op.arity] = (prefix, lo, count), joint
+                grid, joint = joints[op.arity]
                 pieces.append((name, grid))
                 results.append(op.lookup.take(joint))
             _append_first_new(pieces, np.concatenate(results, axis=1), layout, seen, chunks, witnesses)
