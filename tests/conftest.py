@@ -7,6 +7,7 @@ so agreement between the two is meaningful.
 
 import itertools
 import json
+import re
 
 import pytest
 from hypothesis import strategies as st
@@ -33,7 +34,6 @@ from matlogic.lang import (
     ParseError,
     _VAR_RE,
     _postorder,
-    _tokenize,
 )
 from matlogic.decide import DecisionReport, _cap_report, _scan_setup
 from matlogic.limits import DEFAULT_CAPS, CapExceeded
@@ -496,8 +496,27 @@ def quotient_by_congruence_slow(alg, cong):
 
 
 # ---------------------------------------------------------------------------
-# formula-language oracles: the recursive-descent parser, the recursive
-# printer and the equality splitter, kept as they were
+# formula-language oracles: the tokenizer, the recursive-descent parser, the
+# recursive printer and the equality splitter, kept as they were
+
+_TOKEN_RE_SLOW = re.compile(r"<->|->|[()~&|,]|[^()~&|,<>\-=\s]+")
+
+
+def tokenize_slow(text: str):
+    tokens = []
+    pos = 0
+    n = len(text)
+    while pos < n:
+        if text[pos].isspace():
+            pos += 1
+            continue
+        m = _TOKEN_RE_SLOW.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        tokens.append((m.group(0), pos))
+        pos = m.end()
+    return tokens
+
 
 _SYMBOL_BINDINGS_SLOW = {"~": NOT, "&": AND, "|": OR, "->": IMP, "<->": IFF}
 _INFIX_SLOW = {IFF: ("<->", 1), IMP: ("->", 2), OR: ("|", 3), AND: ("&", 4)}
@@ -642,7 +661,7 @@ class ParserSlow:
 
 
 def parse_formula_slow(text: str, signature=CLASSICAL_SIGNATURE):
-    tokens = _tokenize(text)
+    tokens = tokenize_slow(text)
     parser = ParserSlow(tokens, signature, len(text))
     out = parser.parse_formula()
     if parser.peek() is not None:
@@ -653,7 +672,7 @@ def parse_formula_slow(text: str, signature=CLASSICAL_SIGNATURE):
 def parse_equality_slow(text: str, signature):
     """(lhs, rhs) of ``term ~ term``, split at the first top-level ``~``
     that leaves two well-formed terms."""
-    tokens = _tokenize(text)
+    tokens = tokenize_slow(text)
     depth = 0
     last_error = None
     for i, (tok, _pos) in enumerate(tokens):
@@ -757,3 +776,127 @@ def atlas_inclusion_slow(a1, a2, caps=DEFAULT_CAPS, m=None):
         return DecisionReport(question, "yes", None, stats)
     except CapExceeded as exc:
         return _cap_report(question, exc, m=m)
+
+
+# ---------------------------------------------------------------------------
+# proof-search oracle: the loop-checked prover as it was, sorting each
+# antecedent by depth and printed text at every step.  A sequent is an
+# (antecedent, succedent) pair and a proof a (rule, sequent, premises,
+# principal) tuple.
+
+
+def _ordered_slow(s):
+    return sorted(s, key=lambda f: (f.depth, str(f)))
+
+
+def _is_slow(f, name) -> bool:
+    return isinstance(f, App) and f.connective == name
+
+
+class ProverSlow:
+    def __init__(self, caps=DEFAULT_CAPS):
+        self.caps = caps
+        self.success = {}
+        self.failure = {}
+
+    def _note(self) -> None:
+        self.caps.check_memo(len(self.success) + len(self.failure))
+
+    def prove(self, seq, path=frozenset()):
+        cached = self.success.get(seq)
+        if cached is not None:
+            return cached, True
+        if seq in self.failure:
+            return None, True
+        if seq in path:
+            return None, False
+        ant, suc = seq
+
+        if suc is not None and suc in ant:
+            return self._won(seq, ("axiom", seq, (), suc))
+
+        path = path | {seq}
+
+        for f in _ordered_slow(ant):
+            if _is_slow(f, AND):
+                a, b = f.args
+                for piece in (a, b):
+                    if piece not in ant:
+                        sub, clean = self.prove((ant | {piece}, suc), path)
+                        if sub is None:
+                            return self._lost(seq, clean)
+                        return self._won(seq, ("∧-2", seq, (sub,), f))
+            elif _is_slow(f, OR):
+                a, b = f.args
+                if a not in ant and b not in ant:
+                    left, cl = self.prove((ant | {a}, suc), path)
+                    if left is None:
+                        return self._lost(seq, cl)
+                    right, cr = self.prove((ant | {b}, suc), path)
+                    if right is None:
+                        return self._lost(seq, cr)
+                    return self._won(seq, ("∨-2", seq, (left, right), f))
+
+        if suc is not None and _is_slow(suc, IMP):
+            a, b = suc.args
+            sub, clean = self.prove((ant | {a}, b), path)
+            if sub is None:
+                return self._lost(seq, clean)
+            return self._won(seq, ("→-1", seq, (sub,), suc))
+        if suc is not None and _is_slow(suc, NOT):
+            (a,) = suc.args
+            sub, clean = self.prove((ant | {a}, None), path)
+            if sub is None:
+                return self._lost(seq, clean)
+            return self._won(seq, ("¬-1", seq, (sub,), suc))
+        if suc is not None and _is_slow(suc, AND):
+            a, b = suc.args
+            left, cl = self.prove((ant, a), path)
+            if left is None:
+                return self._lost(seq, cl)
+            right, cr = self.prove((ant, b), path)
+            if right is None:
+                return self._lost(seq, cr)
+            return self._won(seq, ("∧-1", seq, (left, right), suc))
+
+        all_clean = True
+        if suc is not None and _is_slow(suc, OR):
+            for piece in suc.args:
+                sub, clean = self.prove((ant, piece), path)
+                if sub is not None:
+                    return self._won(seq, ("∨-1", seq, (sub,), suc))
+                all_clean &= clean
+        for f in _ordered_slow(ant):
+            if _is_slow(f, IMP):
+                a, b = f.args
+                if b in ant:
+                    continue
+                first, c1 = self.prove((ant, a), path)
+                if first is None:
+                    all_clean &= c1
+                    continue
+                second, c2 = self.prove((ant | {b}, suc), path)
+                if second is None:
+                    all_clean &= c2
+                    continue
+                return self._won(seq, ("→-2", seq, (first, second), f))
+            elif _is_slow(f, NOT):
+                (a,) = f.args
+                if suc == a:
+                    continue
+                sub, clean = self.prove((ant, a), path)
+                if sub is not None:
+                    return self._won(seq, ("¬-2", seq, (sub,), f))
+                all_clean &= clean
+        return self._lost(seq, all_clean)
+
+    def _won(self, seq, tree):
+        self.success[seq] = tree
+        self._note()
+        return tree, True
+
+    def _lost(self, seq, clean):
+        if clean:
+            self.failure[seq] = True
+            self._note()
+        return None, clean

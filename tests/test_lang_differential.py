@@ -1,5 +1,5 @@
-"""The formula parser, printer and equality splitter against the code they
-replaced (the recursive oracles in conftest): the same formula, or a
+"""The formula tokenizer, parser, printer and equality splitter against the
+code they replaced (the oracles in conftest): the same formula, or a
 ParseError with the same text.
 
 The one intended difference: a missing ``->`` or ``<->`` connective is now
@@ -20,9 +20,9 @@ from matlogic import (
     parse_formula,
     var,
 )
-from matlogic.lang import AND, IFF, IMP, NOT, OR, _tokenize
+from matlogic.lang import AND, IFF, IMP, NOT, OR
 
-from conftest import format_formula_slow, parse_equality_slow, parse_formula_slow
+from conftest import format_formula_slow, parse_equality_slow, parse_formula_slow, tokenize_slow
 
 SIGNATURES = [
     Signature.of({NOT: 1, AND: 2, OR: 2, IMP: 2, IFF: 2, "c": 0, "u": 1, "b": 2, "t": 3}),
@@ -34,6 +34,9 @@ SIGNATURES = [
 # which no signature has
 NAMES = ["c", "d", "u", "b", "t", "q", NOT, AND, OR, IMP, IFF]
 TOKENS = ["p1", "p2", "p3", "~", "&", "|", "->", "<->", "(", ")", ","] + NAMES
+# characters that start no token on their own, and whitespace other than a
+# space: no-break space, em space and the file separator
+STRAY = ["-", "<", ">", "=", "\t", "\u00a0", "\u2003", "\x1c"]
 
 _MOVED = re.compile(r"(operator '(?:->|<->)' has no connective .*) \(at position \d+\)$")
 
@@ -56,8 +59,9 @@ signatures = st.sampled_from(SIGNATURES)
 
 @st.composite
 def token_strings(draw):
-    """Random tokens, each followed by a space or by nothing."""
-    token = st.tuples(st.sampled_from(TOKENS), st.sampled_from([" ", ""]))
+    """Random tokens and stray characters, each followed by a space or by
+    nothing."""
+    token = st.tuples(st.sampled_from(TOKENS + STRAY), st.sampled_from([" ", ""]))
     parts = draw(st.lists(token, max_size=14))
     return "".join(tok + sep for tok, sep in parts)
 
@@ -82,7 +86,7 @@ def signature_formulas(draw):
 @st.composite
 def mutated(draw, text):
     """The text's tokens with 0-2 of them inserted, deleted or replaced."""
-    tokens = [tok for tok, _ in _tokenize(text)]
+    tokens = [tok for tok, _ in tokenize_slow(text)]
     for _ in range(draw(st.integers(0, 2))):
         at = draw(st.integers(0, len(tokens)))
         edit = draw(st.sampled_from(["insert", "delete", "replace"]))
