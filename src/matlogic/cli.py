@@ -324,21 +324,33 @@ class Report:
         return "\n".join(self.lines)
 
 
+_NATIVE = frozenset({str, int, float, bool, type(None)})
+
+
 def _jsonable(value: Any) -> Any:
-    if isinstance(value, Mapping):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        items = list(value)
-        if isinstance(value, (set, frozenset)):
-            items = sorted(items, key=str)
-        return [_jsonable(v) for v in items]
-    if isinstance(value, Formula):
-        return str(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return str(value)
+    """value as JSON data, walked on an explicit stack: mappings become dicts
+    with text keys, sequences lists (sets in text order), numpy integers
+    ints, and what is not a number, text or None its text.  A list of JSON
+    scalars is kept as it is."""
+    out = [value]
+    todo: List[Tuple[Any, Any]] = [(out, 0)]
+    while todo:
+        box, key = todo.pop()
+        v = box[key]
+        if type(v) in _NATIVE or type(v) is list and _NATIVE.issuperset(map(type, v)):
+            continue
+        if isinstance(v, Mapping):
+            v = {str(k): x for k, x in v.items()}
+            todo.extend((v, k) for k in v)
+        elif isinstance(v, (list, tuple, set, frozenset)):
+            v = sorted(v, key=str) if isinstance(v, (set, frozenset)) else list(v)
+            todo.extend((v, i) for i in range(len(v)))
+        elif isinstance(v, np.integer):
+            v = int(v)
+        elif not isinstance(v, (str, int, float, bool)):
+            v = str(v)
+        box[key] = v
+    return out[0]
 
 
 def _decision_to_report(rep: decide.DecisionReport, command: str) -> Report:

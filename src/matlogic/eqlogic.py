@@ -109,21 +109,20 @@ def subterm_at(eq: Equality, path: Path) -> Formula:
 
 def replace_at(eq: Equality, path: Path, new: Formula) -> Equality:
     side, pos = path
-
-    def go(t: Formula, rest: Tuple[int, ...]) -> Formula:
-        if not rest:
-            return new
-        if not isinstance(t, App) or rest[0] >= len(t.args):
+    if side not in ("l", "r"):
+        raise ValueError(f"bad side {side!r}")
+    t = eq.lhs if side == "l" else eq.rhs
+    spine = []  # each App on the path, with the argument the path takes
+    for i in pos:
+        if not isinstance(t, App) or i >= len(t.args):
             raise ValueError(f"path {path} does not address a subterm")
+        spine.append((t, i))
+        t = t.args[i]
+    for t, i in reversed(spine):
         args = list(t.args)
-        args[rest[0]] = go(args[rest[0]], rest[1:])
-        return app(t.connective, tuple(args))
-
-    if side == "l":
-        return Equality(go(eq.lhs, pos), eq.rhs)
-    if side == "r":
-        return Equality(eq.lhs, go(eq.rhs, pos))
-    raise ValueError(f"bad side {side!r}")
+        args[i] = new
+        new = app(t.connective, tuple(args))
+    return Equality(new, eq.rhs) if side == "l" else Equality(eq.lhs, new)
 
 
 def _paths_disjoint(paths: Sequence[Path]) -> bool:

@@ -13,8 +13,9 @@ against the rule schemata with no reference to the search code paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
+import itertools
+from dataclasses import dataclass, field
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .lang import (
     AND,
@@ -29,6 +30,7 @@ from .lang import (
     app,
     conj,
     disj,
+    format_formula,
     imp,
     neg,
     var,
@@ -73,6 +75,13 @@ def expand_iff(f: Formula) -> Formula:
 class Sequent:
     antecedent: FrozenSet[Formula]
     succedent: Optional[Formula]
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.antecedent, self.succedent)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         left = ", ".join(str(f) for f in _ordered(self.antecedent))
@@ -81,7 +90,8 @@ class Sequent:
 
 
 def _ordered(s: Iterable[Formula]) -> List[Formula]:
-    return sorted(s, key=lambda f: (f.depth, str(f)))
+    """By depth, then by printed text."""
+    return sorted(s, key=lambda f: (f._depth, f._text or format_formula(f)))
 
 
 @dataclass(frozen=True)
@@ -108,9 +118,21 @@ class _Prover:
         self.caps = caps
         self.success: Dict[Sequent, ProofTree] = {}
         self.failure: Dict[Sequent, bool] = {}
+        # each antecedent's ∧/∨ formulas and its →/¬ formulas, ordered
+        self.orders: Dict[FrozenSet[Formula], Tuple[List[App], List[App]]] = {}
 
     def _note(self) -> None:
         self.caps.check_memo(len(self.success) + len(self.failure))
+
+    def _order(self, ant: FrozenSet[Formula]) -> Tuple[List[App], List[App]]:
+        order = self.orders.get(ant)
+        if order is None:
+            ranked = [f for f in _ordered(ant) if isinstance(f, App)]
+            order = self.orders[ant] = (
+                [f for f in ranked if f.connective in (AND, OR)],
+                [f for f in ranked if f.connective in (IMP, NOT)],
+            )
+        return order
 
     def prove(self, seq: Sequent, path: FrozenSet[Sequent]) -> Tuple[Optional[ProofTree], bool]:
         """Returns (proof or None, clean).  A failure is clean when it did
@@ -128,11 +150,12 @@ class _Prover:
             return self._won(seq, ProofTree("axiom", seq, (), suc))
 
         path = path | {seq}
+        splits, choices = self._order(ant)
 
         # invertible steps, one at a time
-        for f in _ordered(ant):
-            if _is(f, AND):
-                a, b = f.args  # type: ignore[union-attr]
+        for f in splits:
+            a, b = f.args
+            if f.connective == AND:
                 for piece in (a, b):
                     if piece not in ant:
                         premise = Sequent(ant | {piece}, suc)
@@ -140,30 +163,29 @@ class _Prover:
                         if sub is None:
                             return self._lost(seq, clean)
                         return self._won(seq, ProofTree("∧-2", seq, (sub,), f))
-            elif _is(f, OR):
-                a, b = f.args  # type: ignore[union-attr]
-                if a not in ant and b not in ant:
-                    left, cl = self.prove(Sequent(ant | {a}, suc), path)
-                    if left is None:
-                        return self._lost(seq, cl)
-                    right, cr = self.prove(Sequent(ant | {b}, suc), path)
-                    if right is None:
-                        return self._lost(seq, cr)
-                    return self._won(seq, ProofTree("∨-2", seq, (left, right), f))
+            elif a not in ant and b not in ant:
+                left, cl = self.prove(Sequent(ant | {a}, suc), path)
+                if left is None:
+                    return self._lost(seq, cl)
+                right, cr = self.prove(Sequent(ant | {b}, suc), path)
+                if right is None:
+                    return self._lost(seq, cr)
+                return self._won(seq, ProofTree("∨-2", seq, (left, right), f))
 
-        if suc is not None and _is(suc, IMP):
+        head = suc.connective if isinstance(suc, App) else None
+        if head == IMP:
             a, b = suc.args  # type: ignore[union-attr]
             sub, clean = self.prove(Sequent(ant | {a}, b), path)
             if sub is None:
                 return self._lost(seq, clean)
             return self._won(seq, ProofTree("→-1", seq, (sub,), suc))
-        if suc is not None and _is(suc, NOT):
+        if head == NOT:
             (a,) = suc.args  # type: ignore[union-attr]
             sub, clean = self.prove(Sequent(ant | {a}, None), path)
             if sub is None:
                 return self._lost(seq, clean)
             return self._won(seq, ProofTree("¬-1", seq, (sub,), suc))
-        if suc is not None and _is(suc, AND):
+        if head == AND:
             a, b = suc.args  # type: ignore[union-attr]
             left, cl = self.prove(Sequent(ant, a), path)
             if left is None:
@@ -175,15 +197,15 @@ class _Prover:
 
         # choice points
         all_clean = True
-        if suc is not None and _is(suc, OR):
+        if head == OR:
             for piece in suc.args:  # type: ignore[union-attr]
                 sub, clean = self.prove(Sequent(ant, piece), path)
                 if sub is not None:
                     return self._won(seq, ProofTree("∨-1", seq, (sub,), suc))
                 all_clean &= clean
-        for f in _ordered(ant):
-            if _is(f, IMP):
-                a, b = f.args  # type: ignore[union-attr]
+        for f in choices:
+            if f.connective == IMP:
+                a, b = f.args
                 if b in ant:
                     continue  # second premise would repeat the conclusion
                 first, c1 = self.prove(Sequent(ant, a), path)
@@ -195,14 +217,13 @@ class _Prover:
                     all_clean &= c2
                     continue
                 return self._won(seq, ProofTree("→-2", seq, (first, second), f))
-            elif _is(f, NOT):
-                (a,) = f.args  # type: ignore[union-attr]
-                if suc == a:
-                    continue  # premise would repeat the conclusion
-                sub, clean = self.prove(Sequent(ant, a), path)
-                if sub is not None:
-                    return self._won(seq, ProofTree("¬-2", seq, (sub,), f))
-                all_clean &= clean
+            (a,) = f.args
+            if suc == a:
+                continue  # premise would repeat the conclusion
+            sub, clean = self.prove(Sequent(ant, a), path)
+            if sub is not None:
+                return self._won(seq, ProofTree("¬-2", seq, (sub,), f))
+            all_clean &= clean
         return self._lost(seq, all_clean)
 
     def _won(self, seq: Sequent, tree: ProofTree) -> Tuple[ProofTree, bool]:
@@ -337,6 +358,15 @@ def int_relation(f: Formula, g: Formula, caps: ResourceCaps = DEFAULT_CAPS) -> D
 # the one-variable ladder
 
 
+def _ladder(p: Formula) -> Iterator[Formula]:
+    """The ladder formulas in p, from index 0 up, each built from earlier ones."""
+    ladder = [conj(p, neg(p)), neg(p), p]
+    yield from ladder
+    for k in itertools.count(3):  # 2n+3 = (2n+1 -> 2n), 2n+4 = (2n+1 | 2n+2)
+        ladder.append(imp(ladder[k - 2], ladder[k - 3]) if k % 2 else disj(ladder[k - 3], ladder[k - 2]))
+        yield ladder[k]
+
+
 def rn_power(index: Union[int, str], variable: int = 1) -> Formula:
     """The one-variable ladder formulas: 0 is p&~p, 1 is ~p, 2 is p,
     then 2n+3 = (2n+1 -> 2n) and 2n+4 = (2n+1 | 2n+2); 'omega' is p->p."""
@@ -345,21 +375,7 @@ def rn_power(index: Union[int, str], variable: int = 1) -> Formula:
         return imp(p, p)
     if not isinstance(index, int) or index < 0:
         raise ValueError(f"bad ladder index {index!r}")
-    memo: Dict[int, Formula] = {0: conj(p, neg(p)), 1: neg(p), 2: p}
-
-    def get(k: int) -> Formula:
-        if k in memo:
-            return memo[k]
-        if k % 2 == 1:  # k = 2n+3
-            n = (k - 3) // 2
-            out = imp(get(2 * n + 1), get(2 * n))
-        else:  # k = 2n+4
-            n = (k - 4) // 2
-            out = disj(get(2 * n + 1), get(2 * n + 2))
-        memo[k] = out
-        return out
-
-    return get(index)
+    return next(itertools.islice(_ladder(p), index, None))
 
 
 def rn_classify(
@@ -377,8 +393,8 @@ def rn_classify(
         f = Substitution.of({vs[0]: var(1)}).apply(f)
     if provable(f, caps):
         return "omega"
-    for k in range(0, max_index + 1):
-        if int_sim(f, rn_power(k), caps):
+    for k, g in zip(range(max_index + 1), _ladder(var(1))):
+        if int_sim(f, g, caps):
             return k
     return None
 

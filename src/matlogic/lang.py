@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 NOT, AND, OR, IMP, IFF = "¬", "∧", "∨", "→", "↔"
@@ -46,27 +47,29 @@ class Signature:
     operations: Tuple[Tuple[str, int], ...]
 
     def __post_init__(self) -> None:
-        seen = set()
+        arities: Dict[str, int] = {}
         for name, arity in self.operations:
             _check_symbol_name(name)
             if arity < 0:
                 raise ValueError(f"negative arity for {name!r}")
-            if name in seen:
+            if name in arities:
                 raise ValueError(f"duplicate symbol {name!r}")
-            seen.add(name)
+            arities[name] = arity
+        object.__setattr__(self, "_arities", arities)
 
     @staticmethod
     def of(mapping: Mapping[str, int]) -> "Signature":
         return Signature(tuple(sorted(mapping.items())))
 
     def arity(self, name: str) -> int:
-        for op, ar in self.operations:
-            if op == name:
-                return ar
-        raise KeyError(name)
+        return self._arities[name]
 
     def __contains__(self, name: str) -> bool:
-        return any(op == name for op, _ in self.operations)
+        return name in self._arities
+
+    @cached_property
+    def _syntax(self) -> Tuple[Dict[str, object], Dict[str, object]]:
+        return _syntax_tables(self)
 
     @property
     def constants(self) -> Tuple[str, ...]:
@@ -309,7 +312,6 @@ _OPERATORS = {
     IMP: ("->", 2, 2, True),
     IFF: ("<->", 2, 1, True),
 }
-_CONNECTIVE_OF = {entry[0]: name for name, entry in _OPERATORS.items()}
 
 
 def _wrapped(f: Formula, strength: int) -> str:
@@ -351,22 +353,17 @@ def format_formula(f: Formula) -> str:
 # ---------------------------------------------------------------------------
 # parsing
 
-_TOKEN_RE = re.compile(r"<->|->|[()~&|,]|[^()~&|,<>\-=\s]+")
+# a token, or a character that starts none (an error); whitespace is skipped
+_TOKEN_RE = re.compile(r"(<->|->|[()~&|,]|[^()~&|,<>\-=\s]+)|(\S)")
 
 
 def _tokenize(text: str) -> List[Tuple[str, int]]:
     tokens: List[Tuple[str, int]] = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        tokens.append((m.group(0), pos))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        tok = m[1]
+        if tok is None:
+            raise ParseError(f"unexpected character {m[2]!r}", m.start())
+        tokens.append((tok, m.start()))
     return tokens
 
 
@@ -376,22 +373,38 @@ def _tokenize(text: str) -> List[Tuple[str, int]]:
 _Frame = Tuple[int, Optional[str], int, int]
 
 
+def _syntax_tables(signature: Signature) -> Tuple[Dict[str, object], Dict[str, object]]:
+    """What a token means where an operand starts (prefix) and after one
+    (infix): a constant; (strength, connective, whether '(' follows) for a
+    frame; (strength, connective, strength to reduce to) for a binary
+    operator; or the message of the error it is there."""
+    prefix: Dict[str, object] = {"(": (0, None, False)}
+    prefix.update((tok, f"unexpected token {tok!r}") for tok in (")", ","))
+    for name, arity in signature.operations:
+        prefix[name] = const(name) if arity == 0 else (0, name, True)
+    infix: Dict[str, object] = {}
+    for name, (symbol, count, strength, right) in _OPERATORS.items():
+        if name not in signature:
+            entry: object = f"operator {symbol!r} has no connective {name!r} in signature"
+        elif count == 1:
+            entry = (strength, name, False)
+        else:
+            entry = (strength, name, strength if right else strength - 1)
+        (prefix if count == 1 else infix)[symbol] = entry
+    return prefix, infix
+
+
+@lru_cache(maxsize=1024)
+def _variable(tok: str) -> Optional[Var]:
+    m = _VAR_RE.match(tok)
+    return var(int(m.group(1))) if m else None
+
+
 def _reduce(frames: List[_Frame], operands: List[Formula], strength: int) -> None:
     """Apply the pending operators that bind more strongly than strength."""
     while frames and frames[-1][0] > strength:
         _, name, base, _ = frames.pop()
         operands[base:] = [app(name, operands[base:])]
-
-
-def _operator(tok: Optional[str], count: int, signature: Signature, pos: int) -> Optional[str]:
-    """The connective of an operator token with that argument count, if tok
-    is one; the signature must have it."""
-    name = _CONNECTIVE_OF.get(tok)
-    if name is None or _OPERATORS[name][1] != count:
-        return None
-    if name not in signature:
-        raise ParseError(f"operator {tok!r} has no connective {name!r} in signature", pos)
-    return name
 
 
 def _parse(
@@ -401,6 +414,7 @@ def _parse(
     after it.  Operator precedence over two explicit stacks, one of operands
     and one of frames, so nesting depth is unbounded; length is the text's,
     the position of its end."""
+    prefix, infix = signature._syntax
     operands: List[Formula] = []
     frames: List[_Frame] = []
     i, n = 0, len(tokens)
@@ -411,35 +425,28 @@ def _parse(
                 raise ParseError("unexpected end of input", length)
             tok, pos = tokens[i]
             i += 1
-            name = _operator(tok, 1, signature, pos)
-            if name is not None:
-                frames.append((_OPERATORS[name][2], name, len(operands), pos))
+            entry = prefix.get(tok) or _variable(tok) or f"unknown symbol {tok!r}"
+            if type(entry) is tuple:
+                strength, name, call = entry
+                if call:
+                    if i == n or tokens[i][0] != "(":
+                        raise ParseError("expected '('", tokens[i][1] if i < n else length)
+                    i += 1
+                frames.append((strength, name, len(operands), pos))
                 continue
-            if tok == "(":
-                frames.append((0, None, len(operands), pos))
-                continue
-            if tok in (")", ","):
-                raise ParseError(f"unexpected token {tok!r}", pos)
-            m = _VAR_RE.match(tok)
-            if m:
-                operands.append(var(int(m.group(1))))
-                break
-            if tok not in signature:
-                raise ParseError(f"unknown symbol {tok!r}", pos)
-            if signature.arity(tok) == 0:
-                operands.append(const(tok))
-                break
-            if i == n or tokens[i][0] != "(":
-                raise ParseError("expected '('", tokens[i][1] if i < n else length)
-            i += 1
-            frames.append((0, tok, len(operands), pos))
+            if type(entry) is str:
+                raise ParseError(entry, pos)
+            operands.append(entry)
+            break
         # after an operand: a binary operator, or the end of a bracket's part
         while True:
             tok, pos = tokens[i] if i < n else (None, length)
-            name = _operator(tok, 2, signature, pos)
-            if name is not None:
-                _, _, strength, right = _OPERATORS[name]
-                _reduce(frames, operands, strength if right else strength - 1)
+            entry = infix.get(tok)
+            if entry is not None:
+                if type(entry) is str:
+                    raise ParseError(entry, pos)
+                strength, name, bound = entry
+                _reduce(frames, operands, bound)
                 frames.append((strength, name, len(operands) - 1, pos))
                 i += 1
                 break

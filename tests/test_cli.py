@@ -3,10 +3,11 @@ import json
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
-from matlogic import combine_matrices, make_preset
-from matlogic.cli import REPORT_SCHEMA, load_spec, run_command, WorkspaceError
+from matlogic import combine_matrices, make_preset, parse_formula
+from matlogic.cli import REPORT_SCHEMA, _jsonable, load_spec, run_command, WorkspaceError
 
 from conftest import EX_NONTR_DOC, EX_TR_DOC, write_workspace
 
@@ -223,6 +224,25 @@ class TestJsonReports:
         argv = ["reps", "--file", ws, "--matrix", "M", "--n", "1", "--json"]
         assert run_command(argv) == run_command(argv)
 
+
+    def test_stats_become_json_data_at_any_depth(self):
+        stats = {
+            1: (np.int64(3), frozenset({"b", "a"}), None, 0.5, True),
+            "f": [parse_formula("p1 -> p1"), ["x", 2]],
+            "odd": Path("z"),
+        }
+        assert _jsonable(stats) == {
+            "1": [3, ["a", "b"], None, 0.5, True],
+            "f": ["p1 -> p1", ["x", 2]],
+            "odd": "z",
+        }
+        deep = [parse_formula("p1")]
+        for _ in range(5000):
+            deep = (deep,)
+        out = _jsonable({"deep": deep})["deep"]
+        for _ in range(5000):
+            (out,) = out
+        assert out == ["p1"]
 
 class TestOperands:
     @pytest.mark.parametrize(

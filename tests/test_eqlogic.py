@@ -197,6 +197,28 @@ class TestDerivationChecking:
         assert not res.ok and "overlap" in res.reason
 
 
+    def test_replacement_deep_in_a_term(self):
+        # p1 under 3,000 alternating disjunctions and negations
+        def tower(f):
+            for i in range(3000):
+                f = neg(f) if i % 2 else disj(f, var(3))
+            return f
+
+        down = ("l", (0,) * 3000)
+        base = Equality(tower(var(1)), tower(var(1)))
+        steps = (
+            Step(eq("p1 ~ p2"), "premise"),
+            Step(base, "axiom"),
+            Step(Equality(tower(var(2)), tower(var(1))), "replace", (1,), occurrences=((down, 0),)),
+        )
+        assert check_e_derivation(EDerivation("E3", steps), [eq("p1 ~ p2")]).ok
+        beyond = (("l", (0,) * 3001), 0)
+        res = check_e_derivation(
+            EDerivation("E3", steps[:2] + (Step(base, "replace", (1,), occurrences=(beyond,)),)),
+            [eq("p1 ~ p2")],
+        )
+        assert not res.ok and "does not address" in res.reason
+
 class TestGroundDecider:
     def test_transitive_chain(self):
         premises = [eq("p1 ~ p2"), eq("p2 ~ p3")]

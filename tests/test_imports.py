@@ -1,7 +1,7 @@
 """Every module-level import in the package is used by its module, every
 private or nested definition is referenced within the package, every
 public module-level name is exported by the package or referenced in it,
-and no function of the formula language calls itself, directly or not."""
+and no function calls itself, directly or not, except the few listed."""
 
 import ast
 from collections import Counter, defaultdict
@@ -266,9 +266,17 @@ def test_detects_call_cycles():
     assert call_cycles(source) == ["P.a", "P.b", "fmt.go"]
 
 
-def test_formula_language_has_no_call_cycles():
-    assert call_cycles((SRC / "lang.py").read_text(encoding="utf-8")) == []
+# the functions allowed to call themselves, by module
+ALLOWED_CYCLES = {
+    # one call per table dimension, so as deep as the connective's arity
+    "cli.py": ["_parse_table.go"],
+    # calls the module's variables(), not itself: the graph is built by name
+    "eqlogic.py": ["Equality.variables"],
+    # proof search, as deep as the longest branch
+    "intprover.py": ["_Prover.prove"],
+}
 
 
-def test_algebra_has_no_call_cycles():
-    assert call_cycles((SRC / "algebra.py").read_text(encoding="utf-8")) == []
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_call_cycles(path):
+    assert call_cycles(path.read_text(encoding="utf-8")) == ALLOWED_CYCLES.get(path.name, [])

@@ -141,6 +141,14 @@ class TestLadder:
         assert rn_power(5) == imp(rn_power(3), rn_power(2))
         assert rn_power(6) == disj(rn_power(3), rn_power(4))
 
+    def test_deep_power_without_recursion(self):
+        # the ladder's depth grows by one every two indices; not printed,
+        # since the text grows exponentially
+        f = rn_power(5000)
+        assert f.depth == 2501
+        assert f == disj(rn_power(4997), rn_power(4998))
+        assert rn_power(4999) == imp(rn_power(4997), rn_power(4996))
+
     @pytest.mark.parametrize("i", range(9))
     def test_powers_unprovable(self, i):
         assert not provable(rn_power(i))
