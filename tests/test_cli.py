@@ -224,7 +224,6 @@ class TestJsonReports:
         argv = ["reps", "--file", ws, "--matrix", "M", "--n", "1", "--json"]
         assert run_command(argv) == run_command(argv)
 
-
     def test_stats_become_json_data_at_any_depth(self):
         stats = {
             1: (np.int64(3), frozenset({"b", "a"}), None, 0.5, True),
@@ -243,6 +242,7 @@ class TestJsonReports:
         for _ in range(5000):
             (out,) = out
         assert out == ["p1"]
+
 
 class TestOperands:
     @pytest.mark.parametrize(
