@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -257,6 +258,8 @@ _LOOKUP_ENTRIES = 1 << 12
 # most possible keys for which seen keys are kept as one flag per key (clone
 # of L3 at n = 2, 3**9 keys: 0.23-0.41 s against 4.8-5.3 s in sorted runs)
 _DENSE_KEYS = 1 << 22
+# the binary clone of L3 is 34,992 cells, a small workspace's clones under 100
+_MEMO_CELLS = 1 << 18
 
 
 class _Codes:
@@ -612,6 +615,35 @@ def _operations_on(alg: FiniteAlgebra, tables: np.ndarray) -> Dict[str, np.ndarr
         blocks = [rows(layout.keys(_grid_words(op, layout, codes, g))) for g in grids]
         out[name] = np.concatenate(blocks).reshape((count,) * arity)
     return out
+
+
+class _CloneMemo:
+    """Finished clones by key, each with its cell count, least recently used first."""
+
+    def __init__(self) -> None:
+        self.clear()
+
+    def clear(self) -> None:
+        self.clones: "OrderedDict[tuple, Tuple[Tuple[TermFunction, ...], int]]" = OrderedDict()
+        self.cells = 0
+
+    def get(self, key: tuple) -> Optional[Tuple[TermFunction, ...]]:
+        entry = self.clones.get(key)
+        if entry is None:
+            return None
+        self.clones.move_to_end(key)
+        return entry[0]
+
+    def put(self, key: tuple, clone: Tuple[TermFunction, ...], cells: int) -> None:
+        if cells > _MEMO_CELLS:
+            return
+        self.clones[key] = clone, cells
+        self.cells += cells
+        while self.cells > _MEMO_CELLS:
+            self.cells -= self.clones.popitem(last=False)[1][1]
+
+
+_CLONES = _CloneMemo()
 
 
 def clone_discovery_order(

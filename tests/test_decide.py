@@ -112,9 +112,8 @@ class TestBothDirections:
         ],
     )
     def test_a_clone_is_built_once_per_algebra(self, argv, exit_code, builds):
-        with mock.patch(
-            "matlogic.decide.clone_discovery_order", wraps=algebra.clone_discovery_order
-        ) as build:
+        algebra._CLONES.clear()
+        with mock.patch.object(algebra, "_closure_rounds", wraps=algebra._closure_rounds) as build:
             code, _ = run_command(argv)
         assert (code, build.call_count) == (exit_code, builds)
 
