@@ -250,6 +250,13 @@ class TermFunction:
 # arity share joint codes between the connectives of that arity and check
 # all candidates at once, as Python overhead dominates there.  Grids hold
 # at most _CELLS key words, lookups _LOOKUP_ENTRIES unless the table has more.
+#
+# Finished clones are kept between calls (_CLONES), keyed by signature, k, n
+# and the tables' bytes (tables of at most _LOOKUP_ENTRIES entries), not
+# element names.  An entry counts one cell, k**n a function and one per table
+# entry, so empty clones count too; past _MEMO_CELLS cells the least recently
+# used go, and a larger entry is not kept.  A hit checks the tuple cap, then
+# the clone cap on its length, as a build does, whose count only grows.
 
 # clone of G3 at n = 2: 3.0-3.7 ms at 2**10 to 2**14, 7.6 ms at 2**15 (2 vCPU Xeon)
 _SMALL_ROUND = 1 << 12
@@ -258,8 +265,7 @@ _LOOKUP_ENTRIES = 1 << 12
 # most possible keys for which seen keys are kept as one flag per key (clone
 # of L3 at n = 2, 3**9 keys: 0.23-0.41 s against 4.8-5.3 s in sorted runs)
 _DENSE_KEYS = 1 << 22
-# the binary clone of L3 is 34,992 cells, a small workspace's clones under 100
-_MEMO_CELLS = 1 << 18
+_MEMO_CELLS = 1 << 18  # the binary clone of L3 is 34,992 cells, a small workspace's under 100
 
 
 class _Codes:
@@ -617,30 +623,13 @@ def _operations_on(alg: FiniteAlgebra, tables: np.ndarray) -> Dict[str, np.ndarr
     return out
 
 
-class _CloneMemo:
-    """Finished clones by key, each with its cell count, least recently used first."""
-
-    def __init__(self) -> None:
-        self.clear()
+class _CloneMemo(OrderedDict):
+    """Kept clones by key as (clone, cells), least recently used first."""
+    cells = 0
 
     def clear(self) -> None:
-        self.clones: "OrderedDict[tuple, Tuple[Tuple[TermFunction, ...], int]]" = OrderedDict()
+        super().clear()
         self.cells = 0
-
-    def get(self, key: tuple) -> Optional[Tuple[TermFunction, ...]]:
-        entry = self.clones.get(key)
-        if entry is None:
-            return None
-        self.clones.move_to_end(key)
-        return entry[0]
-
-    def put(self, key: tuple, clone: Tuple[TermFunction, ...], cells: int) -> None:
-        if cells > _MEMO_CELLS:
-            return
-        self.clones[key] = clone, cells
-        self.cells += cells
-        while self.cells > _MEMO_CELLS:
-            self.cells -= self.clones.popitem(last=False)[1][1]
 
 
 _CLONES = _CloneMemo()
@@ -649,12 +638,25 @@ _CLONES = _CloneMemo()
 def clone_discovery_order(
     alg: FiniteAlgebra, n: int, caps: ResourceCaps = DEFAULT_CAPS
 ) -> List[TermFunction]:
-    """n-ary clone in witness discovery order (canonical enumeration order)."""
-    tables, witnesses = _closure_rounds(alg, n, caps)
-    return [
-        TermFunction(n, tuple(row), witness)
-        for row, witness in zip(tables.tolist(), witnesses)
-    ]
+    """n-ary clone in witness discovery order (canonical enumeration order),
+    a new list on every call; a kept clone is reused (see the section comment)."""
+    key = None  # alg.tables is in signature order
+    if all(t.size <= _LOOKUP_ENTRIES for t in alg.tables.values()):
+        key = (alg.signature, alg.size, n, b"".join(t.tobytes() for t in alg.tables.values()))
+        if key in _CLONES:
+            _CLONES.move_to_end(key)
+            caps.check_tuples(alg.size**n)
+            caps.check_clone(len(_CLONES[key][0]))
+            return list(_CLONES[key][0])
+    rows, witnesses = _closure_rounds(alg, n, caps)
+    clone = tuple(TermFunction(n, tuple(row), w) for row, w in zip(rows.tolist(), witnesses))
+    cells = 1 + len(clone) * alg.size**n + sum(t.size for t in alg.tables.values())
+    if key is not None and cells <= _MEMO_CELLS:
+        _CLONES[key] = clone, cells
+        _CLONES.cells += cells
+        while _CLONES.cells > _MEMO_CELLS:
+            _CLONES.cells -= _CLONES.popitem(last=False)[1][1]
+    return list(clone)
 
 
 def clone_functions(

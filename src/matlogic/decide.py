@@ -107,7 +107,6 @@ def _scan_setup(
     caps: ResourceCaps,
     requested: Optional[int],
     size_key: str,
-    clones: Optional[Dict[int, List[TermFunction]]] = None,
 ) -> Tuple[
     FiniteAlgebra,
     Tuple[frozenset, ...],
@@ -124,21 +123,16 @@ def _scan_setup(
     separating formula or sequent can always be rewritten over generator
     terms of the refuting side, so that many variables make the scan
     conclusive.  A smaller requested size still runs, as a spot check.
-    clones, shared by the two directions of one question, keeps the shared
-    algebra's clone by size; a product's clone is not kept.
     """
-    clones = {} if clones is None else clones
     if a1.algebra.same_tables(a2.algebra):
         common, fam1, fam2 = a1.algebra, a1.filters, a2.filters
     else:
-        common, clones = direct_product(a1.algebra, a2.algebra), {}
+        common = direct_product(a1.algebra, a2.algebra)
         k1, k2 = a1.algebra.size, a2.algebra.size
         fam1 = tuple(_cyl_left(d, k2) for d in a1.filters)
         fam2 = tuple(_cyl_right(d, k1, k2) for d in a2.filters)
     size, sound, seed = _resolve_scan_size(a2.algebra, requested)
-    if size not in clones:
-        clones[size] = clone_discovery_order(common, size, caps)
-    reps = clones[size]
+    reps = clone_discovery_order(common, size, caps)
     stats: Dict[str, object] = {
         size_key: size,
         "sound": sound,
@@ -154,12 +148,11 @@ def _both_directions(
     question: str, inclusion, x, y, caps: ResourceCaps, size: Optional[int]
 ) -> DecisionReport:
     """The inclusion forward, then backward: the first answer other than yes,
-    with its direction, else yes with the forward stats; one clone serves both."""
-    clones: Dict[int, List[TermFunction]] = {}
-    fwd = inclusion(x, y, caps, size, clones)
+    with its direction, else yes with the forward stats."""
+    fwd = inclusion(x, y, caps, size)
     rep, direction = fwd, "forward"
     if fwd.answer == "yes":
-        rep, direction = inclusion(y, x, caps, size, clones), "backward"
+        rep, direction = inclusion(y, x, caps, size), "backward"
     if rep.answer == "yes":
         return DecisionReport(question, "yes", None, {**fwd.stats})
     return DecisionReport(question, rep.answer, rep.witness, {"direction": direction, **rep.stats})
@@ -170,18 +163,17 @@ def theorem_inclusion(
     m2: Matrix,
     caps: ResourceCaps = DEFAULT_CAPS,
     n: Optional[int] = None,
-    clones: Optional[Dict[int, List[TermFunction]]] = None,
 ) -> DecisionReport:
     """Are all theorems of m1 theorems of m2?
 
     Both matrices are laid over one common algebra, and every representative
-    valid on the m1 side is checked on the m2 side (clones: see _scan_setup).
+    valid on the m1 side is checked on the m2 side.
     """
     question = "theorem-inclusion"
     if m1.algebra.signature != m2.algebra.signature:
         raise ValueError("matrices must share a signature")
     try:
-        setup = _scan_setup(m1.as_atlas(), m2.as_atlas(), caps, n, "n", clones)
+        setup = _scan_setup(m1.as_atlas(), m2.as_atlas(), caps, n, "n")
         _, (d1,), (d2,), reps, stats = setup
         for tf in reps:
             if all(v in d1 for v in tf.table) and not all(v in d2 for v in tf.table):
@@ -213,7 +205,6 @@ def atlas_inclusion(
     a2: Atlas,
     caps: ResourceCaps = DEFAULT_CAPS,
     m: Optional[int] = None,
-    clones: Optional[Dict[int, List[TermFunction]]] = None,
 ) -> DecisionReport:
     """Is every consequence of the first atlas a consequence of the second?
 
@@ -223,15 +214,15 @@ def atlas_inclusion(
     theory that contains it.  A representative of the closure outside the
     theory is a consequence of side 1 that side 2 refutes.  The first such
     one, in assignment-major then filter order, is reported with premises
-    greedily dropped while side 1 still entails it, and re-validated
-    (clones: see _scan_setup).  Side-2 theories are closed in order, a block
-    of _THEORY_BLOCK at a time, up to the first block holding a violation.
+    greedily dropped while side 1 still entails it, and re-validated.
+    Side-2 theories are closed in order, a block of _THEORY_BLOCK at a time,
+    up to the first block holding a violation.
     """
     question = "atlas-inclusion"
     if a1.algebra.signature != a2.algebra.signature:
         raise ValueError("atlases must share a signature")
     try:
-        common, fam1, fam2, reps, stats = _scan_setup(a1, a2, caps, m, "m", clones)
+        common, fam1, fam2, reps, stats = _scan_setup(a1, a2, caps, m, "m")
         if not reps:
             # no formulas over m variables, so no sequent can separate the atlases
             return DecisionReport(question, "yes", None, stats)
