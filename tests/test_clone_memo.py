@@ -100,8 +100,8 @@ def test_kept_cells_stay_within_the_bound():
                 continue
             keys.append(key)
             clone_discovery_order(alg, n)
-            kept = algebra._CLONES.values()
-            assert algebra._CLONES.cells == sum(cells for _, cells in kept) <= 4_000
+            entries = algebra._CLONES.values()
+            assert algebra._CLONES.cells == sum(cells for _, cells in entries) <= 4_000
         kept = [(key[1], key[2], key[3]) for key in algebra._CLONES]
         assert 0 < len(kept) < 300 and kept == keys[-len(kept):]
         for (_, k, n, tables), (clone, cells) in algebra._CLONES.items():
