@@ -638,8 +638,8 @@ _CLONES = _CloneMemo()
 def clone_discovery_order(
     alg: FiniteAlgebra, n: int, caps: ResourceCaps = DEFAULT_CAPS
 ) -> List[TermFunction]:
-    """n-ary clone in witness discovery order (canonical enumeration order),
-    a new list on every call; a kept clone is reused (see the section comment)."""
+    """n-ary clone in witness discovery order (canonical enumeration order), a new list
+    each call; kept by tables within _MEMO_CELLS, caps checked on a hit (see above)."""
     key = None  # alg.tables is in signature order
     if all(t.size <= _LOOKUP_ENTRIES for t in alg.tables.values()):
         key = (alg.signature, alg.size, n, b"".join(t.tobytes() for t in alg.tables.values()))
