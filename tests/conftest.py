@@ -900,3 +900,25 @@ class ProverSlow:
             self.failure[seq] = True
             self._note()
         return None, clean
+
+
+# ---------------------------------------------------------------------------
+# ladder-class oracle: classification by proof search, one provability test
+# and then one interprovability test per ladder index
+
+
+def rn_classify_slow(f, max_index=24, caps=DEFAULT_CAPS):
+    from matlogic.intprover import _ladder, int_sim, provable
+    from matlogic.lang import Substitution, variables
+
+    vs = variables(f)
+    if len(vs) > 1:
+        raise ValueError("classification needs a formula in at most one variable")
+    if vs and vs[0] != 1:
+        f = Substitution.of({vs[0]: var(1)}).apply(f)
+    if provable(f, caps):
+        return "omega"
+    for k, g in zip(range(max_index + 1), _ladder(var(1))):
+        if int_sim(f, g, caps):
+            return k
+    return None
