@@ -13,6 +13,7 @@ against the rule schemata with no reference to the search code paths.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -378,25 +379,154 @@ def rn_power(index: Union[int, str], variable: int = 1) -> Formula:
     return next(itertools.islice(_ladder(p), index, None))
 
 
+# The ladder frame: points 0, 1, 2, ..., each seeing itself and the points
+# its up-set lists, with the variable forced at point 0 only.  Point i sees
+# only points below it, so the first n points are an up-set and forcing on
+# them is forcing in the whole frame.  Sets of points are int bitmasks.
+
+
+def _ladder_ups(n: int) -> List[int]:
+    """up(0) = {0}, up(1) = {1}, up(2) = {0, 2}, and
+    up(i) = {i} ∪ up(i-2) ∪ up(i-3) from 3 on, for the first n points."""
+    ups: List[int] = []
+    for i in range(n):
+        ups.append((1, 2, 5)[i] if i < 3 else 1 << i | ups[i - 2] | ups[i - 3])
+    return ups
+
+
+def _box(bad: int, ups: Sequence[int]) -> int:
+    """The points that see no point of ``bad``."""
+    out = 0
+    for w, up in enumerate(ups):
+        if not up & bad:
+            out |= 1 << w
+    return out
+
+
+def _forced(f: Formula, ups: Sequence[int]) -> int:
+    """The points of the frame at which f, a formula over ~ & | -> in at
+    most one variable, is forced."""
+    position, order = _postorder([f])
+    sets: List[int] = []
+    for g in order:
+        if not isinstance(g, App):
+            sets.append(1)
+            continue
+        a = sets[position[g.args[0]]]
+        if g.connective == NOT:
+            sets.append(_box(a, ups))
+            continue
+        b = sets[position[g.args[1]]]
+        if g.connective == AND:
+            sets.append(a & b)
+        elif g.connective == OR:
+            sets.append(a | b)
+        else:
+            sets.append(_box(a & ~b, ups))
+    return sets[-1]
+
+
+def _ladder_sets(ups: Sequence[int]) -> List[int]:
+    """The sets of ladder formulas 0, 1, ..., m + 1 on the frame, where m is
+    the first even index at which m and m + 1 are both whole.  Every later
+    ladder formula is whole too, since then m + 2 = (m - 1 | m) and
+    m + 3 = (m + 1 -> m) are whole."""
+    whole = (1 << len(ups)) - 1
+    sets = [0, _box(1, ups), 1]
+    while not (len(sets) % 2 == 0 and sets[-1] == sets[-2] == whole):
+        k = len(sets)
+        sets.append(_box(sets[k - 2] & ~sets[k - 3], ups) if k % 2 else sets[k - 3] | sets[k - 2])
+    return sets
+
+
+@dataclass(frozen=True)
+class _LadderModel:
+    ups: Tuple[int, ...]
+    whole: int
+    classes: Dict[int, int]  # the set of ladder formula k -> k, for k <= max_index
+
+
+def _separates(n: int, max_index: int) -> Optional[_LadderModel]:
+    """The model on the first n points, if on them ladder formulas 0 to
+    max_index have pairwise distinct sets, none is whole, and none has the
+    set of a later ladder formula."""
+    ups = _ladder_ups(n)
+    sets = _ladder_sets(ups)
+    whole = (1 << n) - 1
+    first = sets[: max_index + 1]
+    if whole in first:
+        return None
+    classes = {s: k for k, s in enumerate(first)}
+    if len(classes) < len(first) or not classes.keys().isdisjoint(sets[max_index + 1 :]):
+        return None
+    return _LadderModel(tuple(ups), whole, classes)
+
+
+@functools.lru_cache(maxsize=16)
+def _ladder_model(max_index: int) -> _LadderModel:
+    """The least prefix of the ladder frame that separates ladder formulas 0
+    to max_index.  Every prefix longer than one that separates them does
+    too: on the shorter prefix each set is the longer one's cut short, and
+    past its m every ladder formula is whole.  So the least one is found by
+    doubling and then bisecting."""
+    high = 1
+    model = _separates(high, max_index)
+    while model is None:
+        high *= 2
+        model = _separates(high, max_index)
+    low = high // 2  # does not separate, or is 0
+    while high - low > 1:
+        mid = (low + high) // 2
+        found = _separates(mid, max_index)
+        if found is None:
+            low = mid
+        else:
+            high, model = mid, found
+    return model
+
+
 def rn_classify(
     f: Formula, max_index: int = 24, caps: ResourceCaps = DEFAULT_CAPS
 ) -> Optional[Union[int, str]]:
     """Ladder class of a one-variable formula: the unique index whose ladder
-    formula is interprovable with it ('omega' for theses), or None if no
-    match is found within the index bound."""
+    formula is interprovable with it ('omega' for theses), or None if that
+    index is above ``max_index``.
+
+    The class is read off one evaluation of f on a finite prefix of the
+    Rieger–Nishimura ladder frame, the one-variable universal Kripke model
+    (Rieger 1949; Nishimura, "On formulas of one variable in intuitionistic
+    propositional calculus", JSL 25, 1960).  Three facts make the answer
+    exact:
+
+    - Kripke soundness: interprovable formulas are forced at the same
+      points, and a thesis is forced at every point (is whole).
+    - Rieger–Nishimura: f is interprovable with exactly one of p -> p and
+      the ladder formulas, and the ladder formulas are pairwise not
+      interprovable.
+    - Separation, checked when the prefix is built: on it, ladder formulas
+      0 to max_index have pairwise distinct sets, none is whole, and none
+      has the set of a later ladder formula.
+
+    So if f's set is ladder formula k's, f is neither a thesis nor any other
+    ladder formula, and its class is k.  If the set is not whole and is no
+    ladder formula's up to max_index, f is neither a thesis nor in a class
+    up to max_index: None.  If it is whole, f is a thesis or in a class
+    above max_index, and only then does proof search decide between
+    'omega' and None.
+    """
     vs = variables(f)
     if len(vs) > 1:
         raise ValueError("classification needs a formula in at most one variable")
+    _check_language(f)
+    model = _ladder_model(max_index)
+    forced = _forced(f, model.ups)
+    if forced != model.whole:
+        return model.classes.get(forced)
     if vs and vs[0] != 1:
         from .lang import Substitution
 
         f = Substitution.of({vs[0]: var(1)}).apply(f)
-    if provable(f, caps):
-        return "omega"
-    for k, g in zip(range(max_index + 1), _ladder(var(1))):
-        if int_sim(f, g, caps):
-            return k
-    return None
+    return "omega" if provable(f, caps) else None
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from matlogic import (
     combine_matrices,
     conj,
     consequence,
+    const,
     decide_ground_equational,
     disj,
     enumerate_formulas,
@@ -359,6 +360,13 @@ def test_criterion_7_intuitionistic_ladder():
         assert rn_classify(neg(neg(neg(p)))) == 1
         assert rn_classify(neg(neg(p))) == 3
         assert rn_classify(disj(p, neg(p))) == 4
+        for k in range(13, 25):
+            assert rn_classify(rn_power(k)) == k, k
+        for k in range(25, 28):
+            assert rn_classify(rn_power(k)) is None, k
+        for f in (app("□", (p,)), conj(p, const("⊤"))):
+            with pytest.raises(ValueError, match="not supported by the prover"):
+                rn_classify(f)
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,15 @@ def test_ladder_formulas(variable):
         assert rn_classify(f) == want, k
 
 
+def test_ladder_formulas_above_the_bound():
+    # on the 4-point frame for bound 5, ladder formulas from 8 on are whole,
+    # so these answers come from proof search, the others from the frame
+    for k in range(6, 15):
+        want = oracle(rn_power(k), 5)
+        assert want is None
+        assert rn_classify(rn_power(k, 2), 5) == want, k
+
+
 @pytest.mark.parametrize("max_index", [24, 5])
 def test_random_formulas(max_index):
     for f in random_formulas(20261019, 500):

@@ -67,6 +67,8 @@ class TestExitCodes:
             ),
             # proof search still recurses once per nesting level
             (["int", "prove", "~" * 3000 + "p1"], 2, "error: formula nested too deeply"),
+            (["int", "classify", "~" * 3000 + "p1"], 0, "ladder class of " + "~" * 3000 + "p1: 3"),
+            (["int", "classify", "~" * 3001 + "p1"], 0, "ladder class of " + "~" * 3001 + "p1: 1"),
             (
                 ["eq", "ground", "~" * 3000 + "p1"],
                 2,
@@ -74,7 +76,15 @@ class TestExitCodes:
             ),
             (["eq", "conseq", "--preset", "B2", "~" * 3000 + "p1 ~ p1"], 0, "eq conseq (E): yes"),
         ],
-        ids=["valid-neg", "valid-parens", "int-prove", "eq-ground", "eq-conseq"],
+        ids=[
+            "valid-neg",
+            "valid-parens",
+            "int-prove",
+            "int-classify-even",
+            "int-classify-odd",
+            "eq-ground",
+            "eq-conseq",
+        ],
     )
     def test_deep_nesting_keeps_the_exit_code_contract(self, argv, exit_code, last_line):
         code, text = run_command(argv)

@@ -22,6 +22,8 @@ from matlogic import (
     rn_power,
     var,
 )
+from matlogic import intprover
+from matlogic.intprover import _forced, _ladder_model, _ladder_ups
 
 
 def fml(text):
@@ -165,6 +167,72 @@ class TestLadder:
 
     def test_classify_renames_variable(self):
         assert rn_classify(neg(neg(var(4)))) == 3
+
+
+class TestLadderFrame:
+    """The finite ladder frame that ``rn_classify`` evaluates on."""
+
+    @staticmethod
+    def points(mask):
+        return {w for w in range(mask.bit_length()) if mask >> w & 1}
+
+    def test_up_sets_follow_the_recurrence(self):
+        ups = [self.points(m) for m in _ladder_ups(40)]
+        assert ups[:3] == [{0}, {1}, {0, 2}]
+        for i in range(3, 40):
+            assert ups[i] == {i} | ups[i - 2] | ups[i - 3]
+
+    def test_frame_is_a_partial_order_and_every_prefix_an_up_set(self):
+        ups = [self.points(m) for m in _ladder_ups(40)]
+        for i, up in enumerate(ups):
+            assert i in up and max(up) == i  # reflexive, sees only points below
+            for j in up:
+                assert ups[j] <= up  # transitive
+                assert j == i or i not in ups[j]  # antisymmetric
+
+    def test_separation_and_least_size(self):
+        formulas = [rn_power(k) for k in range(61)]
+        sets = {}
+
+        def ladder(n):
+            if n not in sets:
+                ups = _ladder_ups(n)
+                sets[n] = [_forced(f, ups) for f in formulas]
+            return sets[n]
+
+        def separates(n, max_index):
+            got, whole = ladder(n), (1 << n) - 1
+            m = next(m for m in range(0, 60, 2) if got[m] == got[m + 1] == whole)
+            assert all(s == whole for s in got[m:])
+            first = got[: max_index + 1]
+            return (
+                whole not in first
+                and len(set(first)) == len(first)
+                and not set(first) & set(got[max_index + 1 : m + 2])
+            )
+
+        for max_index in range(41):
+            model = _ladder_model(max_index)
+            n = len(model.ups)
+            assert model.ups == tuple(_ladder_ups(n)) and model.whole == (1 << n) - 1
+            assert separates(n, max_index) and not separates(n - 1, max_index), max_index
+            assert model.classes == {s: k for k, s in enumerate(ladder(n)[: max_index + 1])}
+        assert len(_ladder_model(24).ups) == 14
+
+    def test_ladder_up_to_27_makes_no_proof_search(self, monkeypatch):
+        built = []
+
+        class Counted(intprover._Prover):
+            def __init__(self, caps):
+                built.append(caps)
+                super().__init__(caps)
+
+        monkeypatch.setattr(intprover, "_Prover", Counted)
+        for k in range(28):
+            assert rn_classify(rn_power(k)) == (k if k <= 24 else None)
+        assert built == []
+        assert rn_classify(imp(var(2), var(2))) == "omega"  # whole: the prover decides
+        assert len(built) == 1
 
 
 class TestGlivenko:
