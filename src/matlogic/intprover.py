@@ -465,23 +465,10 @@ def _separates(n: int, max_index: int) -> Optional[_LadderModel]:
 @functools.lru_cache(maxsize=16)
 def _ladder_model(max_index: int) -> _LadderModel:
     """The least prefix of the ladder frame that separates ladder formulas 0
-    to max_index.  Every prefix longer than one that separates them does
-    too: on the shorter prefix each set is the longer one's cut short, and
-    past its m every ladder formula is whole.  So the least one is found by
-    doubling and then bisecting."""
-    high = 1
-    model = _separates(high, max_index)
-    while model is None:
-        high *= 2
-        model = _separates(high, max_index)
-    low = high // 2  # does not separate, or is 0
-    while high - low > 1:
-        mid = (low + high) // 2
-        found = _separates(mid, max_index)
-        if found is None:
-            low = mid
-        else:
-            high, model = mid, found
+    to max_index (14 points at 24)."""
+    n = 1
+    while (model := _separates(n, max_index)) is None:
+        n += 1
     return model
 
 

@@ -24,6 +24,7 @@ from matlogic import (
 )
 from matlogic import intprover
 from matlogic.intprover import _forced, _ladder_model, _ladder_ups
+from matlogic.limits import CapExceeded, ResourceCaps
 
 
 def fml(text):
@@ -233,6 +234,13 @@ class TestLadderFrame:
         assert built == []
         assert rn_classify(imp(var(2), var(2))) == "omega"  # whole: the prover decides
         assert len(built) == 1
+
+    def test_memo_limit_is_reached_only_on_a_whole_set(self):
+        # the proof-search loop ran out of memo here; the frame needs none
+        caps = ResourceCaps(memo_limit=10)
+        assert rn_classify(rn_power(9), caps=caps) == 9
+        with pytest.raises(CapExceeded):
+            rn_classify(rn_power("omega"), caps=ResourceCaps(memo_limit=0))
 
 
 class TestGlivenko:
