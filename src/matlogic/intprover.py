@@ -453,11 +453,12 @@ def _separates(n: int, max_index: int) -> Optional[_LadderModel]:
     ups = _ladder_ups(n)
     sets = _ladder_sets(ups)
     whole = (1 << n) - 1
-    first = sets[: max_index + 1]
+    cut = max(max_index + 1, 0)
+    first = sets[:cut]
     if whole in first:
         return None
     classes = {s: k for k, s in enumerate(first)}
-    if len(classes) < len(first) or not classes.keys().isdisjoint(sets[max_index + 1 :]):
+    if len(classes) < len(first) or not classes.keys().isdisjoint(sets[cut:]):
         return None
     return _LadderModel(tuple(ups), whole, classes)
 

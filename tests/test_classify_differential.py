@@ -8,7 +8,17 @@ import random
 
 import pytest
 
-from matlogic import conj, disj, imp, neg, rn_classify, rn_power, var
+from matlogic import (
+    CLASSICAL_SIGNATURE,
+    conj,
+    disj,
+    imp,
+    neg,
+    parse_formula,
+    rn_classify,
+    rn_power,
+    var,
+)
 from matlogic.lang import Substitution
 
 from conftest import rn_classify_slow
@@ -58,11 +68,21 @@ def test_ladder_formulas_above_the_bound():
         assert rn_classify(rn_power(k, 2), 5) == want, k
 
 
+def renamed(f):
+    return Substitution.of({v: var(1) for v in range(2, 5)}).apply(f)
+
+
 @pytest.mark.parametrize("max_index", [24, 5])
 def test_random_formulas(max_index):
     for f in random_formulas(20261019, 500):
-        p1 = Substitution.of({v: var(1) for v in range(2, 5)}).apply(f)
-        assert rn_classify(f, max_index) == oracle(p1, max_index), str(f)
+        assert rn_classify(f, max_index) == oracle(renamed(f), max_index), str(f)
+
+
+@pytest.mark.parametrize("max_index", [-1, -3])
+def test_negative_bound(max_index):
+    # no ladder index is in range, so only theses get a class
+    for f in random_formulas(20261019, 50):
+        assert rn_classify(f, max_index) == oracle(renamed(f), max_index), str(f)
 
 
 THESES = [
@@ -79,8 +99,6 @@ THESES = [
 
 @pytest.mark.parametrize("text", THESES)
 def test_theses(text):
-    from matlogic import CLASSICAL_SIGNATURE, parse_formula
-
     f = parse_formula(text, CLASSICAL_SIGNATURE)
     assert rn_classify_slow(f) == "omega"
     assert rn_classify(f) == "omega"
