@@ -922,3 +922,36 @@ def rn_classify_slow(f, max_index=24, caps=DEFAULT_CAPS):
         if int_sim(f, g, caps):
             return k
     return None
+
+
+# ---------------------------------------------------------------------------
+# formula-walk oracles: the variable collector and the prover's language
+# check as they were, visiting a shared subformula once per occurrence
+
+_ALLOWED_SLOW = {NOT: 1, AND: 2, OR: 2, IMP: 2}
+
+
+def variables_slow(f):
+    out = set()
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, Var):
+            out.add(g.index)
+        elif isinstance(g, App):
+            stack.extend(g.args)
+    return tuple(sorted(out))
+
+
+def check_language_slow(f) -> None:
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, Const):
+            raise ValueError(f"constant {g.name!r} not supported by the prover")
+        if isinstance(g, App):
+            if _ALLOWED_SLOW.get(g.connective) != len(g.args):
+                raise ValueError(
+                    f"connective {g.connective!r}/{len(g.args)} not supported by the prover"
+                )
+            stack.extend(g.args)
