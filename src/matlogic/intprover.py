@@ -27,6 +27,7 @@ from .lang import (
     App,
     Const,
     Formula,
+    Substitution,
     _postorder,
     app,
     conj,
@@ -43,9 +44,17 @@ _ALLOWED = {NOT: 1, AND: 2, OR: 2, IMP: 2}
 
 
 def _check_language(f: Formula) -> None:
+    """Raise the error of the first node, in right-to-left preorder, that the
+    prover rejects.  A node met again had its whole subtree checked before,
+    so each distinct subformula is checked once, and the error raised is the
+    one a walk over every occurrence would raise first."""
+    seen: set[Formula] = set()
     stack = [f]
     while stack:
         g = stack.pop()
+        if g in seen:
+            continue
+        seen.add(g)
         if isinstance(g, Const):
             raise ValueError(f"constant {g.name!r} not supported by the prover")
         if isinstance(g, App):
@@ -511,8 +520,6 @@ def rn_classify(
     if forced != model.whole:
         return model.classes.get(forced)
     if vs and vs[0] != 1:
-        from .lang import Substitution
-
         f = Substitution.of({vs[0]: var(1)}).apply(f)
     return "omega" if provable(f, caps) else None
 

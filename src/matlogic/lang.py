@@ -1,11 +1,13 @@
 """Propositional language core: signatures, formulas, parsing, printing.
 
-Formulas are interned immutable trees.  Variables are ``p1, p2, ...``;
-every other symbol (connective or constant) belongs to a signature.  The
-concrete syntax binds ``~ & | -> <->`` to the signature names
-``¬ ∧ ∨ → ↔`` when present; any other connective is written prefix, as
-``name(arg, ...)``.  Precedence: ``~`` binds tightest, then ``&``, ``|``,
-``->`` (right associative), ``<->`` loosest.
+Formulas are interned immutable DAGs: each is built once, through ``var``,
+``const`` and ``app``, so equal formulas are the same object and compare and
+hash by identity.  Variables are ``p1, p2, ...``; every other symbol
+(connective or constant) belongs to a signature.  The concrete syntax binds
+``~ & | -> <->`` to the signature names ``¬ ∧ ∨ → ↔`` when present; any
+other connective is written prefix, as ``name(arg, ...)``.  Precedence: ``~``
+binds tightest, then ``&``, ``|``, ``->`` (right associative), ``<->``
+loosest.
 """
 
 from __future__ import annotations
@@ -87,16 +89,12 @@ CLASSICAL_SIGNATURE = Signature.of({NOT: 1, AND: 2, OR: 2, IMP: 2, IFF: 2})
 
 class Formula:
     """Immutable propositional formula.  Instances are interned, so equal
-    formulas are usually the same object; equality falls back to structure."""
+    formulas are the same object: equality and hashing are by identity."""
 
-    __slots__ = ("_hash", "_depth", "_text")
+    __slots__ = ("_depth", "_text")
 
-    _hash: int
     _depth: int
     _text: Optional[str]  # set once printed; variables and constants at creation
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def depth(self) -> int:
@@ -112,39 +110,13 @@ class Formula:
 class Var(Formula):
     __slots__ = ("index",)
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return isinstance(other, Var) and other.index == self.index
-
-    __hash__ = Formula.__hash__
-
 
 class Const(Formula):
     __slots__ = ("name",)
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return isinstance(other, Const) and other.name == self.name
-
-    __hash__ = Formula.__hash__
-
 
 class App(Formula):
     __slots__ = ("connective", "args")
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return (
-            isinstance(other, App)
-            and self._hash == other._hash
-            and other.connective == self.connective
-            and other.args == self.args
-        )
-
-    __hash__ = Formula.__hash__
 
 
 _var_pool: Dict[int, Var] = {}
@@ -159,7 +131,6 @@ def var(index: int) -> Var:
             raise ValueError("variable indices start at 1")
         f = Var.__new__(Var)
         f.index = index  # type: ignore[misc]
-        f._hash = hash(("var", index))
         f._depth = 0
         f._text = f"p{index}"
         _var_pool[index] = f
@@ -172,7 +143,6 @@ def const(name: str) -> Const:
         _check_symbol_name(name)
         f = Const.__new__(Const)
         f.name = name  # type: ignore[misc]
-        f._hash = hash(("const", name))
         f._depth = 0
         f._text = name
         _const_pool[name] = f
@@ -188,7 +158,6 @@ def app(connective: str, args: Sequence[Formula]) -> Formula:
         f = App.__new__(App)
         f.connective = connective  # type: ignore[misc]
         f.args = key[1]  # type: ignore[misc]
-        f._hash = hash(("app", connective, key[1]))
         f._depth = 1 + max(a._depth for a in key[1])
         f._text = None
         _app_pool[key] = f
@@ -217,15 +186,7 @@ def iff(a: Formula, b: Formula) -> Formula:
 
 def variables(f: Formula) -> Tuple[int, ...]:
     """Sorted variable indices occurring in f."""
-    out: set[int] = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, Var):
-            out.add(g.index)
-        elif isinstance(g, App):
-            stack.extend(g.args)
-    return tuple(sorted(out))
+    return tuple(sorted(g.index for g in subformulas(f) if isinstance(g, Var)))
 
 
 def subformulas(f: Formula) -> set[Formula]:

@@ -235,6 +235,12 @@ class TestLadderFrame:
         assert rn_classify(imp(var(2), var(2))) == "omega"  # whole: the prover decides
         assert len(built) == 1
 
+    def test_deep_ladder_formula(self):
+        # rn_power(200) has about 200 distinct subformulas but an exponential
+        # number of occurrences; every walk of the classification visits
+        # each distinct subformula once
+        assert rn_classify(rn_power(200), max_index=200) == 200
+
     def test_memo_limit_is_reached_only_on_a_whole_set(self):
         # the proof-search loop ran out of memo here; the frame needs none
         caps = ResourceCaps(memo_limit=10)

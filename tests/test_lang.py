@@ -15,11 +15,13 @@ from matlogic import (
     conj,
     disj,
     enumerate_formulas,
+    expand_iff,
     format_formula,
     iff,
     imp,
     neg,
     parse_formula,
+    rn_power,
     subformulas,
     var,
     variables,
@@ -64,6 +66,53 @@ class TestFormulaConstruction:
         sig = Signature.of({"□": 1, "→": 2})
         with pytest.raises(ParseError):
             parse_formula("□(p1, p2)", sig)
+
+
+POOL_SIGNATURE = Signature.of(
+    {"¬": 1, "∧": 2, "∨": 2, "→": 2, "↔": 2, "□": 1, "⊥": 0, "t": 3}
+)
+
+
+PARSED = [
+    parse_formula(text, POOL_SIGNATURE)
+    for text in [
+        "p1",
+        "⊥",
+        "~p1 -> p2 & p1 | ⊥",
+        "□(p1 <-> □(p1)) <-> (p1 <-> p2)",
+        "t(p1, ~p2, t(⊥, p1 & p1, □(p3))) -> p1",
+        "(p1 -> p2) -> (p2 -> p3) -> p1 -> p3",
+    ]
+]
+OUTPUTS = {
+    "parse_formula": lambda: PARSED,
+    "Substitution.apply": lambda: [
+        Substitution.of({1: parse_formula("p2 <-> □(⊥)", POOL_SIGNATURE), 3: var(1)}).apply(f)
+        for f in PARSED
+    ],
+    "expand_iff": lambda: [expand_iff(f) for f in PARSED],
+    "rn_power": lambda: [rn_power(k, 2) for k in range(31)] + [rn_power("omega")],
+    "enumerate_formulas": lambda: enumerate_formulas(
+        POOL_SIGNATURE, n_vars=2, max_depth=2, max_count=600
+    ),
+}
+
+
+class TestInterning:
+    """Every formula the library returns is built through the pools, so
+    equal formulas are the same object and identity equality is sound."""
+
+    @pytest.mark.parametrize("source", sorted(OUTPUTS))
+    def test_every_node_is_the_pooled_one(self, source):
+        for f in OUTPUTS[source]():
+            for g in lang._postorder([f])[1]:
+                if isinstance(g, App):
+                    assert app(g.connective, g.args) is g
+                elif isinstance(g, Var):
+                    assert var(g.index) is g
+                else:
+                    assert const(g.name) is g
+            assert parse_formula(str(f), POOL_SIGNATURE) is f, str(f)
 
 
 class TestSubstitution:
@@ -137,7 +186,9 @@ DEEP_SIGNATURE = Signature.of({"¬": 1, "∧": 2, "∨": 2, "→": 2, "↔": 2, 
 @pytest.fixture
 def forget_new_formulas():
     """Drop the formulas a test interned, and the texts printed on them: a
-    3,000-deep chain of a binary connective keeps 20-40 MB of text."""
+    3,000-deep chain of a binary connective keeps 20-40 MB of text.  It
+    deletes pool entries, so a formula it drops must not outlive the test:
+    equality is identity, and a copy built again would not equal it."""
     before = set(lang._app_pool)
     yield
     for key in set(lang._app_pool) - before:
