@@ -71,8 +71,6 @@ class TestFormulaConstruction:
 POOL_SIGNATURE = Signature.of(
     {"¬": 1, "∧": 2, "∨": 2, "→": 2, "↔": 2, "□": 1, "⊥": 0, "t": 3}
 )
-
-
 PARSED = [
     parse_formula(text, POOL_SIGNATURE)
     for text in [
