@@ -25,18 +25,32 @@ import contextlib
 import functools
 import io
 import json
+import numbers
 import re
 import sys
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
-from . import algebra as alg_mod
-from . import decide, eqlogic, intprover, lindenbaum
-from . import matrices as mat_mod
-from .lang import Formula, ParseError, Signature, parse_formula
+from . import eqlogic, intprover
+from .lang import (
+    BOOLEAN_SIGNATURE,
+    CLASSICAL_SIGNATURE,
+    COMBINE_KINDS,
+    Formula,
+    ParseError,
+    Signature,
+    Substitution,
+    parse_formula,
+)
 from .limits import CapExceeded, ResourceCaps
+
+# numpy and the matrix layers are imported by the commands that use them
+if TYPE_CHECKING:
+    import numpy as np
+
+    from . import algebra as alg_mod
+    from . import decide
+    from . import matrices as mat_mod
 
 
 class WorkspaceError(ValueError):
@@ -64,6 +78,8 @@ def _expect(cond: bool, pointer: str, message: str) -> None:
 def _parse_table(
     raw: Any, arity: int, elements: Sequence[str], pointer: str
 ) -> np.ndarray:
+    import numpy as np
+
     index = {e: i for i, e in enumerate(elements)}
     k = len(elements)
 
@@ -96,6 +112,9 @@ def _element_set(raw: Any, alg: alg_mod.FiniteAlgebra, pointer: str) -> frozense
 
 
 def load_spec(path: str) -> WorkspaceSpec:
+    from . import algebra as alg_mod
+    from . import matrices as mat_mod
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -218,6 +237,8 @@ _PRESET_RE = re.compile(r"^(B2c?|L3|L3modal|G([2-9]|[1-9][0-9]+)|LC([2-9]|[1-9][
 
 
 def resolve_preset(name: str) -> mat_mod.Matrix:
+    from . import matrices as mat_mod
+
     m = _PRESET_RE.match(name)
     if not m:
         raise WorkspaceError("/preset", f"unknown preset {name!r}")
@@ -329,9 +350,9 @@ _NATIVE = frozenset({str, int, float, bool, type(None)})
 
 def _jsonable(value: Any) -> Any:
     """value as JSON data, walked on an explicit stack: mappings become dicts
-    with text keys, sequences lists (sets in text order), numpy integers
-    ints, and what is not a number, text or None its text.  A list of JSON
-    scalars is kept as it is."""
+    with text keys, sequences lists (sets in text order), integers of other
+    types (numpy's) ints, and what is not a number, text or None its text.  A
+    list of JSON scalars is kept as it is."""
     out = [value]
     todo: List[Tuple[Any, Any]] = [(out, 0)]
     while todo:
@@ -345,7 +366,7 @@ def _jsonable(value: Any) -> Any:
         elif isinstance(v, (list, tuple, set, frozenset)):
             v = sorted(v, key=str) if isinstance(v, (set, frozenset)) else list(v)
             todo.extend((v, i) for i in range(len(v)))
-        elif isinstance(v, np.integer):
+        elif isinstance(v, numbers.Integral):
             v = int(v)
         elif not isinstance(v, (str, int, float, bool)):
             v = str(v)
@@ -405,6 +426,8 @@ def _one_target(ops: _Operands):
 
 
 def _cmd_eval(args) -> Report:
+    from . import algebra as alg_mod
+
     ops = _gather_operands(args)
     m = _one_matrix(ops)
     f = parse_formula(args.formula, m.algebra.signature)
@@ -418,6 +441,8 @@ def _cmd_eval(args) -> Report:
 
 
 def _cmd_valid(args) -> Report:
+    from . import matrices as mat_mod
+
     ops = _gather_operands(args)
     target = _one_target(ops)
     alg = target.algebra
@@ -432,6 +457,8 @@ def _cmd_valid(args) -> Report:
 
 
 def _cmd_conseq(args) -> Report:
+    from . import matrices as mat_mod
+
     ops = _gather_operands(args)
     target = _one_target(ops)
     alg = target.algebra
@@ -448,6 +475,8 @@ def _cmd_conseq(args) -> Report:
 
 
 def _cmd_trivial(args) -> Report:
+    from . import decide
+
     ops = _gather_operands(args)
     rep = decide.has_theorems(_one_matrix(ops), ops.caps)
     out = _decision_to_report(rep, "trivial")
@@ -463,12 +492,16 @@ def _two_matrices(ops: _Operands) -> Tuple[mat_mod.Matrix, mat_mod.Matrix]:
 
 
 def _cmd_weq(args) -> Report:
+    from . import decide
+
     ops = _gather_operands(args)
     m1, m2 = _two_matrices(ops)
     return _decision_to_report(decide.weak_equivalence(m1, m2, ops.caps, args.n), "weq")
 
 
 def _cmd_incl(args) -> Report:
+    from . import decide
+
     ops = _gather_operands(args)
     m1, m2 = _two_matrices(ops)
     return _decision_to_report(decide.theorem_inclusion(m1, m2, ops.caps, args.n), "incl")
@@ -481,18 +514,24 @@ def _two_atlases(ops: _Operands) -> Tuple[mat_mod.Atlas, mat_mod.Atlas]:
 
 
 def _cmd_atlas_incl(args) -> Report:
+    from . import decide
+
     ops = _gather_operands(args)
     a1, a2 = _two_atlases(ops)
     return _decision_to_report(decide.atlas_inclusion(a1, a2, ops.caps, args.m), "atlas-incl")
 
 
 def _cmd_atlas_eq(args) -> Report:
+    from . import decide
+
     ops = _gather_operands(args)
     a1, a2 = _two_atlases(ops)
     return _decision_to_report(decide.atlas_equivalence(a1, a2, ops.caps, args.m), "atlas-eq")
 
 
 def _cmd_reps(args) -> Report:
+    from . import lindenbaum
+
     ops = _gather_operands(args)
     m = _one_matrix(ops)
     reps = lindenbaum.representatives(m.algebra, args.n, ops.caps)
@@ -506,6 +545,8 @@ def _cmd_reps(args) -> Report:
 
 
 def _cmd_free_algebra(args) -> Report:
+    from . import lindenbaum
+
     ops = _gather_operands(args)
     m = _one_matrix(ops)
     free, reps = lindenbaum.free_matrix_algebra(m, args.n, ops.caps)
@@ -522,6 +563,8 @@ def _cmd_free_algebra(args) -> Report:
 
 
 def _cmd_congruence(args) -> Report:
+    from . import matrices as mat_mod
+
     ops = _gather_operands(args)
     target = _one_target(ops)
     cong = mat_mod.greatest_compatible_congruence(target)
@@ -534,6 +577,8 @@ def _cmd_congruence(args) -> Report:
 
 
 def _matrix_to_doc(m: mat_mod.Matrix, name: str) -> Dict[str, Any]:
+    import numpy as np
+
     alg = m.algebra
     names = np.array(alg.elements, dtype=object)
     # the ellipsis keeps a constant's 0-d table an array, whose tolist() is
@@ -561,6 +606,8 @@ def _matrix_to_doc(m: mat_mod.Matrix, name: str) -> Dict[str, Any]:
 
 
 def _cmd_combine(args) -> Report:
+    from . import matrices as mat_mod
+
     ops = _gather_operands(args)
     m1, m2 = _two_matrices(ops)
     combined = mat_mod.combine_matrices(args.kind, m1, m2)
@@ -574,7 +621,7 @@ def _eq_signature(ops: _Operands) -> Signature:
         return ops.matrices[0].algebra.signature
     if ops.workspace is not None:
         return ops.workspace.signature
-    return mat_mod.make_preset("B2c").algebra.signature
+    return BOOLEAN_SIGNATURE
 
 
 def _eq_algebras(args, ops: _Operands) -> List[alg_mod.FiniteAlgebra]:
@@ -638,8 +685,6 @@ def _load_derivation(path: str, sig: Signature) -> Tuple[eqlogic.EDerivation, Li
             occurrences.append((path, int(odoc["ref"])))
         subst = None
         if "substitution" in sdoc:
-            from .lang import Substitution
-
             mapping = {}
             for key, text in sdoc["substitution"].items():
                 m = re.match(r"^p([1-9][0-9]*)$", key)
@@ -713,8 +758,6 @@ def _cmd_eq_bridge(args) -> Report:
 
 
 def _int_formula(text: str) -> Formula:
-    from .lang import CLASSICAL_SIGNATURE
-
     return intprover.expand_iff(parse_formula(text, CLASSICAL_SIGNATURE))
 
 
@@ -763,8 +806,6 @@ def _cmd_int_classify(args) -> Report:
 
 def _cmd_int_glivenko(args) -> Report:
     ops = _gather_operands(args)
-    from .lang import CLASSICAL_SIGNATURE
-
     f = parse_formula(args.formula, CLASSICAL_SIGNATURE)
     res = intprover.glivenko_check(f, ops.caps)
     answer = "yes" if res["agree"] else "no"
@@ -863,7 +904,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("combine")
     common(sp)
-    sp.add_argument("kind", choices=mat_mod.COMBINE_KINDS)
+    sp.add_argument("kind", choices=COMBINE_KINDS)
     sp.set_defaults(func=_cmd_combine)
 
     eq = sub.add_parser("eq")

@@ -22,15 +22,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-import numpy as np
-
-from .algebra import _assignment_at, _close, _sliced_tables
 from .lang import (
     App,
     Formula,
     ParseError,
     Signature,
     Substitution,
+    _close,
     _parse,
     _postorder,
     _tokenize,
@@ -40,7 +38,6 @@ from .lang import (
     variables,
 )
 from .limits import DEFAULT_CAPS, ResourceCaps
-from .matrices import make_preset
 
 
 @dataclass(frozen=True)
@@ -282,6 +279,10 @@ def _first_difference(
 ) -> Optional[Tuple[Tuple[int, int], ...]]:
     """First assignment, in lexicographic order over the sorted variables, that
     satisfies every premise and separates the goal's sides; the scan stops at its slice."""
+    import numpy as np
+
+    from .algebra import _assignment_at, _sliced_tables
+
     var_order = sorted({v for e in (*premises, goal) for v in e.variables()})
     caps.check_tuples(alg.size ** len(var_order))
     terms = [t for e in (*premises, goal) for t in (e.lhs, e.rhs)]
@@ -381,10 +382,9 @@ def bridge_implicational(
     xs = tuple(s_translate(e) for e in premises)
     g = s_translate(goal)
     if target == "EB":
-        from .matrices import consequence
+        from .matrices import consequence, make_preset
 
-        m = make_preset("B2c")
-        res = consequence(m, xs, g, caps)
+        res = consequence(make_preset("B2c"), xs, g, caps)
         return BridgeResult(res.holds, xs, g, res.assignment)
     if target == "EH":
         from .intprover import g3_prove

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .lang import (
     AND,
@@ -412,18 +412,19 @@ def _box(bad: int, ups: Sequence[int]) -> int:
     return out
 
 
-def _forced(f: Formula, ups: Sequence[int]) -> int:
-    """The points of the frame at which f, a formula over ~ & | -> in at
-    most one variable, is forced."""
+def _forced(f: Formula, box: Callable[[int], int], atoms: Mapping[int, int]) -> int:
+    """The points of a Kripke model at which f, a formula over ~ & | ->, is
+    forced, where variable v is forced at the points atoms[v] and box(bad)
+    is the set of points that see no point of bad."""
     position, order = _postorder([f])
     sets: List[int] = []
     for g in order:
         if not isinstance(g, App):
-            sets.append(1)
+            sets.append(atoms[g.index])
             continue
         a = sets[position[g.args[0]]]
         if g.connective == NOT:
-            sets.append(_box(a, ups))
+            sets.append(box(a))
             continue
         b = sets[position[g.args[1]]]
         if g.connective == AND:
@@ -431,7 +432,7 @@ def _forced(f: Formula, ups: Sequence[int]) -> int:
         elif g.connective == OR:
             sets.append(a | b)
         else:
-            sets.append(_box(a & ~b, ups))
+            sets.append(box(a & ~b))
     return sets[-1]
 
 
@@ -516,7 +517,7 @@ def rn_classify(
         raise ValueError("classification needs a formula in at most one variable")
     _check_language(f)
     model = _ladder_model(max_index)
-    forced = _forced(f, model.ups)
+    forced = _forced(f, functools.partial(_box, ups=model.ups), dict.fromkeys(vs, 1))
     if forced != model.whole:
         return model.classes.get(forced)
     if vs and vs[0] != 1:
@@ -529,10 +530,29 @@ def rn_classify(
 
 
 def glivenko_check(f: Formula, caps: ResourceCaps = DEFAULT_CAPS) -> Dict[str, bool]:
-    """Compare two-element-matrix validity of f with provability of ~~f."""
-    from .matrices import is_valid, make_preset
+    """Compare two-element-matrix validity of f with provability of ~~f.
 
+    A two-valued valuation is a one-point Kripke model, so f is classically
+    valid when it is forced at every point of the discrete frame on all
+    valuations, where each point sees only itself and box(bad) is the
+    complement of bad.  One pass takes at most 2^16 points: the first 16
+    variables vary within a pass, the others from pass to pass."""
     expanded = expand_iff(f)
-    classical = is_valid(make_preset("B2"), f, caps).valid
+    vs = variables(expanded)
+    caps.check_tuples(2 ** len(vs))
+    _check_language(expanded)
+    inner, outer = vs[:16], vs[16:]
+    whole = (1 << (1 << len(inner))) - 1
+    # the j-th inner variable holds at the points whose bit j is set
+    atoms = {
+        v: whole // ((1 << (2 << j)) - 1) * (((1 << (1 << j)) - 1) << (1 << j))
+        for j, v in enumerate(inner)
+    }
+    classical = True
+    for r in range(1 << len(outer)):
+        atoms.update((v, whole * (r >> i & 1)) for i, v in enumerate(outer))
+        if _forced(expanded, lambda bad: whole ^ bad, atoms) != whole:
+            classical = False
+            break
     intuit = provable(neg(neg(expanded)), caps)
     return {"classically_valid": classical, "double_negation_provable": intuit, "agree": classical == intuit}

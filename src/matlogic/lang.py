@@ -19,6 +19,7 @@ from functools import cached_property, lru_cache
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 NOT, AND, OR, IMP, IFF = "¬", "∧", "∨", "→", "↔"
+TOP, BOT = "⊤", "⊥"
 
 _VAR_RE = re.compile(r"p([1-9][0-9]*)$")
 
@@ -85,6 +86,10 @@ class Signature:
 
 INT_SIGNATURE = Signature.of({NOT: 1, AND: 2, OR: 2, IMP: 2})
 CLASSICAL_SIGNATURE = Signature.of({NOT: 1, AND: 2, OR: 2, IMP: 2, IFF: 2})
+# the B2c preset's signature, and the one equations are read in by default
+BOOLEAN_SIGNATURE = Signature.of({NOT: 1, AND: 2, OR: 2, IMP: 2, IFF: 2, TOP: 0, BOT: 0})
+# the ways matrices.combine_matrices combines two matrices
+COMBINE_KINDS = ("lsum", "rsum", "product", "sum")
 
 
 class Formula:
@@ -222,6 +227,58 @@ def _postorder(formulas: Iterable[Formula]) -> Tuple[Dict[Formula, int], List[Fo
                 stack.append((g, True))
                 stack.extend((a, False) for a in reversed(g.args))
     return position, order
+
+
+def _close(
+    n: int,
+    apps: Sequence[Tuple[int, str, Sequence[int]]],
+    pairs: Iterable[Tuple[int, int]],
+) -> List[int]:
+    """The least partition of the nodes 0..n-1 that relates the pairs and is
+    closed under the applications, as labels numbered by first occurrence.
+
+    An application (node, head, args) says that node is head applied to the
+    args.  A union-find keeps the classes, and a table keys each application
+    by its signature: its head and its args' roots.  Two applications with
+    one signature relate their nodes.  After a merge, only the applications
+    on the merged-away class's use-list are signed again (Downey, Sethi and
+    Tarjan, JACM 27(4), 1980).  Nothing recurses.
+    """
+    parent = list(range(n))
+    uses: List[List[int]] = [[] for _ in range(n)]
+    for i, (_, _, args) in enumerate(apps):
+        for a in set(args):
+            uses[a].append(i)
+    signed: Dict[Tuple, int] = {}
+    pending = list(pairs)
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def sign(i: int) -> None:
+        node, head, args = apps[i]
+        other = signed.setdefault((head, *map(find, args)), node)
+        if other != node:
+            pending.append((node, other))
+
+    for i in range(len(apps)):
+        sign(i)
+    while pending:
+        a, b = map(find, pending.pop())
+        if a == b:
+            continue
+        if len(uses[a]) > len(uses[b]):
+            a, b = b, a
+        parent[a] = b
+        moved, uses[a] = uses[a], []
+        uses[b].extend(moved)
+        for i in moved:
+            sign(i)
+    first: Dict[int, int] = {}
+    return [first.setdefault(find(x), len(first)) for x in range(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,22 @@ from .algebra import (
     greatest_congruence_below,
     quotient_by_congruence,
 )
-from .lang import AND, IFF, IMP, NOT, OR, Formula, Signature, variables
+from .lang import (
+    AND,
+    BOOLEAN_SIGNATURE,
+    BOT,
+    CLASSICAL_SIGNATURE,
+    COMBINE_KINDS,
+    IFF,
+    IMP,
+    INT_SIGNATURE,
+    NOT,
+    OR,
+    TOP,
+    Formula,
+    Signature,
+    variables,
+)
 from .limits import DEFAULT_CAPS, ResourceCaps
 
 
@@ -158,9 +173,6 @@ def _cyl_right(d: frozenset, k1: int, k2: int) -> frozenset:
     return frozenset(i * k2 + j for i in range(k1) for j in d)
 
 
-COMBINE_KINDS = ("lsum", "rsum", "product", "sum")
-
-
 def combine_matrices(kind: str, m1: Matrix, m2: Matrix) -> Matrix:
     """Matrix combinations on the product algebra.
 
@@ -249,11 +261,6 @@ def reduced_matrix(m: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # presets
 
-TOP, BOT = "⊤", "⊥"
-
-_L_SIG = Signature.of({NOT: 1, AND: 2, OR: 2, IMP: 2})
-_L_SIG_IFF = Signature.of({NOT: 1, AND: 2, OR: 2, IMP: 2, IFF: 2})
-_B_SIG = Signature.of({NOT: 1, AND: 2, OR: 2, IMP: 2, IFF: 2, TOP: 0, BOT: 0})
 BOX, DIA = "□", "◇"
 _L3M_SIG = Signature.of({NOT: 1, AND: 2, OR: 2, IMP: 2, BOX: 1, DIA: 1})
 
@@ -277,7 +284,7 @@ def _boolean_tables(sig: Signature) -> Dict[str, np.ndarray]:
     return t
 
 
-def boolean_matrix(sig: Signature = _L_SIG_IFF) -> Matrix:
+def boolean_matrix(sig: Signature = CLASSICAL_SIGNATURE) -> Matrix:
     """Two-element Boolean matrix over any subset of the Boolean symbols."""
     return Matrix(FiniteAlgebra(sig, ["0", "1"], _boolean_tables(sig)), frozenset({1}))
 
@@ -296,7 +303,7 @@ def _lukasiewicz3(signature: Signature) -> FiniteAlgebra:
     return FiniteAlgebra(signature, ["0", "1/2", "1"], tables)
 
 
-def godel_chain(n: int, signature: Signature = _L_SIG) -> FiniteAlgebra:
+def godel_chain(n: int, signature: Signature = INT_SIGNATURE) -> FiniteAlgebra:
     """n-element chain with min, max, relative pseudcomplement arrow and the
     induced negation."""
     if n < 2:
@@ -330,11 +337,11 @@ def make_preset(name: str, n: Optional[int] = None) -> Matrix:
     LCchain  alias family: the n-element chain presentation (requires n)
     """
     if name == "B2":
-        return boolean_matrix(_L_SIG_IFF)
+        return boolean_matrix(CLASSICAL_SIGNATURE)
     if name == "B2c":
-        return boolean_matrix(_B_SIG)
+        return boolean_matrix(BOOLEAN_SIGNATURE)
     if name == "L3":
-        return Matrix(_lukasiewicz3(_L_SIG), frozenset({2}))
+        return Matrix(_lukasiewicz3(INT_SIGNATURE), frozenset({2}))
     if name == "L3modal":
         return Matrix(_lukasiewicz3(_L3M_SIG), frozenset({2}))
     if name in ("Gn", "LCchain"):

@@ -1,13 +1,17 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import matlogic
 from matlogic import combine_matrices, make_preset, parse_formula
-from matlogic.cli import REPORT_SCHEMA, _jsonable, load_spec, run_command, WorkspaceError
+from matlogic.cli import REPORT_SCHEMA, Report, _jsonable, load_spec, run_command, WorkspaceError
 
 from conftest import EX_NONTR_DOC, EX_TR_DOC, write_workspace
 
@@ -239,12 +243,17 @@ class TestJsonReports:
             1: (np.int64(3), frozenset({"b", "a"}), None, 0.5, True),
             "f": [parse_formula("p1 -> p1"), ["x", 2]],
             "odd": Path("z"),
+            "np": {"wide": np.int64(-7), "byte": np.uint8(200)},
         }
         assert _jsonable(stats) == {
             "1": [3, ["a", "b"], None, 0.5, True],
             "f": ["p1 -> p1", ["x", 2]],
             "odd": "z",
+            "np": {"wide": -7, "byte": 200},
         }
+        assert type(_jsonable(stats)["np"]["byte"]) is int
+        doc = json.loads(Report("c", "info", [], None, stats).render(True))
+        assert doc["stats"]["np"] == {"wide": -7, "byte": 200}
         deep = [parse_formula("p1")]
         for _ in range(5000):
             deep = (deep,)
@@ -345,3 +354,47 @@ class TestOperands:
         )
         assert code == 1
         assert "counterexample sequent" in text
+
+
+# answers one command line in a fresh interpreter and prints its exit code,
+# its report and whether numpy was imported
+_FRESH = """
+import json, sys
+from matlogic.cli import run_command
+code, text = run_command(json.loads(sys.argv[1]))
+print(json.dumps([code, text, "numpy" in sys.modules]))
+"""
+
+
+def _fresh(argv):
+    src = str(Path(matlogic.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", _FRESH, json.dumps(argv)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(out.stdout)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["int", "prove", "((p1 -> p2) -> p1) -> p1"], 1),
+        (["int", "classify", "~~p2 -> p2"], 0),
+        (["int", "glivenko", "((p1 -> p2) -> p1) -> p1"], 0),
+        (["int", "relation", "p1", "p1 | p2"], 0),
+        (["int", "rn", "5"], 0),
+        (["eq", "ground", "~p1 ~ ~p3", "--premise", "p1 ~ p2", "--premise", "p2 ~ p3"], 0),
+        (["eq", "ground", "p1 & p2 ~ p2 & p1"], 1),
+        (["eq", "bridge", "p1 & p2 ~ p2 & p1", "--target", "EH"], 0),
+    ],
+)
+def test_symbolic_commands_do_not_import_numpy(argv, code):
+    got = _fresh(argv)
+    assert got == [code, run_command(argv)[1], False]
+
+
+def test_matrix_commands_still_import_numpy():
+    assert _fresh(["valid", "--preset", "B2", "p1 | ~p1"]) == [0, "valid: p1 | ~p1", True]

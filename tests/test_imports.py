@@ -4,6 +4,7 @@ public module-level name is exported by the package or referenced in it,
 and no function calls itself, directly or not, except the few listed."""
 
 import ast
+import importlib
 from collections import Counter, defaultdict
 from pathlib import Path
 
@@ -58,18 +59,19 @@ def test_no_unused_module_imports(path):
 
 def _private_definitions(tree):
     """A module's private module-level functions and classes, the private
-    methods of its classes, and its nested defs."""
+    methods of its classes, and its nested defs.  Dunder names, such as a
+    module's __getattr__, are hooks the interpreter calls, not private."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+    def private(d):
+        return d.name.startswith("_") and not d.name.endswith("__")
+
     found = []
     for stmt in tree.body:
-        if isinstance(stmt, (*functions, ast.ClassDef)) and stmt.name.startswith("_"):
+        if isinstance(stmt, (*functions, ast.ClassDef)) and private(stmt):
             found.append(stmt)
         if isinstance(stmt, ast.ClassDef):
-            found += [
-                m
-                for m in stmt.body
-                if isinstance(m, functions) and m.name.startswith("_") and not m.name.endswith("__")
-            ]
+            found += [m for m in stmt.body if isinstance(m, functions) and private(m)]
     for node in ast.walk(tree):
         if isinstance(node, functions):
             found += [d for d in ast.walk(node) if d is not node and isinstance(d, functions)]
@@ -109,6 +111,7 @@ def test_detects_unreferenced_definitions():
         "    def inner():\n        return 1\n"
         "    def again(x):\n        return again(x)\n"
         "    return _C\n"
+        "def __getattr__(name):\n    return name\n"
     )
     assert unreferenced_definitions({"m": source}) == [
         ("m", 3, "_dead"),
@@ -139,17 +142,28 @@ def _public_definitions(tree):
     return found
 
 
+def _exported(tree):
+    """(module, name) of each name that __init__.py exports: by a top-level
+    ``from .x import`` line, or in its lazy export table ``_EXPORTS``, a
+    literal dict from submodule to names."""
+    out = set()
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ImportFrom):
+            out |= {(f"{stmt.module}.py", alias.name) for alias in stmt.names}
+        elif isinstance(stmt, ast.Assign) and "_EXPORTS" in [
+            t.id for t in stmt.targets if isinstance(t, ast.Name)
+        ]:
+            table = ast.literal_eval(stmt.value)
+            out |= {(f"{module}.py", name) for module, names in table.items() for name in names}
+    return out
+
+
 def unused_public_names(sources, users):
     """(module, line, name) of each public module-level name of the package
-    that __init__.py does not import and that no code outside its own
+    that __init__.py does not export and that no code outside its own
     definition refers to, in the package or in the users' sources."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    exported = {
-        (f"{stmt.module}.py", alias.name)
-        for stmt in trees.get("__init__.py", ast.Module(body=[])).body
-        if isinstance(stmt, ast.ImportFrom)
-        for alias in stmt.names
-    }
+    exported = _exported(trees.get("__init__.py", ast.Module(body=[])))
     everywhere = sum(
         (_names(ast.parse(source)) for source in users.values()),
         sum((_names(tree) for tree in trees.values()), Counter()),
@@ -182,6 +196,15 @@ def test_detects_unused_public_names():
         ("m.py", 8, "orphan"),
         ("m.py", 10, "Dead"),
     ]
+    # the lazy export table exports what it lists, and only that
+    sources["__init__.py"] = '_EXPORTS = {"m": ("api", "Dead")}\n'
+    assert unused_public_names(sources, users) == [("m.py", 2, "TABLE"), ("m.py", 8, "orphan")]
+    sources["__init__.py"] = '_EXPORTS = {"m": ("api",)}\n'
+    assert unused_public_names(sources, users) == [
+        ("m.py", 2, "TABLE"),
+        ("m.py", 8, "orphan"),
+        ("m.py", 10, "Dead"),
+    ]
 
 
 def test_no_unused_public_names():
@@ -193,6 +216,117 @@ def test_no_unused_public_names():
         for p in (root / d).glob("*.py")
     }
     assert unused_public_names(sources, users) == []
+
+
+# the names the package exported before its exports became lazy, by submodule
+EXPORTED = {
+    "algebra": (
+        "Congruence", "FiniteAlgebra", "TermFunction", "clone_functions",
+        "congruence_closure_pairs", "direct_product", "evaluate_term", "find_isomorphism",
+        "generated_subalgebra", "generates_carrier", "greatest_congruence_below",
+        "identity_congruence", "is_congruence", "minimal_generating_set",
+        "quotient_by_congruence", "term_table",
+    ),
+    "decide": (
+        "DecisionReport", "atlas_equivalence", "atlas_inclusion", "has_theorems",
+        "theorem_inclusion", "weak_equivalence",
+    ),
+    "eqlogic": (
+        "BridgeResult", "CheckResult", "EDerivation", "Equality", "EqConsequenceResult", "Step",
+        "SYSTEMS", "bridge_implicational", "check_e_derivation", "decide_ground_equational",
+        "eq_consequence", "ground_closure", "parse_equality", "s_translate",
+    ),
+    "intprover": (
+        "ProofTree", "Sequent", "check_proof", "expand_iff", "g3_prove", "glivenko_check",
+        "int_leq", "int_ll", "int_relation", "int_sim", "provable", "rn_classify", "rn_power",
+    ),
+    "lang": (
+        "App", "Const", "Formula", "ParseError", "Signature", "Substitution", "Var", "app",
+        "conj", "const", "disj", "enumerate_formulas", "format_formula", "iff", "imp", "neg",
+        "parse_formula", "subformulas", "var", "variables", "CLASSICAL_SIGNATURE",
+        "INT_SIGNATURE",
+    ),
+    "limits": ("CapExceeded", "DEFAULT_CAPS", "ResourceCaps"),
+    "lindenbaum": (
+        "RepresentativeSet", "free_matrix_algebra", "indistinguishable", "representatives",
+        "representatives_by_enumeration", "restricted_theorems",
+    ),
+    "matrices": (
+        "Atlas", "ConsequenceResult", "Matrix", "PRESET_NAMES", "ValidityResult",
+        "atlas_from_family", "boolean_matrix", "combine_atlases", "combine_matrices",
+        "consequence", "godel_chain", "greatest_compatible_congruence", "is_valid",
+        "make_preset", "reduced_matrix",
+    ),
+}
+
+
+@pytest.mark.parametrize("module", sorted(EXPORTED))
+def test_exports_resolve_to_their_submodules(module):
+    import matlogic
+
+    submodule = importlib.import_module(f"matlogic.{module}")
+    for name in EXPORTED[module]:
+        assert getattr(matlogic, name) is getattr(submodule, name), name
+        assert name in matlogic.__all__ and name in dir(matlogic), name
+    star: dict = {}
+    exec("from matlogic import *", star)
+    assert {n: star[n] for n in EXPORTED[module]} == {n: getattr(submodule, n) for n in EXPORTED[module]}
+
+
+def test_unknown_names_raise_attribute_error():
+    import matlogic
+
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        matlogic.nope
+
+
+def top_level_imports(source):
+    """The modules that a module's top-level import statements name, outside
+    any if, try or def: package modules by their bare name, others by their
+    top-level package."""
+    out = set()
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.Import):
+            out |= {alias.name.split(".")[0] for alias in stmt.names}
+        elif isinstance(stmt, ast.ImportFrom) and stmt.level:
+            out |= {stmt.module} if stmt.module else {alias.name for alias in stmt.names}
+        elif isinstance(stmt, ast.ImportFrom):
+            out.add(stmt.module.split(".")[0])
+    return out
+
+
+def reached_imports(sources, module):
+    """Every module that importing the package module runs an import of,
+    following the package's own modules through their top-level imports."""
+    reached, todo = set(), [module]
+    while todo:
+        for name in top_level_imports(sources[todo.pop()]):
+            if name not in reached:
+                reached.add(name)
+                if name in sources:
+                    todo.append(name)
+    return reached
+
+
+# the layers that import numpy, and the modules that must not reach them
+MATRIX_LAYERS = {"numpy", "algebra", "matrices", "decide", "lindenbaum"}
+SYMBOLIC = ("__init__", "lang", "limits", "intprover", "eqlogic", "cli")
+
+
+def test_detects_reached_imports():
+    sources = {
+        "cli": "from . import eqlogic\nif X:\n    import numpy\ndef f():\n    from . import decide\n",
+        "eqlogic": "import os.path\nfrom .lang import var\n",
+        "lang": "from .algebra import _close\n",
+        "algebra": "import numpy as np\n",
+    }
+    assert reached_imports(sources, "cli") == {"eqlogic", "os", "lang", "algebra", "numpy"}
+
+
+@pytest.mark.parametrize("module", SYMBOLIC)
+def test_symbolic_layers_import_no_matrix_layer(module):
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert reached_imports(sources, module) & MATRIX_LAYERS == set()
 
 
 def _own_calls(definition, by_name):

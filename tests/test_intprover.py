@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from matlogic import (
@@ -23,7 +25,7 @@ from matlogic import (
     var,
 )
 from matlogic import intprover
-from matlogic.intprover import _forced, _ladder_model, _ladder_ups
+from matlogic.intprover import _box, _forced, _ladder_model, _ladder_ups
 from matlogic.limits import CapExceeded, ResourceCaps
 
 
@@ -198,7 +200,8 @@ class TestLadderFrame:
         def ladder(n):
             if n not in sets:
                 ups = _ladder_ups(n)
-                sets[n] = [_forced(f, ups) for f in formulas]
+                box = functools.partial(_box, ups=ups)
+                sets[n] = [_forced(f, box, {1: 1}) for f in formulas]
             return sets[n]
 
         def separates(n, max_index):
