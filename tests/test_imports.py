@@ -1,7 +1,10 @@
 """Every module-level import in the package is used by its module, every
 private or nested definition is referenced within the package, every
 public module-level name is exported by the package or referenced in it,
-and no function calls itself, directly or not, except the few listed."""
+every name the package exported before its exports became lazy still
+resolves to its submodule's object, the symbolic layers reach no numpy
+layer through their top-level imports, and no function calls itself,
+directly or not, except the few listed."""
 
 import ast
 import importlib
