@@ -73,6 +73,15 @@ class TestParseEquality:
                 assert (e.lhs.depth, e.rhs.depth) == depths
         assert parse.call_count <= 5
 
+    @pytest.mark.parametrize(
+        "text",
+        ["p1 ~ p2", "~p1 ~ ~~p2", "p1 & ~p2 ~ ~(p2 -> p1)", "p1 ~ " + "~" * 3000 + "p1"],
+    )
+    def test_a_well_formed_equality_is_parsed_once_a_side(self, text):
+        with mock.patch("matlogic.eqlogic._parse", wraps=lang._parse) as parse:
+            eq(text)
+        assert parse.call_count == 2
+
 
 class TestDerivationChecking:
     def test_e1_symmetry_and_transitivity(self):

@@ -8,9 +8,11 @@ were, so that error is compared without its position."""
 
 import re
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from matlogic import (
+    Equality,
     ParseError,
     Signature,
     app,
@@ -143,3 +145,90 @@ class TestPrinterAgainstRecursivePrinter:
     def test_random_formulas(self, f):
         assert format_formula(f) == format_formula_slow(f)
         assert str(f) == format_formula_slow(f)
+
+
+# well-formed texts over SIGNATURES[0] that use every operator, a constant and
+# prefix connectives of one to three arguments
+POSITION_FORMULAS = [
+    "~(p1 & b(p2, c)) -> t(p1, u(p2), p3) <-> p1 | ~p2",
+    "u(~p1)&(p2|c)->p3",
+]
+POSITION_EQUALITIES = [
+    "b(p1, ~p2) & c ~ t(p1, p2, p3) -> ~u(p1)",
+    "~p1~~p2",
+    "(p1 ~ p2) ~ p3",
+]
+# errors at the end of the input, and arity errors of prefix connectives
+END_AND_ARITY_FORMULAS = [
+    "", " ", "p1 &", "p1 ->", "p1 <->  ", "~", "(", "(p1", "b(p1,", "b(p1", "t(p1, p2",
+    "u", "u(", "b(p1)", "t(p1, p2)", "u(p1, p2)", "b(p1, p2, p3)", "t(p1, p2, p3, p1)",
+    "~b(p1) & p2", "u(b(p1, p2, p3))", "p1 & )", "b(, p1)",
+]
+END_AND_ARITY_EQUALITIES = [
+    "p1 ~", "~", "p1 ~ p2 |", "p1 & ~", "p1 ~ b(p1,", "b(p1) ~ p2", "p1 ~ t(p1, p2)",
+    "u(p1, p2) ~ p1 ~ p2", "p1 ~ ~", "(p1 ~ p2", "p1 ~ p2)", "p1 p2 ~ p3", "p1 ~ p2 p3",
+]
+
+
+def positioned_outcome(parse, text, sig):
+    """The parsed result, or the ParseError's text and position attribute (a
+    moved position dropped from both)."""
+    try:
+        got = parse(text, sig)
+    except ParseError as exc:
+        message = _MOVED.sub(r"\1", str(exc))
+        return ("ParseError", message, exc.position if message == str(exc) else None)
+    return (got.lhs, got.rhs) if isinstance(got, Equality) else got
+
+
+def with_stray(text):
+    """text with one of '<', '>', '-', '=', '~' inserted at each position."""
+    return [text[:k] + ch + text[k:] for k in range(len(text) + 1) for ch in "<>-=~"]
+
+
+class TestErrorPositionsAgainstRecursiveDescent:
+    @pytest.mark.parametrize("sig", SIGNATURES, ids=range(len(SIGNATURES)))
+    def test_formulas_with_a_stray_character_anywhere(self, sig):
+        for base in POSITION_FORMULAS:
+            for text in [base, *with_stray(base)]:
+                got = positioned_outcome(parse_formula, text, sig)
+                assert got == positioned_outcome(parse_formula_slow, text, sig), text
+
+    @pytest.mark.parametrize("sig", SIGNATURES, ids=range(len(SIGNATURES)))
+    def test_equalities_with_a_stray_character_anywhere(self, sig):
+        for base in POSITION_EQUALITIES:
+            for text in [base, *with_stray(base)]:
+                got = positioned_outcome(parse_equality, text, sig)
+                assert got == positioned_outcome(parse_equality_slow, text, sig), text
+
+    @pytest.mark.parametrize("sig", SIGNATURES, ids=range(len(SIGNATURES)))
+    def test_errors_at_the_end_and_of_arity(self, sig):
+        for text in END_AND_ARITY_FORMULAS:
+            got = positioned_outcome(parse_formula, text, sig)
+            assert got == positioned_outcome(parse_formula_slow, text, sig), text
+        for text in END_AND_ARITY_FORMULAS + END_AND_ARITY_EQUALITIES:
+            got = positioned_outcome(parse_equality, text, sig)
+            assert got == positioned_outcome(parse_equality_slow, text, sig), text
+
+    def test_the_cases_reach_each_kind_of_error(self):
+        sig = SIGNATURES[0]
+        texts = [t for base in POSITION_FORMULAS for t in with_stray(base)]
+        texts += END_AND_ARITY_FORMULAS
+        messages = []
+        for text in texts:
+            try:
+                parse_formula(text, sig)
+            except ParseError as exc:
+                messages.append(str(exc))
+        for kind in [
+            "unexpected character",
+            "unexpected end of input",
+            "unexpected token",
+            "unknown symbol",
+            "expected '('",
+            "expected ')'",
+            "trailing input",
+            "connective 'b' expects 2 arguments",
+            "connective 't' expects 3 arguments",
+        ]:
+            assert any(m.startswith(kind) for m in messages), kind
