@@ -40,6 +40,7 @@ from .lang import (
     ParseError,
     Signature,
     Substitution,
+    _printed,
     parse_formula,
 )
 from .limits import CapExceeded, ResourceCaps
@@ -728,8 +729,8 @@ def _cmd_eq_ground(args) -> Report:
     goal = eqlogic.parse_equality(args.equality, sig)
     ok, labels = eqlogic.decide_ground_equational(premises, goal)
     classes: Dict[int, List[str]] = {}
-    for t, c in labels.items():
-        classes.setdefault(c, []).append(str(t))
+    for t, c in labels.items():  # each term after its arguments
+        classes.setdefault(c, []).append(t._text or _printed(t))
     partition = [sorted(v) for _, v in sorted(classes.items())]
     if ok:
         return Report("eq ground", "yes", ["ground consequence: yes"], None, {"classes": partition})

@@ -29,8 +29,8 @@ from .lang import (
     Signature,
     Substitution,
     _close,
+    _error,
     _parse,
-    _postorder,
     _tokenize,
     app,
     conj,
@@ -56,35 +56,33 @@ class Equality:
 
 
 def parse_equality(text: str, signature: Signature) -> Equality:
-    """Parse ``term ~ term``; the separator is the first top-level ``~``
-    that splits the input into two well-formed terms.  Only the one where a
-    parse of the whole input stops can; the last one's failure is reported."""
+    """Parse ``term ~ term`` at the first top-level ``~`` that splits the input
+    into two well-formed terms.  Only the one where a parse of all the tokens
+    stops can, so each side is parsed once, the right from the next index.
+    Failing that, the last top-level ``~`` is tried, and its failure reported."""
     tokens = _tokenize(text)
-    depth, separators = 0, []
-    for i, (tok, _pos) in enumerate(tokens):
+    try:
+        lhs, split = _parse(tokens, signature, text)
+        if tokens[split : split + 1] == ["~"]:
+            rhs, end = _parse(tokens, signature, text, split + 1)
+            if end == len(tokens):
+                return Equality(lhs, rhs)
+    except ParseError:
+        pass
+    depth, split = 0, None
+    for i, tok in enumerate(tokens):
         depth += (tok == "(") - (tok == ")")
         if tok == "~" and depth == 0 and i > 0:
-            separators.append(i)
-    if not separators:
+            split = i
+    if split is None:
         raise ParseError("no top-level '~' separator found", 0)
-    try:
-        lhs, stop = _parse(tokens, signature, len(text))
-    except ParseError:
-        stop = None
-    for i in sorted({stop, separators[-1]} & set(separators)):
-        try:
-            if i != stop:
-                lhs, end = _parse(tokens[:i], signature, len(text))
-                if end < i:
-                    raise ParseError("trailing input on left of '~'", tokens[end][1])
-            rhs, end = _parse(tokens[i + 1 :], signature, len(text))
-            end += i + 1
-            if end < len(tokens):
-                raise ParseError("trailing input on right of '~'", tokens[end][1])
-            return Equality(lhs, rhs)
-        except ParseError:
-            if i == separators[-1]:
-                raise
+    lhs, end = _parse(tokens[:split], signature, text)
+    if end < split:
+        raise _error("trailing input on left of '~'", text, tokens, end)
+    rhs, end = _parse(tokens, signature, text, split + 1)
+    if end < len(tokens):
+        raise _error("trailing input on right of '~'", text, tokens, end)
+    return Equality(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -328,17 +326,24 @@ def ground_closure(
 ) -> Dict[Formula, int]:
     """Congruence closure of the premises over all their subterms (plus any
     extra terms), with variables treated as opaque constants.  Returns the
-    class index of every term in the universe, each term after its
-    subterms, in the order a left-to-right walk finishes them."""
-    terms = [t for e in premises for t in (e.lhs, e.rhs)] + list(extra_terms)
-    position, universe = _postorder(terms)
-    apps = [
-        (i, t.connective, [position[a] for a in t.args])
-        for i, t in enumerate(universe)
-        if isinstance(t, App)
-    ]
+    class index of every term in the universe, each after its subterms, in
+    _postorder's order; that one walk also lists each application's args."""
+    position: Dict[Formula, int] = {}
+    apps = []
+    stack = [*(t for e in premises for t in (e.lhs, e.rhs)), *extra_terms][::-1]
+    while stack:
+        t = stack.pop()
+        if t in position:
+            continue
+        if isinstance(t, App):
+            args = [*map(position.get, t.args)]
+            if None in args:  # finished once its arguments are
+                stack.extend((t, *reversed(t.args)))
+                continue
+            apps.append((len(position), t.connective, args))
+        position[t] = len(position)
     pairs = [(position[e.lhs], position[e.rhs]) for e in premises]
-    return dict(zip(universe, _close(len(universe), apps, pairs)))
+    return dict(zip(position, _close(len(position), apps, pairs)))
 
 
 def decide_ground_equational(

@@ -246,11 +246,14 @@ def _close(
     """
     parent = list(range(n))
     uses: List[List[int]] = [[] for _ in range(n)]
-    for i, (_, _, args) in enumerate(apps):
-        for a in set(args):
-            uses[a].append(i)
     signed: Dict[Tuple, int] = {}
     pending = list(pairs)
+    for i, (node, head, args) in enumerate(apps):  # each node its own root yet
+        for a in set(args):
+            uses[a].append(i)
+        other = signed.setdefault((head, *args), node)
+        if other != node:
+            pending.append((node, other))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -264,8 +267,6 @@ def _close(
         if other != node:
             pending.append((node, other))
 
-    for i in range(len(apps)):
-        sign(i)
     while pending:
         a, b = map(find, pending.pop())
         if a == b:
@@ -340,6 +341,20 @@ def _wrapped(f: Formula, strength: int) -> str:
     return f._text
 
 
+def _printed(g: App) -> str:
+    """g's text, printed from its arguments' texts, which are set, and kept."""
+    entry = _OPERATORS.get(g.connective)
+    if entry is None or entry[1] != len(g.args):
+        g._text = f"{g.connective}({', '.join(a._text for a in g.args)})"
+    elif entry[1] == 1:
+        g._text = entry[0] + _wrapped(g.args[0], entry[2])
+    else:
+        symbol, _, strength, right = entry
+        left = _wrapped(g.args[0], strength + 1 if right else strength)
+        g._text = f"{left} {symbol} {_wrapped(g.args[1], strength if right else strength + 1)}"
+    return g._text
+
+
 def format_formula(f: Formula) -> str:
     """f's text.  Each formula is printed after its arguments, without
     recursion, and keeps its text, so nesting depth is unbounded and a
@@ -347,24 +362,13 @@ def format_formula(f: Formula) -> str:
     stack = [f]
     while stack:
         g = stack[-1]
-        if g._text is not None:
-            stack.pop()
-            continue
-        assert isinstance(g, App)
-        missing = [a for a in g.args if a._text is None]
+        missing = g._text is None and [a for a in g.args if a._text is None]
         if missing:
             stack.extend(missing)
             continue
         stack.pop()
-        entry = _OPERATORS.get(g.connective)
-        if entry is None or entry[1] != len(g.args):
-            g._text = f"{g.connective}({', '.join(a._text for a in g.args)})"
-        elif entry[1] == 1:
-            g._text = entry[0] + _wrapped(g.args[0], entry[2])
-        else:
-            symbol, _, strength, right = entry
-            left = _wrapped(g.args[0], strength + 1 if right else strength)
-            g._text = f"{left} {symbol} {_wrapped(g.args[1], strength if right else strength + 1)}"
+        if g._text is None:  # an App, its arguments printed
+            _printed(g)
     return f._text
 
 
@@ -372,22 +376,29 @@ def format_formula(f: Formula) -> str:
 # parsing
 
 # a token, or a character that starts none (an error); whitespace is skipped
-_TOKEN_RE = re.compile(r"(<->|->|[()~&|,]|[^()~&|,<>\-=\s]+)|(\S)")
+_TOKEN_RE = re.compile(r"<->|->|[()~&|,]|[^()~&|,<>\-=\s]+|\S")
+_STRAY = frozenset("<>-=")
 
 
-def _tokenize(text: str) -> List[Tuple[str, int]]:
-    tokens: List[Tuple[str, int]] = []
-    for m in _TOKEN_RE.finditer(text):
-        tok = m[1]
-        if tok is None:
-            raise ParseError(f"unexpected character {m[2]!r}", m.start())
-        tokens.append((tok, m.start()))
+def _error(message: str, text: str, tokens: List[str], index: int) -> ParseError:
+    """A ParseError at tokens[index] (text's, or a prefix of them), or at the
+    end of text past the last; positions are found by a rescan, on error only."""
+    matches = itertools.islice(_TOKEN_RE.finditer(text), index, None)
+    return ParseError(message, next(matches).start() if index < len(tokens) else len(text))
+
+
+def _tokenize(text: str) -> List[str]:
+    """text's tokens, by one findall and without positions (see _error)."""
+    tokens = _TOKEN_RE.findall(text)
+    if not _STRAY.isdisjoint(tokens):  # '<', '>', '-' or '=' outside '->' and '<->'
+        i = next(i for i, tok in enumerate(tokens) if tok in _STRAY)
+        raise _error(f"unexpected character {tokens[i]!r}", text, tokens, i)
     return tokens
 
 
 # A frame is a pending operator or an open bracket: (binding strength, 0 for
 # a bracket; connective, None for a parenthesis; index of its first operand;
-# position).
+# index of its token).
 _Frame = Tuple[int, Optional[str], int, int]
 
 
@@ -426,46 +437,46 @@ def _reduce(frames: List[_Frame], operands: List[Formula], strength: int) -> Non
 
 
 def _parse(
-    tokens: List[Tuple[str, int]], signature: Signature, length: int
+    tokens: List[str], signature: Signature, text: str, start: int = 0
 ) -> Tuple[Formula, int]:
-    """The formula at the start of tokens and the index of the first token
-    after it.  Operator precedence over two explicit stacks, one of operands
-    and one of frames, so nesting depth is unbounded; length is the text's,
-    the position of its end."""
+    """The formula at tokens[start:] and the index of the first token after
+    it.  Operator precedence over two explicit stacks, one of operands and
+    one of frames, so nesting depth is unbounded.  Tokens are tracked by
+    index, and an error's position in text is computed when it is raised."""
     prefix, infix = signature._syntax
     operands: List[Formula] = []
     frames: List[_Frame] = []
-    i, n = 0, len(tokens)
+    i, n = start, len(tokens)
     while True:
         # an operand: prefix operators and open brackets, then an atom
         while True:
             if i == n:
-                raise ParseError("unexpected end of input", length)
-            tok, pos = tokens[i]
+                raise _error("unexpected end of input", text, tokens, i)
+            tok = tokens[i]
             i += 1
             entry = prefix.get(tok) or _variable(tok) or f"unknown symbol {tok!r}"
             if type(entry) is tuple:
                 strength, name, call = entry
+                frames.append((strength, name, len(operands), i - 1))
                 if call:
-                    if i == n or tokens[i][0] != "(":
-                        raise ParseError("expected '('", tokens[i][1] if i < n else length)
+                    if i == n or tokens[i] != "(":
+                        raise _error("expected '('", text, tokens, i)
                     i += 1
-                frames.append((strength, name, len(operands), pos))
                 continue
             if type(entry) is str:
-                raise ParseError(entry, pos)
+                raise _error(entry, text, tokens, i - 1)
             operands.append(entry)
             break
         # after an operand: a binary operator, or the end of a bracket's part
         while True:
-            tok, pos = tokens[i] if i < n else (None, length)
+            tok = tokens[i] if i < n else None
             entry = infix.get(tok)
             if entry is not None:
                 if type(entry) is str:
-                    raise ParseError(entry, pos)
+                    raise _error(entry, text, tokens, i)
                 strength, name, bound = entry
                 _reduce(frames, operands, bound)
-                frames.append((strength, name, len(operands) - 1, pos))
+                frames.append((strength, name, len(operands) - 1, i))
                 i += 1
                 break
             _reduce(frames, operands, 0)
@@ -476,24 +487,22 @@ def _parse(
                 i += 1
                 break
             if tok != ")":
-                raise ParseError("expected ')'", pos)
+                raise _error("expected ')'", text, tokens, i)
             i += 1
             frames.pop()
             if name is not None:
                 arity, args = signature.arity(name), operands[base:]
                 if len(args) != arity:
-                    raise ParseError(
-                        f"connective {name!r} expects {arity} arguments, got {len(args)}", at
-                    )
+                    message = f"connective {name!r} expects {arity} arguments, got {len(args)}"
+                    raise _error(message, text, tokens, at)
                 operands[base:] = [app(name, args)]
 
 
 def parse_formula(text: str, signature: Signature = CLASSICAL_SIGNATURE) -> Formula:
     tokens = _tokenize(text)
-    out, end = _parse(tokens, signature, len(text))
+    out, end = _parse(tokens, signature, text)
     if end < len(tokens):
-        tok, pos = tokens[end]
-        raise ParseError(f"trailing input {tok!r}", pos)
+        raise _error(f"trailing input {tokens[end]!r}", text, tokens, end)
     return out
 
 
