@@ -242,14 +242,15 @@ def _close(
     by its signature: its head and its args' roots.  Two applications with
     one signature relate their nodes.  After a merge, only the applications
     on the merged-away class's use-list are signed again (Downey, Sethi and
-    Tarjan, JACM 27(4), 1980).  Nothing recurses.
+    Tarjan, JACM 27(4), 1980); one with a repeated argument is on it twice,
+    and signing it again changes nothing.  Nothing recurses.
     """
     parent = list(range(n))
     uses: List[List[int]] = [[] for _ in range(n)]
     signed: Dict[Tuple, int] = {}
     pending = list(pairs)
     for i, (node, head, args) in enumerate(apps):  # each node its own root yet
-        for a in set(args):
+        for a in args:
             uses[a].append(i)
         other = signed.setdefault((head, *args), node)
         if other != node:
@@ -429,13 +430,6 @@ def _variable(tok: str) -> Optional[Var]:
     return var(int(m.group(1))) if m else None
 
 
-def _reduce(frames: List[_Frame], operands: List[Formula], strength: int) -> None:
-    """Apply the pending operators that bind more strongly than strength."""
-    while frames and frames[-1][0] > strength:
-        _, name, base, _ = frames.pop()
-        operands[base:] = [app(name, operands[base:])]
-
-
 def _parse(
     tokens: List[str], signature: Signature, text: str, start: int = 0
 ) -> Tuple[Formula, int]:
@@ -470,16 +464,17 @@ def _parse(
         # after an operand: a binary operator, or the end of a bracket's part
         while True:
             tok = tokens[i] if i < n else None
-            entry = infix.get(tok)
-            if entry is not None:
-                if type(entry) is str:
-                    raise _error(entry, text, tokens, i)
-                strength, name, bound = entry
-                _reduce(frames, operands, bound)
+            entry = infix.get(tok, (0, None, 0))  # not an operator: reduce to a bracket
+            if type(entry) is str:
+                raise _error(entry, text, tokens, i)
+            strength, name, bound = entry
+            while frames and frames[-1][0] > bound:  # the operators binding more strongly
+                _, op, base, _ = frames.pop()
+                operands[base:] = [app(op, operands[base:])]
+            if name is not None:
                 frames.append((strength, name, len(operands) - 1, i))
                 i += 1
                 break
-            _reduce(frames, operands, 0)
             if not frames:
                 return operands[0], i
             _, name, base, at = frames[-1]
