@@ -249,7 +249,7 @@ def _close(
     uses: List[List[int]] = [[] for _ in range(n)]
     signed: Dict[Tuple, int] = {}
     pending = list(pairs)
-    for i, (node, head, args) in enumerate(apps):  # each node its own root yet
+    for i, (node, head, args) in enumerate(apps):  # no merge yet: args are roots
         for a in args:
             uses[a].append(i)
         other = signed.setdefault((head, *args), node)
@@ -363,13 +363,16 @@ def format_formula(f: Formula) -> str:
     stack = [f]
     while stack:
         g = stack[-1]
-        missing = g._text is None and [a for a in g.args if a._text is None]
+        if g._text is not None:
+            stack.pop()
+            continue
+        assert isinstance(g, App)
+        missing = [a for a in g.args if a._text is None]
         if missing:
             stack.extend(missing)
             continue
         stack.pop()
-        if g._text is None:  # an App, its arguments printed
-            _printed(g)
+        _printed(g)
     return f._text
 
 
