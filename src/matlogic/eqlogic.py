@@ -327,7 +327,8 @@ def ground_closure(
     """Congruence closure of the premises over all their subterms (plus any
     extra terms), with variables treated as opaque constants.  Returns the
     class index of every term in the universe, each after its subterms, in
-    _postorder's order; that one walk also lists each application's args."""
+    _postorder's order; that one walk also reads each application's argument
+    positions, as the application is finished."""
     position: Dict[Formula, int] = {}
     apps = []
     stack = [*(t for e in premises for t in (e.lhs, e.rhs)), *extra_terms][::-1]

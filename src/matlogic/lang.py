@@ -392,7 +392,7 @@ def _error(message: str, text: str, tokens: List[str], index: int) -> ParseError
 
 
 def _tokenize(text: str) -> List[str]:
-    """text's tokens, by one findall and without positions (see _error)."""
+    """text's tokens, by one findall; a position is found only for an error."""
     tokens = _TOKEN_RE.findall(text)
     if not _STRAY.isdisjoint(tokens):  # '<', '>', '-' or '=' outside '->' and '<->'
         i = next(i for i, tok in enumerate(tokens) if tok in _STRAY)

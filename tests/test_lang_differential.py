@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matlogic import (
-    Equality,
     ParseError,
     Signature,
     app,
@@ -170,17 +169,6 @@ END_AND_ARITY_EQUALITIES = [
 ]
 
 
-def positioned_outcome(parse, text, sig):
-    """The parsed result, or the ParseError's text and position attribute (a
-    moved position dropped from both)."""
-    try:
-        got = parse(text, sig)
-    except ParseError as exc:
-        message = _MOVED.sub(r"\1", str(exc))
-        return ("ParseError", message, exc.position if message == str(exc) else None)
-    return (got.lhs, got.rhs) if isinstance(got, Equality) else got
-
-
 def with_stray(text):
     """text with one of '<', '>', '-', '=', '~' inserted at each position."""
     return [text[:k] + ch + text[k:] for k in range(len(text) + 1) for ch in "<>-=~"]
@@ -191,24 +179,24 @@ class TestErrorPositionsAgainstRecursiveDescent:
     def test_formulas_with_a_stray_character_anywhere(self, sig):
         for base in POSITION_FORMULAS:
             for text in [base, *with_stray(base)]:
-                got = positioned_outcome(parse_formula, text, sig)
-                assert got == positioned_outcome(parse_formula_slow, text, sig), text
+                got = outcome(parse_formula, text, sig)
+                assert got == outcome(parse_formula_slow, text, sig), text
 
     @pytest.mark.parametrize("sig", SIGNATURES, ids=range(len(SIGNATURES)))
     def test_equalities_with_a_stray_character_anywhere(self, sig):
         for base in POSITION_EQUALITIES:
             for text in [base, *with_stray(base)]:
-                got = positioned_outcome(parse_equality, text, sig)
-                assert got == positioned_outcome(parse_equality_slow, text, sig), text
+                got = equality_outcome(text, sig)
+                assert got == outcome(parse_equality_slow, text, sig), text
 
     @pytest.mark.parametrize("sig", SIGNATURES, ids=range(len(SIGNATURES)))
     def test_errors_at_the_end_and_of_arity(self, sig):
         for text in END_AND_ARITY_FORMULAS:
-            got = positioned_outcome(parse_formula, text, sig)
-            assert got == positioned_outcome(parse_formula_slow, text, sig), text
+            got = outcome(parse_formula, text, sig)
+            assert got == outcome(parse_formula_slow, text, sig), text
         for text in END_AND_ARITY_FORMULAS + END_AND_ARITY_EQUALITIES:
-            got = positioned_outcome(parse_equality, text, sig)
-            assert got == positioned_outcome(parse_equality_slow, text, sig), text
+            got = equality_outcome(text, sig)
+            assert got == outcome(parse_equality_slow, text, sig), text
 
     def test_the_cases_reach_each_kind_of_error(self):
         sig = SIGNATURES[0]
