@@ -261,7 +261,7 @@ class _Operands:
 
 
 def _gather_operands(args: argparse.Namespace) -> _Operands:
-    workspace = load_spec(args.file) if getattr(args, "file", None) else None
+    workspace = load_spec(args.file) if args.file else None
     caps = workspace.caps if workspace else ResourceCaps()
     matrices: List[mat_mod.Matrix] = []
     atlases: List[mat_mod.Atlas] = []
@@ -426,10 +426,9 @@ def _one_target(ops: _Operands):
     raise WorkspaceError("/", "exactly one matrix or atlas operand required")
 
 
-def _cmd_eval(args) -> Report:
+def _cmd_eval(args, ops: _Operands) -> Report:
     from . import algebra as alg_mod
 
-    ops = _gather_operands(args)
     m = _one_matrix(ops)
     f = parse_formula(args.formula, m.algebra.signature)
     assignment = _parse_assignment(args.assign or "", m.algebra)
@@ -441,10 +440,9 @@ def _cmd_eval(args) -> Report:
     return Report("eval", answer, lines, name, {"designated": designated})
 
 
-def _cmd_valid(args) -> Report:
+def _cmd_valid(args, ops: _Operands) -> Report:
     from . import matrices as mat_mod
 
-    ops = _gather_operands(args)
     target = _one_target(ops)
     alg = target.algebra
     f = parse_formula(args.formula, alg.signature)
@@ -457,10 +455,9 @@ def _cmd_valid(args) -> Report:
     return Report("valid", "no", lines, shown, stats)
 
 
-def _cmd_conseq(args) -> Report:
+def _cmd_conseq(args, ops: _Operands) -> Report:
     from . import matrices as mat_mod
 
-    ops = _gather_operands(args)
     target = _one_target(ops)
     alg = target.algebra
     premises = [parse_formula(p, alg.signature) for p in (args.premise or [])]
@@ -475,10 +472,9 @@ def _cmd_conseq(args) -> Report:
     )
 
 
-def _cmd_trivial(args) -> Report:
+def _cmd_trivial(args, ops: _Operands) -> Report:
     from . import decide
 
-    ops = _gather_operands(args)
     rep = decide.has_theorems(_one_matrix(ops), ops.caps)
     out = _decision_to_report(rep, "trivial")
     if rep.answer == "no":
@@ -492,18 +488,16 @@ def _two_matrices(ops: _Operands) -> Tuple[mat_mod.Matrix, mat_mod.Matrix]:
     return ops.matrices[0], ops.matrices[1]
 
 
-def _cmd_weq(args) -> Report:
+def _cmd_weq(args, ops: _Operands) -> Report:
     from . import decide
 
-    ops = _gather_operands(args)
     m1, m2 = _two_matrices(ops)
     return _decision_to_report(decide.weak_equivalence(m1, m2, ops.caps, args.n), "weq")
 
 
-def _cmd_incl(args) -> Report:
+def _cmd_incl(args, ops: _Operands) -> Report:
     from . import decide
 
-    ops = _gather_operands(args)
     m1, m2 = _two_matrices(ops)
     return _decision_to_report(decide.theorem_inclusion(m1, m2, ops.caps, args.n), "incl")
 
@@ -514,26 +508,23 @@ def _two_atlases(ops: _Operands) -> Tuple[mat_mod.Atlas, mat_mod.Atlas]:
     return ops.atlases[0], ops.atlases[1]
 
 
-def _cmd_atlas_incl(args) -> Report:
+def _cmd_atlas_incl(args, ops: _Operands) -> Report:
     from . import decide
 
-    ops = _gather_operands(args)
     a1, a2 = _two_atlases(ops)
     return _decision_to_report(decide.atlas_inclusion(a1, a2, ops.caps, args.m), "atlas-incl")
 
 
-def _cmd_atlas_eq(args) -> Report:
+def _cmd_atlas_eq(args, ops: _Operands) -> Report:
     from . import decide
 
-    ops = _gather_operands(args)
     a1, a2 = _two_atlases(ops)
     return _decision_to_report(decide.atlas_equivalence(a1, a2, ops.caps, args.m), "atlas-eq")
 
 
-def _cmd_reps(args) -> Report:
+def _cmd_reps(args, ops: _Operands) -> Report:
     from . import lindenbaum
 
-    ops = _gather_operands(args)
     m = _one_matrix(ops)
     reps = lindenbaum.representatives(m.algebra, args.n, ops.caps)
     lines = [f"representatives of {args.n}-variable formulas: {len(reps)}"]
@@ -545,10 +536,9 @@ def _cmd_reps(args) -> Report:
     return Report("reps", "info", lines, witness, {"count": len(reps), "n": args.n})
 
 
-def _cmd_free_algebra(args) -> Report:
+def _cmd_free_algebra(args, ops: _Operands) -> Report:
     from . import lindenbaum
 
-    ops = _gather_operands(args)
     m = _one_matrix(ops)
     free, reps = lindenbaum.free_matrix_algebra(m, args.n, ops.caps)
     lines = [
@@ -563,10 +553,9 @@ def _cmd_free_algebra(args) -> Report:
     return Report("free-algebra", "info", lines, list(free.algebra.elements), stats)
 
 
-def _cmd_congruence(args) -> Report:
+def _cmd_congruence(args, ops: _Operands) -> Report:
     from . import matrices as mat_mod
 
-    ops = _gather_operands(args)
     target = _one_target(ops)
     cong = mat_mod.greatest_compatible_congruence(target)
     alg = target.algebra
@@ -606,10 +595,9 @@ def _matrix_to_doc(m: mat_mod.Matrix, name: str) -> Dict[str, Any]:
     }
 
 
-def _cmd_combine(args) -> Report:
+def _cmd_combine(args, ops: _Operands) -> Report:
     from . import matrices as mat_mod
 
-    ops = _gather_operands(args)
     m1, m2 = _two_matrices(ops)
     combined = mat_mod.combine_matrices(args.kind, m1, m2)
     doc = _matrix_to_doc(combined, f"{args.kind}")
@@ -628,19 +616,18 @@ def _eq_signature(ops: _Operands) -> Signature:
 def _eq_algebras(args, ops: _Operands) -> List[alg_mod.FiniteAlgebra]:
     algebras = [m.algebra for m in ops.matrices]
     if ops.workspace is not None:
-        for name in getattr(args, "algebra", None) or []:
+        for name in args.algebra:
             if name not in ops.workspace.algebras:
                 raise WorkspaceError("/algebras", f"unknown algebra {name!r}")
             algebras.append(ops.workspace.algebras[name])
-    elif getattr(args, "algebra", None):
+    elif args.algebra:
         raise WorkspaceError("/algebras", "--algebra needs --file")
     if not algebras:
         raise WorkspaceError("/", "at least one algebra operand required")
     return algebras
 
 
-def _cmd_eq_conseq(args) -> Report:
-    ops = _gather_operands(args)
+def _cmd_eq_conseq(args, ops: _Operands) -> Report:
     algebras = _eq_algebras(args, ops)
     sig = algebras[0].signature
     premises = [eqlogic.parse_equality(p, sig) for p in (args.premise or [])]
@@ -705,8 +692,7 @@ def _load_derivation(path: str, sig: Signature) -> Tuple[eqlogic.EDerivation, Li
     return eqlogic.EDerivation(system, tuple(steps)), premises
 
 
-def _cmd_eq_derive_check(args) -> Report:
-    ops = _gather_operands(args)
+def _cmd_eq_derive_check(args, ops: _Operands) -> Report:
     sig = _eq_signature(ops)
     deriv, premises = _load_derivation(args.derivation, sig)
     extra = [eqlogic.parse_equality(p, sig) for p in (args.premise or [])]
@@ -722,8 +708,7 @@ def _cmd_eq_derive_check(args) -> Report:
     )
 
 
-def _cmd_eq_ground(args) -> Report:
-    ops = _gather_operands(args)
+def _cmd_eq_ground(args, ops: _Operands) -> Report:
     sig = _eq_signature(ops)
     premises = [eqlogic.parse_equality(p, sig) for p in (args.premise or [])]
     goal = eqlogic.parse_equality(args.equality, sig)
@@ -738,8 +723,7 @@ def _cmd_eq_ground(args) -> Report:
     return Report("eq ground", "no", lines, partition, {"classes": partition})
 
 
-def _cmd_eq_bridge(args) -> Report:
-    ops = _gather_operands(args)
+def _cmd_eq_bridge(args, ops: _Operands) -> Report:
     sig = _eq_signature(ops)
     premises = [eqlogic.parse_equality(p, sig) for p in (args.premise or [])]
     goal = eqlogic.parse_equality(args.equality, sig)
@@ -762,8 +746,7 @@ def _int_formula(text: str) -> Formula:
     return intprover.expand_iff(parse_formula(text, CLASSICAL_SIGNATURE))
 
 
-def _cmd_int_prove(args) -> Report:
-    ops = _gather_operands(args)
+def _cmd_int_prove(args, ops: _Operands) -> Report:
     f = _int_formula(args.formula)
     tree = intprover.g3_prove((), f, ops.caps)
     if tree is None:
@@ -775,8 +758,7 @@ def _cmd_int_prove(args) -> Report:
     )
 
 
-def _cmd_int_relation(args) -> Report:
-    ops = _gather_operands(args)
+def _cmd_int_relation(args, ops: _Operands) -> Report:
     f = _int_formula(args.formula)
     g = _int_formula(args.other)
     rel = intprover.int_relation(f, g, ops.caps)
@@ -794,8 +776,7 @@ def _cmd_int_rn(args) -> Report:
     return Report("int rn", "info", [f"ladder {args.index}: {f}"], str(f))
 
 
-def _cmd_int_classify(args) -> Report:
-    ops = _gather_operands(args)
+def _cmd_int_classify(args, ops: _Operands) -> Report:
     f = _int_formula(args.formula)
     cls = intprover.rn_classify(f, caps=ops.caps)
     if cls is None:
@@ -805,8 +786,7 @@ def _cmd_int_classify(args) -> Report:
     )
 
 
-def _cmd_int_glivenko(args) -> Report:
-    ops = _gather_operands(args)
+def _cmd_int_glivenko(args, ops: _Operands) -> Report:
     f = parse_formula(args.formula, CLASSICAL_SIGNATURE)
     res = intprover.glivenko_check(f, ops.caps)
     answer = "yes" if res["agree"] else "no"
@@ -822,14 +802,64 @@ def _cmd_int_glivenko(args) -> Report:
 # argument parsing
 
 
+# Every command, declared once: its path, its handler, whether it takes matrix
+# and atlas operands, and its own arguments as (name or flag, add_argument
+# keywords), added in this order after --json and the operand options.  A
+# command that takes operands gets --file, --preset, --matrix and --atlas, and
+# run_command gathers them before it calls handler(args, operands); any other
+# handler is called as handler(args).
+_COMMANDS = (
+    ("presets", _cmd_presets, False, ()),
+    ("eval", _cmd_eval, True, (("formula", {}), ("--assign", {"default": ""}))),
+    ("valid", _cmd_valid, True, (("formula", {}),)),
+    ("conseq", _cmd_conseq, True, (
+        ("formula", {}), ("--premise", {"action": "append", "default": []}),
+    )),
+    ("trivial", _cmd_trivial, True, ()),
+    ("weq", _cmd_weq, True, (("--n", {"type": int}),)),
+    ("incl", _cmd_incl, True, (("--n", {"type": int}),)),
+    ("atlas-incl", _cmd_atlas_incl, True, (("--m", {"type": int}),)),
+    ("atlas-eq", _cmd_atlas_eq, True, (("--m", {"type": int}),)),
+    ("reps", _cmd_reps, True, (("--n", {"type": int, "default": 1}),)),
+    ("free-algebra", _cmd_free_algebra, True, (("--n", {"type": int, "default": 1}),)),
+    ("congruence", _cmd_congruence, True, ()),
+    ("combine", _cmd_combine, True, (("kind", {"choices": COMBINE_KINDS}),)),
+    ("eq conseq", _cmd_eq_conseq, True, (
+        ("equality", {}),
+        ("--mode", {"choices": ("E", "EL"), "default": "E"}),
+        ("--premise", {"action": "append", "default": []}),
+        ("--algebra", {"action": "append", "default": []}),
+    )),
+    ("eq derive-check", _cmd_eq_derive_check, True, (
+        ("derivation", {}), ("--premise", {"action": "append", "default": []}),
+    )),
+    ("eq ground", _cmd_eq_ground, True, (
+        ("equality", {}), ("--premise", {"action": "append", "default": []}),
+    )),
+    ("eq bridge", _cmd_eq_bridge, True, (
+        ("equality", {}),
+        ("--target", {"choices": ("EB", "EH"), "required": True}),
+        ("--premise", {"action": "append", "default": []}),
+    )),
+    ("int prove", _cmd_int_prove, True, (("formula", {}),)),
+    ("int relation", _cmd_int_relation, True, (("formula", {}), ("other", {}))),
+    ("int rn", _cmd_int_rn, False, (("index", {}),)),
+    ("int classify", _cmd_int_classify, True, (("formula", {}),)),
+    ("int glivenko", _cmd_int_glivenko, True, (("formula", {}),)),
+)
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing leaves it
     unchanged, and building it costs more than answering a small query."""
     p = argparse.ArgumentParser(prog="matlogic", description=__doc__)
-    sub = p.add_subparsers(dest="command")
-
-    def common(sp, operands=True):
+    groups = {"": p.add_subparsers(dest="command")}
+    for path, handler, operands, arguments in _COMMANDS:
+        group, _, name = path.rpartition(" ")
+        if group not in groups:
+            groups[group] = groups[""].add_parser(group).add_subparsers(dest=f"{group}_command")
+        sp = groups[group].add_parser(name)
         sp.add_argument("--json", action="store_true")
         if operands:
             sp.add_argument("--file")
@@ -843,130 +873,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     metavar=kind.upper(),
                     type=lambda value, kind=kind: (kind, value),
                 )
-
-    sp = sub.add_parser("presets")
-    common(sp, operands=False)
-    sp.set_defaults(func=_cmd_presets)
-
-    sp = sub.add_parser("eval")
-    common(sp)
-    sp.add_argument("formula")
-    sp.add_argument("--assign", default="")
-    sp.set_defaults(func=_cmd_eval)
-
-    sp = sub.add_parser("valid")
-    common(sp)
-    sp.add_argument("formula")
-    sp.set_defaults(func=_cmd_valid)
-
-    sp = sub.add_parser("conseq")
-    common(sp)
-    sp.add_argument("formula")
-    sp.add_argument("--premise", action="append", default=[])
-    sp.set_defaults(func=_cmd_conseq)
-
-    sp = sub.add_parser("trivial")
-    common(sp)
-    sp.set_defaults(func=_cmd_trivial)
-
-    sp = sub.add_parser("weq")
-    common(sp)
-    sp.add_argument("--n", type=int)
-    sp.set_defaults(func=_cmd_weq)
-
-    sp = sub.add_parser("incl")
-    common(sp)
-    sp.add_argument("--n", type=int)
-    sp.set_defaults(func=_cmd_incl)
-
-    sp = sub.add_parser("atlas-incl")
-    common(sp)
-    sp.add_argument("--m", type=int)
-    sp.set_defaults(func=_cmd_atlas_incl)
-
-    sp = sub.add_parser("atlas-eq")
-    common(sp)
-    sp.add_argument("--m", type=int)
-    sp.set_defaults(func=_cmd_atlas_eq)
-
-    sp = sub.add_parser("reps")
-    common(sp)
-    sp.add_argument("--n", type=int, default=1)
-    sp.set_defaults(func=_cmd_reps)
-
-    sp = sub.add_parser("free-algebra")
-    common(sp)
-    sp.add_argument("--n", type=int, default=1)
-    sp.set_defaults(func=_cmd_free_algebra)
-
-    sp = sub.add_parser("congruence")
-    common(sp)
-    sp.set_defaults(func=_cmd_congruence)
-
-    sp = sub.add_parser("combine")
-    common(sp)
-    sp.add_argument("kind", choices=COMBINE_KINDS)
-    sp.set_defaults(func=_cmd_combine)
-
-    eq = sub.add_parser("eq")
-    eq_sub = eq.add_subparsers(dest="eq_command")
-
-    sp = eq_sub.add_parser("conseq")
-    common(sp)
-    sp.add_argument("equality")
-    sp.add_argument("--mode", choices=("E", "EL"), default="E")
-    sp.add_argument("--premise", action="append", default=[])
-    sp.add_argument("--algebra", action="append", default=[])
-    sp.set_defaults(func=_cmd_eq_conseq)
-
-    sp = eq_sub.add_parser("derive-check")
-    common(sp)
-    sp.add_argument("derivation")
-    sp.add_argument("--premise", action="append", default=[])
-    sp.set_defaults(func=_cmd_eq_derive_check)
-
-    sp = eq_sub.add_parser("ground")
-    common(sp)
-    sp.add_argument("equality")
-    sp.add_argument("--premise", action="append", default=[])
-    sp.set_defaults(func=_cmd_eq_ground)
-
-    sp = eq_sub.add_parser("bridge")
-    common(sp)
-    sp.add_argument("equality")
-    sp.add_argument("--target", choices=("EB", "EH"), required=True)
-    sp.add_argument("--premise", action="append", default=[])
-    sp.set_defaults(func=_cmd_eq_bridge)
-
-    intp = sub.add_parser("int")
-    int_sub = intp.add_subparsers(dest="int_command")
-
-    sp = int_sub.add_parser("prove")
-    common(sp)
-    sp.add_argument("formula")
-    sp.set_defaults(func=_cmd_int_prove)
-
-    sp = int_sub.add_parser("relation")
-    common(sp)
-    sp.add_argument("formula")
-    sp.add_argument("other")
-    sp.set_defaults(func=_cmd_int_relation)
-
-    sp = int_sub.add_parser("rn")
-    common(sp, operands=False)
-    sp.add_argument("index")
-    sp.set_defaults(func=_cmd_int_rn)
-
-    sp = int_sub.add_parser("classify")
-    common(sp)
-    sp.add_argument("formula")
-    sp.set_defaults(func=_cmd_int_classify)
-
-    sp = int_sub.add_parser("glivenko")
-    common(sp)
-    sp.add_argument("formula")
-    sp.set_defaults(func=_cmd_int_glivenko)
-
+        for flag, keywords in arguments:
+            sp.add_argument(flag, **keywords)
+        sp.set_defaults(func=handler)
     return p
 
 
@@ -984,8 +893,9 @@ def run_command(argv: Sequence[str]) -> Tuple[int, str]:
     if func is None:
         return 2, parser.format_usage().rstrip()
     try:
-        report: Report = func(args)
-        text = report.render(getattr(args, "json", False))
+        # only the commands that take operands have args.operands
+        report: Report = func(args, _gather_operands(args)) if "operands" in args else func(args)
+        text = report.render(args.json)
     except (WorkspaceError, ParseError, ValueError, KeyError) as exc:
         return 2, f"error: {exc}"
     except CapExceeded as exc:

@@ -11,7 +11,15 @@ import pytest
 
 import matlogic
 from matlogic import combine_matrices, make_preset, parse_formula
-from matlogic.cli import REPORT_SCHEMA, Report, _jsonable, load_spec, run_command, WorkspaceError
+from matlogic.cli import (
+    _COMMANDS,
+    REPORT_SCHEMA,
+    Report,
+    WorkspaceError,
+    _jsonable,
+    load_spec,
+    run_command,
+)
 
 from conftest import EX_NONTR_DOC, EX_TR_DOC, write_workspace
 
@@ -127,6 +135,10 @@ class TestExitCodes:
         monkeypatch.setenv("COLUMNS", "80")
         for _ in range(2):
             assert run_command(case["argv"]) == (case["exit"], case["text"])
+
+    def test_every_command_has_pinned_help(self):
+        pinned = {tuple(case["argv"]) for case in HELP_TEXTS}
+        assert [path for path, *_ in _COMMANDS if (*path.split(), "--help") not in pinned] == []
 
     def test_successive_commands_share_no_operands(self):
         ground = ["eq", "ground", "p1 ~ p3"]
