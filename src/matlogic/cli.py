@@ -79,23 +79,59 @@ def _expect(cond: bool, pointer: str, message: str) -> None:
 def _parse_table(
     raw: Any, arity: int, elements: Sequence[str], pointer: str
 ) -> np.ndarray:
+    """An arity-k table of element names as an array of element indices,
+    walked depth first on an explicit stack, so the first error reported is
+    the first in document order."""
     import numpy as np
 
     index = {e: i for i, e in enumerate(elements)}
     k = len(elements)
+    flat: List[int] = []  # the entries in row-major order
+    todo = [(raw, arity, pointer)]
+    while todo:
+        node, depth, ptr = todo.pop()
+        if not depth:
+            if not isinstance(node, str):
+                raise WorkspaceError(ptr, "expected an element name")
+            if node not in index:
+                raise WorkspaceError(ptr, f"unknown element {node!r}")
+            flat.append(index[node])
+        elif not isinstance(node, list):
+            raise WorkspaceError(ptr, "expected an array")
+        elif len(node) != k:
+            raise WorkspaceError(ptr, f"row has {len(node)} entries, expected {k}")
+        else:
+            depth -= 1
+            todo.extend([(node[i], depth, f"{ptr}/{i}") for i in range(k - 1, -1, -1)])
+    return np.array(flat, dtype=np.int64).reshape((k,) * arity)
 
-    def go(node: Any, depth: int, ptr: str) -> Any:
-        if depth == 0:
-            _expect(isinstance(node, str), ptr, "expected an element name")
-            _expect(node in index, ptr, f"unknown element {node!r}")
-            return index[node]
-        _expect(isinstance(node, list), ptr, "expected an array")
-        _expect(
-            len(node) == k, ptr, f"row has {len(node)} entries, expected {k}"
-        )
-        return [go(x, depth - 1, f"{ptr}/{i}") for i, x in enumerate(node)]
 
-    return np.array(go(raw, arity, pointer), dtype=np.int64)
+_KINDS = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
+_REQUIRED: Any = object()
+
+
+def _member(
+    doc: Dict[str, Any], key: str, pointer: str, kind: type, default: Any = _REQUIRED
+) -> Any:
+    """doc[key], which must be of the JSON kind given, or default when the key
+    is absent and the member is optional.  The kind is matched exactly, so
+    JSON's true is not taken for the integer 1."""
+    if key not in doc and default is not _REQUIRED:
+        return default
+    value = doc.get(key)
+    _expect(type(value) is kind, f"{pointer}/{key}", f"expected {_KINDS[kind]}")
+    return value
+
+
+def _items(
+    doc: Dict[str, Any], key: str, pointer: str, kind: type, default: Any = ()
+) -> Sequence[Any]:
+    """The array doc[key], each item of the JSON kind given, or default when
+    the key is absent and the array optional."""
+    items = _member(doc, key, pointer, list, default)
+    for i, item in enumerate(items):
+        _expect(type(item) is kind, f"{pointer}/{key}/{i}", f"expected {_KINDS[kind]}")
+    return items
 
 
 def _element_set(raw: Any, alg: alg_mod.FiniteAlgebra, pointer: str) -> frozenset:
@@ -138,7 +174,8 @@ def load_spec(path: str) -> WorkspaceSpec:
         _expect(isinstance(c, dict), ptr, "expected an object")
         _expect(isinstance(c.get("name"), str), f"{ptr}/name", "expected a string")
         _expect(
-            isinstance(c.get("arity"), int) and c["arity"] >= 0,
+            # not isinstance: JSON's true would pass as the integer 1
+            type(c.get("arity")) is int and c["arity"] >= 0,
             f"{ptr}/arity",
             "expected a nonnegative integer",
         )
@@ -150,7 +187,7 @@ def load_spec(path: str) -> WorkspaceSpec:
         raise WorkspaceError("/signature", str(exc))
 
     algebras: Dict[str, alg_mod.FiniteAlgebra] = {}
-    for name, adoc in (doc.get("algebras") or {}).items():
+    for name, adoc in _member(doc, "algebras", "", dict, {}).items():
         ptr = f"/algebras/{name}"
         _expect(isinstance(adoc, dict), ptr, "expected an object")
         elements = adoc.get("elements")
@@ -183,21 +220,29 @@ def load_spec(path: str) -> WorkspaceSpec:
             raise WorkspaceError(ptr, str(exc))
 
     matrices: Dict[str, mat_mod.Matrix] = {}
-    for name, mdoc in (doc.get("matrices") or {}).items():
+    for name, mdoc in _member(doc, "matrices", "", dict, {}).items():
         ptr = f"/matrices/{name}"
         _expect(isinstance(mdoc, dict), ptr, "expected an object")
         aref = mdoc.get("algebra")
-        _expect(aref in algebras, f"{ptr}/algebra", f"unknown algebra {aref!r}")
+        _expect(
+            isinstance(aref, str) and aref in algebras,
+            f"{ptr}/algebra",
+            f"unknown algebra {aref!r}",
+        )
         alg = algebras[aref]
         des = _element_set(mdoc.get("designated"), alg, f"{ptr}/designated")
         matrices[name] = mat_mod.Matrix(alg, des)
 
     atlases: Dict[str, mat_mod.Atlas] = {}
-    for name, adoc in (doc.get("atlases") or {}).items():
+    for name, adoc in _member(doc, "atlases", "", dict, {}).items():
         ptr = f"/atlases/{name}"
         _expect(isinstance(adoc, dict), ptr, "expected an object")
         aref = adoc.get("algebra")
-        _expect(aref in algebras, f"{ptr}/algebra", f"unknown algebra {aref!r}")
+        _expect(
+            isinstance(aref, str) and aref in algebras,
+            f"{ptr}/algebra",
+            f"unknown algebra {aref!r}",
+        )
         alg = algebras[aref]
         filters_doc = adoc.get("filters")
         _expect(
@@ -210,13 +255,12 @@ def load_spec(path: str) -> WorkspaceSpec:
         )
         atlases[name] = mat_mod.Atlas(alg, fams)
 
-    opts = doc.get("options") or {}
-    _expect(isinstance(opts, dict), "/options", "expected an object")
+    opts = _member(doc, "options", "", dict, {})
     caps_kwargs = {}
     for key in ("max_clone", "max_tuples", "memo_limit"):
         if key in opts:
             _expect(
-                isinstance(opts[key], int) and opts[key] > 0,
+                type(opts[key]) is int and opts[key] > 0,
                 f"/options/{key}",
                 "expected a positive integer",
             )
@@ -651,6 +695,10 @@ def _cmd_eq_conseq(args, ops: _Operands) -> Report:
 
 
 def _load_derivation(path: str, sig: Signature) -> Tuple[eqlogic.EDerivation, List[eqlogic.Equality]]:
+    """A derivation file: {"system": str, "premises": [str], "steps": [{"equality":
+    str, "rule": str, "refs": [int], "occurrences": [{"path": {"side": str, "at":
+    [int]}, "ref": int}], "connective": str, "substitution": {pN: str}}]}, where
+    a step's keys and the top-level lists may be left out."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -659,33 +707,34 @@ def _load_derivation(path: str, sig: Signature) -> Tuple[eqlogic.EDerivation, Li
     _expect(isinstance(doc, dict), "/", "derivation must be an object")
     system = doc.get("system")
     _expect(system in eqlogic.SYSTEMS, "/system", f"unknown system {system!r}")
-    premises = [
-        eqlogic.parse_equality(p, sig) for p in doc.get("premises", [])
-    ]
+    premises = [eqlogic.parse_equality(p, sig) for p in _items(doc, "premises", "", str)]
     steps = []
-    for i, sdoc in enumerate(doc.get("steps", [])):
+    for i, sdoc in enumerate(_items(doc, "steps", "", dict)):
         ptr = f"/steps/{i}"
-        _expect(isinstance(sdoc, dict), ptr, "expected an object")
-        eq = eqlogic.parse_equality(sdoc.get("equality", ""), sig)
+        eq = eqlogic.parse_equality(_member(sdoc, "equality", ptr, str, ""), sig)
         occurrences = []
-        for odoc in sdoc.get("occurrences", []):
-            path = (odoc["path"]["side"], tuple(odoc["path"]["at"]))
-            occurrences.append((path, int(odoc["ref"])))
+        for j, odoc in enumerate(_items(sdoc, "occurrences", ptr, dict)):
+            optr = f"{ptr}/occurrences/{j}"
+            place = _member(odoc, "path", optr, dict)
+            side = _member(place, "side", f"{optr}/path", str)
+            at = _items(place, "at", f"{optr}/path", int, _REQUIRED)
+            occurrences.append(((side, tuple(at)), _member(odoc, "ref", optr, int)))
         subst = None
         if "substitution" in sdoc:
             mapping = {}
-            for key, text in sdoc["substitution"].items():
+            for key, text in _member(sdoc, "substitution", ptr, dict).items():
                 m = re.match(r"^p([1-9][0-9]*)$", key)
                 _expect(m is not None, f"{ptr}/substitution", f"bad variable {key!r}")
+                _expect(isinstance(text, str), f"{ptr}/substitution/{key}", "expected a string")
                 mapping[int(m.group(1))] = parse_formula(text, sig)
             subst = Substitution.of(mapping)
         steps.append(
             eqlogic.Step(
                 eq,
-                sdoc.get("rule", ""),
-                tuple(int(r) for r in sdoc.get("refs", [])),
+                _member(sdoc, "rule", ptr, str, ""),
+                tuple(_items(sdoc, "refs", ptr, int)),
                 tuple(occurrences),
-                sdoc.get("connective"),
+                _member(sdoc, "connective", ptr, str, None),
                 subst,
             )
         )

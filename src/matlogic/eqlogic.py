@@ -96,7 +96,7 @@ def subterm_at(eq: Equality, path: Path) -> Formula:
     side, pos = path
     t = eq.lhs if side == "l" else eq.rhs
     for i in pos:
-        if not isinstance(t, App) or i >= len(t.args):
+        if not isinstance(t, App) or not 0 <= i < len(t.args):
             raise ValueError(f"path {path} does not address a subterm")
         t = t.args[i]
     return t
@@ -109,7 +109,7 @@ def replace_at(eq: Equality, path: Path, new: Formula) -> Equality:
     t = eq.lhs if side == "l" else eq.rhs
     spine = []  # each App on the path, with the argument the path takes
     for i in pos:
-        if not isinstance(t, App) or i >= len(t.args):
+        if not isinstance(t, App) or not 0 <= i < len(t.args):
             raise ValueError(f"path {path} does not address a subterm")
         spine.append((t, i))
         t = t.args[i]
@@ -239,9 +239,9 @@ def check_e_derivation(
             current = base
             try:
                 for path, r in step.occurrences:
-                    used = deriv.steps[r].equality
-                    if r >= i:
+                    if not 0 <= r < i:
                         return CheckResult(False, i, "reference to a non-preceding step")
+                    used = deriv.steps[r].equality
                     if subterm_at(base, path) != used.lhs:
                         return CheckResult(False, i, f"occurrence at {path} is not the equation's left term")
                     current = replace_at(current, path, used.rhs)

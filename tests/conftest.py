@@ -35,6 +35,7 @@ from matlogic.lang import (
     _VAR_RE,
     _postorder,
 )
+from matlogic.cli import _expect
 from matlogic.decide import DecisionReport, _cap_report, _scan_setup
 from matlogic.limits import DEFAULT_CAPS, CapExceeded
 from matlogic.matrices import _filter_mask, consequence
@@ -195,6 +196,60 @@ EX_NONTR_DOC = {
     },
     "matrices": {"M": {"algebra": "A", "designated": ["1"]}},
 }
+
+
+# an E1 derivation of p3 & p4 ~ p1 & p4 from its premises, using every E1 rule
+DERIV_E1_DOC = {
+    "system": "E1",
+    "premises": ["p1 ~ p2", "p2 ~ p3"],
+    "steps": [
+        {"equality": "p1 ~ p2", "rule": "premise"},
+        {"equality": "p2 ~ p3", "rule": "premise"},
+        {"equality": "p1 ~ p3", "rule": "trans", "refs": [0, 1]},
+        {"equality": "p3 ~ p1", "rule": "sym", "refs": [2]},
+        {"equality": "p4 ~ p4", "rule": "axiom"},
+        {"equality": "p3 & p4 ~ p1 & p4", "rule": "cong", "refs": [3, 4], "connective": "∧"},
+    ],
+}
+
+# an E2s derivation with a simultaneous replacement and a substitution
+DERIV_E2S_DOC = {
+    "system": "E2s",
+    "premises": ["p1 ~ p2", "p3 ~ p1"],
+    "steps": [
+        {"equality": "p1 ~ p2", "rule": "premise"},
+        {"equality": "p3 ~ p1", "rule": "premise"},
+        {"equality": "p1 & p3 ~ p1 & p3", "rule": "axiom"},
+        {
+            "equality": "p2 & p1 ~ p1 & p3",
+            "rule": "replace",
+            "refs": [2],
+            "occurrences": [
+                {"path": {"side": "l", "at": [0]}, "ref": 0},
+                {"path": {"side": "l", "at": [1]}, "ref": 1},
+            ],
+        },
+        {"equality": "p2 & p4 ~ p4 & p3", "rule": "subst", "refs": [3], "substitution": {"p1": "p4"}},
+    ],
+}
+
+
+def parse_table_slow(raw, arity, elements, pointer):
+    """cli._parse_table as a recursive walk: one call per table dimension,
+    checking each node before its entries, left to right."""
+    index = {e: i for i, e in enumerate(elements)}
+    k = len(elements)
+
+    def go(node, depth, ptr):
+        if depth == 0:
+            _expect(isinstance(node, str), ptr, "expected an element name")
+            _expect(node in index, ptr, f"unknown element {node!r}")
+            return index[node]
+        _expect(isinstance(node, list), ptr, "expected an array")
+        _expect(len(node) == k, ptr, f"row has {len(node)} entries, expected {k}")
+        return [go(x, depth - 1, f"{ptr}/{i}") for i, x in enumerate(node)]
+
+    return np.array(go(raw, arity, pointer), dtype=np.int64)
 
 
 # one connective of each arity 0-3

@@ -21,7 +21,7 @@ from matlogic.cli import (
     run_command,
 )
 
-from conftest import EX_NONTR_DOC, EX_TR_DOC, write_workspace
+from conftest import DERIV_E1_DOC, DERIV_E2S_DOC, EX_NONTR_DOC, EX_TR_DOC, write_workspace
 
 # help and usage-error texts recorded at an 80-column width
 HELP_TEXTS = json.loads(
@@ -214,6 +214,77 @@ class TestWorkspace:
         ws = write_workspace(tmp_path / "bad.json", doc)
         code, text = run_command(["trivial", "--file", ws, "--matrix", "M"])
         assert code == 2
+
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("algebras",), [1], "/algebras: expected an object"),
+            (("matrices",), [], "/matrices: expected an object"),
+            (("atlases",), None, "/atlases: expected an object"),
+            (("options",), [], "/options: expected an object"),
+            (("matrices", "M", "algebra"), ["A"], "/matrices/M/algebra: unknown algebra ['A']"),
+            (("atlases", "T", "algebra"), {}, "/atlases/T/algebra: unknown algebra {}"),
+            (
+                ("signature", "connectives", 0, "arity"),
+                True,
+                "/signature/connectives/0/arity: expected a nonnegative integer",
+            ),
+            (("options", "max_tuples"), True, "/options/max_tuples: expected a positive integer"),
+        ],
+    )
+    def test_malformed_workspace_exits_2_with_a_pointer(self, tmp_path, path, value, message):
+        doc = copy.deepcopy(EX_NONTR_DOC)
+        doc["atlases"] = {"T": {"algebra": "A", "filters": [["1"]]}}
+        doc["options"] = {"max_tuples": 100}
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        ws = write_workspace(tmp_path / "bad.json", doc)
+        assert run_command(["trivial", "--file", ws, "--matrix", "M"]) == (2, f"error: {message}")
+
+
+class TestDerivations:
+    def test_e1_derivation_checks(self, tmp_path):
+        path = write_workspace(tmp_path / "d.json", DERIV_E1_DOC)
+        assert run_command(["eq", "derive-check", path]) == (0, "derivation checks")
+
+    def test_e1_derivation_fails_at_a_named_step(self, tmp_path):
+        doc = copy.deepcopy(DERIV_E1_DOC)
+        doc["steps"][3]["equality"] = "p1 ~ p3"
+        path = write_workspace(tmp_path / "d.json", doc)
+        assert run_command(["eq", "derive-check", path, "--json"]) == (
+            1,
+            '{"answer": "no", "command": "eq derive-check", '
+            '"witness": {"reason": "sym conclusion is not the reversal", "step": 3}}',
+        )
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("steps", 3, "occurrences", 0), "l", "/steps/3/occurrences/0: expected an object"),
+            (("premises",), "p1 ~ p2", "/premises: expected an array"),
+            (("steps", 0, "equality"), ["p1 ~ p2"], "/steps/0/equality: expected a string"),
+            (("steps", 4, "substitution"), ["p4"], "/steps/4/substitution: expected an object"),
+            (("steps", 2, "rule"), ["axiom"], "/steps/2/rule: expected a string"),
+            (("steps", 2, "connective"), ["∧"], "/steps/2/connective: expected a string"),
+            (
+                ("steps", 3, "occurrences", 1, "path", "at"),
+                1,
+                "/steps/3/occurrences/1/path/at: expected an array",
+            ),
+        ],
+        ids=["occurrence", "premises", "equality", "substitution", "rule", "connective", "at"],
+    )
+    def test_malformed_derivation_exits_2_with_a_pointer(self, tmp_path, path, value, message):
+        doc = copy.deepcopy(DERIV_E2S_DOC)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        file = write_workspace(tmp_path / "d.json", doc)
+        assert run_command(["eq", "derive-check", file]) == (2, f"error: {message}")
 
 
 class TestJsonReports:

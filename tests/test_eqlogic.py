@@ -205,6 +205,23 @@ class TestDerivationChecking:
         res = check_e_derivation(deriv, prem)
         assert not res.ok and "overlap" in res.reason
 
+    @pytest.mark.parametrize(
+        "occurrence, reason",
+        [
+            ((("l", (-3,)), 0), "path ('l', (-3,)) does not address a subterm"),
+            ((("l", (0,)), 9), "reference to a non-preceding step"),
+            ((("l", (0,)), -1), "reference to a non-preceding step"),
+        ],
+    )
+    def test_occurrences_outside_the_derivation_fail_their_step(self, occurrence, reason):
+        steps = (
+            Step(eq("p1 ~ p2"), "premise"),
+            Step(eq("~p1 ~ ~p1"), "axiom"),
+            Step(eq("~p2 ~ ~p1"), "replace", (1,), occurrences=(occurrence,)),
+        )
+        res = check_e_derivation(EDerivation("E2", steps), [eq("p1 ~ p2")])
+        assert (res.ok, res.step_index, res.reason) == (False, 2, reason)
+
 
     def test_replacement_deep_in_a_term(self):
         # p1 under 3,000 alternating disjunctions and negations

@@ -405,8 +405,6 @@ def test_detects_call_cycles():
 
 # the functions allowed to call themselves, by module
 ALLOWED_CYCLES = {
-    # one call per table dimension, so as deep as the connective's arity
-    "cli.py": ["_parse_table.go"],
     # calls the module's variables(), not itself: the graph is built by name
     "eqlogic.py": ["Equality.variables"],
     # proof search, as deep as the longest branch
