@@ -5,6 +5,7 @@ they walk formulas recursively and loop over assignments with itertools,
 so agreement between the two is meaningful.
 """
 
+import copy
 import itertools
 import json
 import re
@@ -167,6 +168,19 @@ def eq_refuter_slow(mode, algebras, premises, goal):
 def write_workspace(path, doc) -> str:
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
+
+
+def replaced(doc, path, value):
+    """A copy of a JSON document with the node at path (keys and indices)
+    replaced by value."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
 
 
 EX_TR_DOC = {

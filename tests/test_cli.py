@@ -21,7 +21,14 @@ from matlogic.cli import (
     run_command,
 )
 
-from conftest import DERIV_E1_DOC, DERIV_E2S_DOC, EX_NONTR_DOC, EX_TR_DOC, write_workspace
+from conftest import (
+    DERIV_E1_DOC,
+    DERIV_E2S_DOC,
+    EX_NONTR_DOC,
+    EX_TR_DOC,
+    replaced,
+    write_workspace,
+)
 
 # help and usage-error texts recorded at an 80-column width
 HELP_TEXTS = json.loads(
@@ -215,7 +222,6 @@ class TestWorkspace:
         code, text = run_command(["trivial", "--file", ws, "--matrix", "M"])
         assert code == 2
 
-
     @pytest.mark.parametrize(
         "path, value, message",
         [
@@ -237,11 +243,7 @@ class TestWorkspace:
         doc = copy.deepcopy(EX_NONTR_DOC)
         doc["atlases"] = {"T": {"algebra": "A", "filters": [["1"]]}}
         doc["options"] = {"max_tuples": 100}
-        parent = doc
-        for key in path[:-1]:
-            parent = parent[key]
-        parent[path[-1]] = value
-        ws = write_workspace(tmp_path / "bad.json", doc)
+        ws = write_workspace(tmp_path / "bad.json", replaced(doc, path, value))
         assert run_command(["trivial", "--file", ws, "--matrix", "M"]) == (2, f"error: {message}")
 
 
@@ -251,8 +253,7 @@ class TestDerivations:
         assert run_command(["eq", "derive-check", path]) == (0, "derivation checks")
 
     def test_e1_derivation_fails_at_a_named_step(self, tmp_path):
-        doc = copy.deepcopy(DERIV_E1_DOC)
-        doc["steps"][3]["equality"] = "p1 ~ p3"
+        doc = replaced(DERIV_E1_DOC, ("steps", 3, "equality"), "p1 ~ p3")
         path = write_workspace(tmp_path / "d.json", doc)
         assert run_command(["eq", "derive-check", path, "--json"]) == (
             1,
@@ -278,12 +279,7 @@ class TestDerivations:
         ids=["occurrence", "premises", "equality", "substitution", "rule", "connective", "at"],
     )
     def test_malformed_derivation_exits_2_with_a_pointer(self, tmp_path, path, value, message):
-        doc = copy.deepcopy(DERIV_E2S_DOC)
-        parent = doc
-        for key in path[:-1]:
-            parent = parent[key]
-        parent[path[-1]] = value
-        file = write_workspace(tmp_path / "d.json", doc)
+        file = write_workspace(tmp_path / "d.json", replaced(DERIV_E2S_DOC, path, value))
         assert run_command(["eq", "derive-check", file]) == (2, f"error: {message}")
 
 

@@ -18,7 +18,7 @@ import pytest
 
 from matlogic.cli import WorkspaceError, _parse_table, run_command
 
-from conftest import DERIV_E1_DOC, DERIV_E2S_DOC, parse_table_slow, write_workspace
+from conftest import DERIV_E1_DOC, DERIV_E2S_DOC, parse_table_slow, replaced, write_workspace
 
 WORKSPACE = json.loads(
     (Path(__file__).parent / "data" / "corpus_ws.json").read_text(encoding="utf-8")
@@ -39,17 +39,6 @@ def _nodes(doc):
     return out
 
 
-def _replaced(doc, path, value):
-    if not path:
-        return value
-    doc = copy.deepcopy(doc)
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = value
-    return doc
-
-
 def _kind(value):
     """A JSON value's kind: bool is not a number, and integers are numbers."""
     return "number" if type(value) in (int, float) else type(value).__name__
@@ -60,7 +49,7 @@ def _check_mutations(tmp_path, doc, path, argv):
     for key in path:
         node = node[key]
     for value in REPLACEMENTS:
-        file = write_workspace(tmp_path / "doc.json", _replaced(doc, path, value))
+        file = write_workspace(tmp_path / "doc.json", replaced(doc, path, value))
         code, text = run_command([a.replace("@FILE@", file) for a in argv])
         assert code in (0, 1, 2, 3), (path, value)
         if _kind(value) != _kind(node):
