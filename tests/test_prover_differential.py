@@ -3,9 +3,10 @@ conftest, which sorts each antecedent by printed text at every step): the
 same proof tree node by node, the same number of settled sequents, and a
 ``CapExceeded`` at the same memo limit."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from matlogic import Sequent, app, imp, rn_power, var
+from matlogic import Sequent, app, imp, parse_formula, rn_power, var
 from matlogic.intprover import _Prover
 from matlogic.lang import AND, IMP, NOT, OR
 from matlogic.limits import CapExceeded, ResourceCaps
@@ -85,3 +86,12 @@ class TestProverAgainstSortingEveryStep:
         for i in range(14):
             for j in range(14):
                 compare((frozenset(), imp(rn_power(i), rn_power(j))), ResourceCaps())
+
+    @pytest.mark.parametrize(
+        "text",
+        [" & ".join(f"p{i}" for i in range(1, 301)) + " -> p300", "~" * 300 + "p1"],
+        ids=["conjunction-300", "negation-300"],
+    )
+    def test_deep_formulas(self, text):
+        # the deepest inputs the recursive oracle still answers under pytest
+        compare((frozenset(), parse_formula(text)), ResourceCaps())
