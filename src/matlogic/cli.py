@@ -949,9 +949,6 @@ def run_command(argv: Sequence[str]) -> Tuple[int, str]:
         return 2, f"error: {exc}"
     except CapExceeded as exc:
         return 3, f"cap exceeded: {exc}"
-    except RecursionError:
-        # proof search still recurses once per nesting level of its formulas
-        return 2, "error: formula nested too deeply"
     return report.exit_code(), text
 
 

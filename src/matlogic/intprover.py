@@ -1,11 +1,12 @@
 """Terminating sequent prover for propositional intuitionistic logic.
 
 Sequents have a set antecedent and at most one succedent formula, over the
-connectives ~ & | -> only.  Search is backward: invertible rules first,
-then the choice rules (right disjunction, left implication, left negation),
-with a loop check along the current branch and memoisation of settled
-sequents.  Left rules keep their principal formula, so the search space is
-the finite set of subformula-closed sequents and the search terminates.
+connectives ~ & | -> only.  Search is backward, on an explicit stack:
+invertible rules first, then the choice rules (right disjunction, left
+implication, left negation), with a loop check along the current branch and
+memoisation of settled sequents.  Left rules keep their principal formula,
+so the search space is the finite set of subformula-closed sequents and the
+search terminates.
 
 Every returned proof is replayable: ``check_proof`` re-verifies each node
 against the rule schemata with no reference to the search code paths.
@@ -123,6 +124,12 @@ def _is(f: Formula, name: str) -> bool:
     return isinstance(f, App) and f.connective == name
 
 
+# A rule application: (rule, principal formula, premises), each premise as
+# (the formula it adds to the antecedent or None, its succedent), so that it
+# becomes a sequent only when it is tried.
+_Step = Tuple[str, Formula, Tuple[Tuple[Optional[Formula], Optional[Formula]], ...]]
+
+
 class _Prover:
     def __init__(self, caps: ResourceCaps):
         self.caps = caps
@@ -130,9 +137,6 @@ class _Prover:
         self.failure: Dict[Sequent, bool] = {}
         # each antecedent's ∧/∨ formulas and its →/¬ formulas, ordered
         self.orders: Dict[FrozenSet[Formula], Tuple[List[App], List[App]]] = {}
-
-    def _note(self) -> None:
-        self.caps.check_memo(len(self.success) + len(self.failure))
 
     def _order(self, ant: FrozenSet[Formula]) -> Tuple[List[App], List[App]]:
         order = self.orders.get(ant)
@@ -144,108 +148,102 @@ class _Prover:
             )
         return order
 
-    def prove(self, seq: Sequent, path: FrozenSet[Sequent]) -> Tuple[Optional[ProofTree], bool]:
-        """Returns (proof or None, clean).  A failure is clean when it did
-        not rely on cutting a looping branch, and only then is it memoised."""
-        cached = self.success.get(seq)
-        if cached is not None:
-            return cached, True
-        if seq in self.failure:
-            return None, True
-        if seq in path:
-            return None, False
+    def _steps(self, seq: Sequent) -> Iterator[_Step]:
+        """The rule applications to try on seq, in order: an invertible step
+        alone if there is one, else the choice points."""
         ant, suc = seq.antecedent, seq.succedent
-
-        if suc is not None and suc in ant:
-            return self._won(seq, ProofTree("axiom", seq, (), suc))
-
-        path = path | {seq}
         splits, choices = self._order(ant)
-
-        # invertible steps, one at a time
         for f in splits:
             a, b = f.args
             if f.connective == AND:
-                for piece in (a, b):
-                    if piece not in ant:
-                        premise = Sequent(ant | {piece}, suc)
-                        sub, clean = self.prove(premise, path)
-                        if sub is None:
-                            return self._lost(seq, clean)
-                        return self._won(seq, ProofTree("∧-2", seq, (sub,), f))
+                if a not in ant or b not in ant:
+                    yield "∧-2", f, ((a if a not in ant else b, suc),)
+                    return
             elif a not in ant and b not in ant:
-                left, cl = self.prove(Sequent(ant | {a}, suc), path)
-                if left is None:
-                    return self._lost(seq, cl)
-                right, cr = self.prove(Sequent(ant | {b}, suc), path)
-                if right is None:
-                    return self._lost(seq, cr)
-                return self._won(seq, ProofTree("∨-2", seq, (left, right), f))
-
-        head = suc.connective if isinstance(suc, App) else None
-        if head == IMP:
-            a, b = suc.args  # type: ignore[union-attr]
-            sub, clean = self.prove(Sequent(ant | {a}, b), path)
-            if sub is None:
-                return self._lost(seq, clean)
-            return self._won(seq, ProofTree("→-1", seq, (sub,), suc))
-        if head == NOT:
-            (a,) = suc.args  # type: ignore[union-attr]
-            sub, clean = self.prove(Sequent(ant | {a}, None), path)
-            if sub is None:
-                return self._lost(seq, clean)
-            return self._won(seq, ProofTree("¬-1", seq, (sub,), suc))
-        if head == AND:
-            a, b = suc.args  # type: ignore[union-attr]
-            left, cl = self.prove(Sequent(ant, a), path)
-            if left is None:
-                return self._lost(seq, cl)
-            right, cr = self.prove(Sequent(ant, b), path)
-            if right is None:
-                return self._lost(seq, cr)
-            return self._won(seq, ProofTree("∧-1", seq, (left, right), suc))
-
-        # choice points
-        all_clean = True
-        if head == OR:
-            for piece in suc.args:  # type: ignore[union-attr]
-                sub, clean = self.prove(Sequent(ant, piece), path)
-                if sub is not None:
-                    return self._won(seq, ProofTree("∨-1", seq, (sub,), suc))
-                all_clean &= clean
+                yield "∨-2", f, ((a, suc), (b, suc))
+                return
+        if isinstance(suc, App):
+            a = suc.args[0]
+            if suc.connective == IMP:
+                yield "→-1", suc, ((a, suc.args[1]),)
+                return
+            if suc.connective == NOT:
+                yield "¬-1", suc, ((a, None),)
+                return
+            if suc.connective == AND:
+                yield "∧-1", suc, ((None, a), (None, suc.args[1]))
+                return
+            if suc.connective == OR:
+                for piece in suc.args:
+                    yield "∨-1", suc, ((None, piece),)
         for f in choices:
+            a = f.args[0]
             if f.connective == IMP:
-                a, b = f.args
-                if b in ant:
-                    continue  # second premise would repeat the conclusion
-                first, c1 = self.prove(Sequent(ant, a), path)
-                if first is None:
-                    all_clean &= c1
-                    continue
-                second, c2 = self.prove(Sequent(ant | {b}, suc), path)
-                if second is None:
-                    all_clean &= c2
-                    continue
-                return self._won(seq, ProofTree("→-2", seq, (first, second), f))
-            (a,) = f.args
-            if suc == a:
-                continue  # premise would repeat the conclusion
-            sub, clean = self.prove(Sequent(ant, a), path)
-            if sub is not None:
-                return self._won(seq, ProofTree("¬-2", seq, (sub,), f))
-            all_clean &= clean
-        return self._lost(seq, all_clean)
+                if f.args[1] not in ant:  # else the second premise repeats the conclusion
+                    yield "→-2", f, ((None, a), (f.args[1], suc))
+            elif suc != a:  # else the premise repeats the conclusion
+                yield "¬-2", f, ((None, a),)
 
-    def _won(self, seq: Sequent, tree: ProofTree) -> Tuple[ProofTree, bool]:
+    def prove(self, goal: Sequent) -> Tuple[Optional[ProofTree], bool]:
+        """Returns (proof or None, clean) for goal.  A failure is clean when
+        it did not rely on cutting a loop (meeting a sequent already on the
+        stack), and only then is it memoised.
+
+        The search is depth first on an explicit stack.  A frame is a list
+        [sequent, its pending steps, the step being tried, the proofs of that
+        step's premises so far, whether every failed step failed cleanly].
+        A step fails at its first unproved premise."""
+        stack: List[list] = []
+        on_stack: set[Sequent] = set()
+        seq = goal
+        while True:
+            # settle seq at once, or open a frame for it
+            tree = self.success.get(seq)
+            clean = True
+            if tree is not None or seq in self.failure:
+                pass
+            elif seq in on_stack:
+                clean = False
+            elif seq.succedent is not None and seq.succedent in seq.antecedent:
+                tree = self._won(seq, ProofTree("axiom", seq, (), seq.succedent))
+            else:
+                on_stack.add(seq)
+                stack.append([seq, self._steps(seq), None, (), True])
+            # hand the outcome down until a frame has a premise to try; a new
+            # frame takes its first step as if a step before it had failed
+            while stack:
+                frame = stack[-1]
+                seq, steps, step, proofs, _ = frame
+                if tree is None:
+                    frame[4] &= clean
+                    step = frame[2] = next(steps, None)
+                    proofs = frame[3] = ()
+                else:
+                    proofs = frame[3] = proofs + (tree,)
+                if step is None:
+                    clean = frame[4]
+                    self._lost(seq, clean)
+                elif len(proofs) < len(step[2]):
+                    added, suc = step[2][len(proofs)]
+                    ant = seq.antecedent
+                    seq = Sequent(ant if added is None else ant | {added}, suc)
+                    break
+                else:
+                    tree = self._won(seq, ProofTree(step[0], seq, proofs, step[1]))
+                stack.pop()
+                on_stack.discard(seq)
+            else:
+                return tree, clean
+
+    def _won(self, seq: Sequent, tree: ProofTree) -> ProofTree:
         self.success[seq] = tree
-        self._note()
-        return tree, True
+        self.caps.check_memo(len(self.success) + len(self.failure))
+        return tree
 
-    def _lost(self, seq: Sequent, clean: bool) -> Tuple[None, bool]:
+    def _lost(self, seq: Sequent, clean: bool) -> None:
         if clean:
             self.failure[seq] = True
-            self._note()
-        return None, clean
+            self.caps.check_memo(len(self.success) + len(self.failure))
 
 
 def g3_prove(
@@ -256,7 +254,7 @@ def g3_prove(
     for f in list(antecedent) + ([succedent] if succedent is not None else []):
         _check_language(f)
     seq = Sequent(frozenset(antecedent), succedent)
-    tree, _ = _Prover(caps).prove(seq, frozenset())
+    tree, _ = _Prover(caps).prove(seq)
     return tree
 
 

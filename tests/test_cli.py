@@ -36,6 +36,11 @@ HELP_TEXTS = json.loads(
 )
 
 
+# proof search takes no stack frame per nesting level: 800 conjuncts, 1,000 negations
+DEEP_THEOREM = " & ".join(f"p{i}" for i in range(1, 801)) + " -> p800"
+DEEP_NON_THEOREM = "~" * 1000 + "p1"
+
+
 class TestExitCodes:
     def test_valid_yes(self):
         code, _ = run_command(["valid", "--preset", "B2", "p1 | ~p1"])
@@ -84,8 +89,8 @@ class TestExitCodes:
                 1,
                 "refuting assignment: {'p1': '0'}",
             ),
-            # proof search still recurses once per nesting level
-            (["int", "prove", "~" * 3000 + "p1"], 2, "error: formula nested too deeply"),
+            (["int", "prove", DEEP_THEOREM], 0, "proved: " + DEEP_THEOREM),
+            (["int", "prove", DEEP_NON_THEOREM], 1, "unprovable: " + DEEP_NON_THEOREM),
             (["int", "classify", "~" * 3000 + "p1"], 0, "ladder class of " + "~" * 3000 + "p1: 3"),
             (["int", "classify", "~" * 3001 + "p1"], 0, "ladder class of " + "~" * 3001 + "p1: 1"),
             (
@@ -98,7 +103,8 @@ class TestExitCodes:
         ids=[
             "valid-neg",
             "valid-parens",
-            "int-prove",
+            "int-prove-conjunction",
+            "int-prove-negation",
             "int-classify-even",
             "int-classify-odd",
             "eq-ground",
@@ -445,10 +451,20 @@ print(json.dumps([code, text, "numpy" in sys.modules]))
 """
 
 
-def _fresh(argv):
+# answers several command lines in a fresh interpreter whose recursion limit
+# is far below their nesting depth, and prints each exit code and report
+_SHALLOW = """
+import json, sys
+from matlogic.cli import run_command
+sys.setrecursionlimit(120)
+print(json.dumps([run_command(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def _fresh(argv, script=_FRESH):
     src = str(Path(matlogic.__file__).resolve().parent.parent)
     out = subprocess.run(
-        [sys.executable, "-c", _FRESH, json.dumps(argv)],
+        [sys.executable, "-c", script, json.dumps(argv)],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
@@ -473,6 +489,14 @@ def _fresh(argv):
 def test_symbolic_commands_do_not_import_numpy(argv, code):
     got = _fresh(argv)
     assert got == [code, run_command(argv)[1], False]
+
+
+def test_deep_proof_search_ignores_the_recursion_limit():
+    argvs = [["int", "prove", DEEP_THEOREM], ["int", "prove", DEEP_NON_THEOREM]]
+    assert _fresh(argvs, _SHALLOW) == [
+        [0, "proved: " + DEEP_THEOREM],
+        [1, "unprovable: " + DEEP_NON_THEOREM],
+    ]
 
 
 def test_matrix_commands_still_import_numpy():

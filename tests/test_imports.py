@@ -407,8 +407,6 @@ def test_detects_call_cycles():
 ALLOWED_CYCLES = {
     # calls the module's variables(), not itself: the graph is built by name
     "eqlogic.py": ["Equality.variables"],
-    # proof search, as deep as the longest branch
-    "intprover.py": ["_Prover.prove"],
 }
 
 

@@ -34,7 +34,7 @@ def outcome(prover, seq):
     """The proof (None if there is none) and the number of settled
     sequents, or "cap" if the memo limit was hit."""
     try:
-        tree, _ = prover.prove(seq, frozenset())
+        tree, _ = prover.prove(seq)
     except CapExceeded:
         return "cap"
     return tree, len(prover.success) + len(prover.failure)
