@@ -71,6 +71,11 @@ class WorkspaceSpec:
     caps: ResourceCaps
 
 
+def _segment(name: str) -> str:
+    """A document key or name as one JSON-pointer segment (RFC 6901)."""
+    return name.replace("~", "~0").replace("/", "~1")
+
+
 def _expect(cond: bool, pointer: str, message: str) -> None:
     if not cond:
         raise WorkspaceError(pointer, message)
@@ -162,7 +167,7 @@ def load_spec(path: str) -> WorkspaceSpec:
     _expect(isinstance(doc, dict), "/", "top level must be an object")
     known = {"signature", "algebras", "matrices", "atlases", "options"}
     for key in doc:
-        _expect(key in known, f"/{key}", "unknown top-level key")
+        _expect(key in known, f"/{_segment(key)}", "unknown top-level key")
 
     sig_doc = doc.get("signature")
     _expect(isinstance(sig_doc, dict), "/signature", "missing or not an object")
@@ -188,7 +193,7 @@ def load_spec(path: str) -> WorkspaceSpec:
 
     algebras: Dict[str, alg_mod.FiniteAlgebra] = {}
     for name, adoc in _member(doc, "algebras", "", dict, {}).items():
-        ptr = f"/algebras/{name}"
+        ptr = f"/algebras/{_segment(name)}"
         _expect(isinstance(adoc, dict), ptr, "expected an object")
         elements = adoc.get("elements")
         _expect(
@@ -200,18 +205,13 @@ def load_spec(path: str) -> WorkspaceSpec:
         _expect(isinstance(operations, dict), f"{ptr}/operations", "expected an object")
         tables: Dict[str, np.ndarray] = {}
         for op_name, arity in signature.operations:
-            _expect(
-                op_name in operations,
-                f"{ptr}/operations/{op_name}",
-                "missing operation table",
-            )
-            tables[op_name] = _parse_table(
-                operations[op_name], arity, elements, f"{ptr}/operations/{op_name}"
-            )
+            op_ptr = f"{ptr}/operations/{_segment(op_name)}"
+            _expect(op_name in operations, op_ptr, "missing operation table")
+            tables[op_name] = _parse_table(operations[op_name], arity, elements, op_ptr)
         for op_name in operations:
             _expect(
                 op_name in signature,
-                f"{ptr}/operations/{op_name}",
+                f"{ptr}/operations/{_segment(op_name)}",
                 "operation not in signature",
             )
         try:
@@ -221,7 +221,7 @@ def load_spec(path: str) -> WorkspaceSpec:
 
     matrices: Dict[str, mat_mod.Matrix] = {}
     for name, mdoc in _member(doc, "matrices", "", dict, {}).items():
-        ptr = f"/matrices/{name}"
+        ptr = f"/matrices/{_segment(name)}"
         _expect(isinstance(mdoc, dict), ptr, "expected an object")
         aref = mdoc.get("algebra")
         _expect(
@@ -235,7 +235,7 @@ def load_spec(path: str) -> WorkspaceSpec:
 
     atlases: Dict[str, mat_mod.Atlas] = {}
     for name, adoc in _member(doc, "atlases", "", dict, {}).items():
-        ptr = f"/atlases/{name}"
+        ptr = f"/atlases/{_segment(name)}"
         _expect(isinstance(adoc, dict), ptr, "expected an object")
         aref = adoc.get("algebra")
         _expect(
@@ -261,14 +261,14 @@ def load_spec(path: str) -> WorkspaceSpec:
         if key in opts:
             _expect(
                 type(opts[key]) is int and opts[key] > 0,
-                f"/options/{key}",
+                f"/options/{_segment(key)}",
                 "expected a positive integer",
             )
             caps_kwargs[key] = opts[key]
     for key in opts:
         _expect(
             key in ("max_clone", "max_tuples", "memo_limit"),
-            f"/options/{key}",
+            f"/options/{_segment(key)}",
             "unknown option",
         )
     caps = ResourceCaps(**caps_kwargs)
@@ -436,8 +436,7 @@ def _decision_to_report(rep: decide.DecisionReport, command: str) -> Report:
         else:
             lines.append(f"witness: {rep.witness}")
             witness = str(rep.witness)
-    stats = _jsonable(rep.stats)
-    return Report(command, rep.answer, lines, witness, stats)
+    return Report(command, rep.answer, lines, witness, rep.stats)
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +724,8 @@ def _load_derivation(path: str, sig: Signature) -> Tuple[eqlogic.EDerivation, Li
             for key, text in _member(sdoc, "substitution", ptr, dict).items():
                 m = re.match(r"^p([1-9][0-9]*)$", key)
                 _expect(m is not None, f"{ptr}/substitution", f"bad variable {key!r}")
-                _expect(isinstance(text, str), f"{ptr}/substitution/{key}", "expected a string")
+                key_ptr = f"{ptr}/substitution/{_segment(key)}"
+                _expect(isinstance(text, str), key_ptr, "expected a string")
                 mapping[int(m.group(1))] = parse_formula(text, sig)
             subst = Substitution.of(mapping)
         steps.append(

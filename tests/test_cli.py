@@ -252,6 +252,26 @@ class TestWorkspace:
         ws = write_workspace(tmp_path / "bad.json", replaced(doc, path, value))
         assert run_command(["trivial", "--file", ws, "--matrix", "M"]) == (2, f"error: {message}")
 
+    @pytest.mark.parametrize(
+        "algebra, connective, pointer",
+        [
+            ("a/b", "¬", "/algebras/a~1b/operations/¬/1"),
+            ("a~b", "n/t", "/algebras/a~0b/operations/n~1t/1"),
+        ],
+    )
+    def test_pointer_segments_escape_slash_and_tilde(self, tmp_path, algebra, connective, pointer):
+        # RFC 6901: within a segment, "~" is written "~0" and "/" "~1"
+        doc = {
+            "signature": {"connectives": [{"name": connective, "arity": 1}]},
+            "algebras": {algebra: {"elements": ["0", "1"], "operations": {connective: ["1", "2"]}}},
+            "matrices": {"M": {"algebra": algebra, "designated": ["1"]}},
+        }
+        ws = write_workspace(tmp_path / "bad.json", doc)
+        assert run_command(["valid", "--file", ws, "--matrix", "M", "p1"]) == (
+            2,
+            f"error: {pointer}: unknown element '2'",
+        )
+
 
 class TestDerivations:
     def test_e1_derivation_checks(self, tmp_path):
