@@ -219,11 +219,15 @@ def check_e_derivation(
             parts = [deriv.steps[r].equality for r in step.refs]
             if not parts:
                 return CheckResult(False, i, "cong needs at least one reference")
-            want = Equality(
-                app(step.connective, tuple(p.lhs for p in parts)),
-                app(step.connective, tuple(p.rhs for p in parts)),
-            )
-            if eq != want:
+            lhs, rhs = eq.lhs, eq.rhs
+            if not all(isinstance(t, App) and t.connective == step.connective for t in (lhs, rhs)):
+                return CheckResult(False, i, "cong conclusion does not apply the connective")
+            for t in (lhs, rhs):
+                if len(t.args) != len(parts):
+                    reason = f"cong has {len(parts)} references for {len(t.args)} arguments"
+                    return CheckResult(False, i, reason)
+            # formulas are interned: the arguments are compared by identity, and nothing is built
+            if any(a is not p.lhs or b is not p.rhs for a, b, p in zip(lhs.args, rhs.args, parts)):
                 return CheckResult(False, i, "cong conclusion does not apply the connective")
         elif step.rule == "replace":
             if len(step.refs) != 1:

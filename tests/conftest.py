@@ -13,6 +13,7 @@ import re
 import pytest
 from hypothesis import strategies as st
 
+from matlogic import lang
 from matlogic import (
     App,
     Congruence,
@@ -42,6 +43,18 @@ from matlogic.limits import DEFAULT_CAPS, CapExceeded
 from matlogic.matrices import _filter_mask, consequence
 
 import numpy as np
+
+
+@pytest.fixture
+def forget_new_formulas():
+    """Drop the formulas a test interned, and the texts printed on them: a
+    3,000-deep chain of a binary connective keeps 20-40 MB of text.  It
+    deletes pool entries, so a formula it drops must not outlive the test:
+    equality is identity, and a copy built again would not equal it."""
+    before = set(lang._app_pool)
+    yield
+    for key in set(lang._app_pool) - before:
+        del lang._app_pool[key]
 
 
 @pytest.fixture

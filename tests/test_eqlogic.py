@@ -109,6 +109,22 @@ class TestDerivationChecking:
         )
         assert check_e_derivation(deriv, prem).ok
 
+    def test_cong_with_too_few_references_interns_nothing(self, forget_new_formulas):
+        prem = [eq("p1 ~ p2")]
+        deriv = EDerivation(
+            "E1",
+            (
+                Step(eq("p1 ~ p2"), "premise"),
+                Step(eq("p1 & p1 ~ p2 & p2"), "cong", (0,), connective="∧"),
+            ),
+        )
+        malformed = ("∧", (var(1),))
+        assert malformed not in lang._app_pool
+        res = check_e_derivation(deriv, prem)
+        reason = "cong has 1 references for 2 arguments"
+        assert (res.ok, res.step_index, res.reason) == (False, 1, reason)
+        assert malformed not in lang._app_pool
+
     def test_e1_rejects_wrong_transitivity(self):
         prem = [eq("p1 ~ p2")]
         deriv = EDerivation(

@@ -181,18 +181,6 @@ def _nested(step, depth=3000):
 DEEP_SIGNATURE = Signature.of({"¬": 1, "∧": 2, "∨": 2, "→": 2, "↔": 2, "□": 1})
 
 
-@pytest.fixture
-def forget_new_formulas():
-    """Drop the formulas a test interned, and the texts printed on them: a
-    3,000-deep chain of a binary connective keeps 20-40 MB of text.  It
-    deletes pool entries, so a formula it drops must not outlive the test:
-    equality is identity, and a copy built again would not equal it."""
-    before = set(lang._app_pool)
-    yield
-    for key in set(lang._app_pool) - before:
-        del lang._app_pool[key]
-
-
 @pytest.mark.usefixtures("forget_new_formulas")
 class TestDeepNesting:
     """Parsing and printing use no recursion, so nesting depth is unbounded."""
