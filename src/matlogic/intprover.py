@@ -200,15 +200,14 @@ class _Prover:
             # settle seq at once, or open a frame for it
             tree = self.success.get(seq)
             clean = True
-            if tree is not None or seq in self.failure:
-                pass
-            elif seq in on_stack:
-                clean = False
-            elif seq.succedent is not None and seq.succedent in seq.antecedent:
-                tree = self._won(seq, ProofTree("axiom", seq, (), seq.succedent))
-            else:
-                on_stack.add(seq)
-                stack.append([seq, self._steps(seq), None, (), True])
+            if tree is None and seq not in self.failure:
+                if seq in on_stack:
+                    clean = False
+                elif seq.succedent is not None and seq.succedent in seq.antecedent:
+                    tree = self._won(seq, ProofTree("axiom", seq, (), seq.succedent))
+                else:
+                    on_stack.add(seq)
+                    stack.append([seq, self._steps(seq), None, (), True])
             # hand the outcome down until a frame has a premise to try; a new
             # frame takes its first step as if a step before it had failed
             while stack:
