@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .lang import (
     AND,
@@ -82,17 +82,9 @@ def expand_iff(f: Formula) -> Formula:
     return out[-1]
 
 
-@dataclass(frozen=True)
-class Sequent:
+class Sequent(NamedTuple):
     antecedent: FrozenSet[Formula]
     succedent: Optional[Formula]
-    _hash: int = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.antecedent, self.succedent)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __str__(self) -> str:
         left = ", ".join(str(f) for f in _ordered(self.antecedent))
