@@ -9,6 +9,7 @@ import copy
 import itertools
 import json
 import re
+from typing import Dict, NamedTuple
 
 import pytest
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from matlogic import lang
 from matlogic import (
     App,
+    Atlas,
     Congruence,
     Const,
     FiniteAlgebra,
@@ -37,9 +39,9 @@ from matlogic.lang import (
     _VAR_RE,
     _postorder,
 )
-from matlogic.cli import _expect
+from matlogic.cli import WorkspaceError, _expect, _segment
 from matlogic.decide import DecisionReport, _cap_report, _scan_setup
-from matlogic.limits import DEFAULT_CAPS, CapExceeded
+from matlogic.limits import DEFAULT_CAPS, CapExceeded, ResourceCaps
 from matlogic.matrices import _filter_mask, consequence
 
 import numpy as np
@@ -277,6 +279,150 @@ def parse_table_slow(raw, arity, elements, pointer):
         return [go(x, depth - 1, f"{ptr}/{i}") for i, x in enumerate(node)]
 
     return np.array(go(raw, arity, pointer), dtype=np.int64)
+
+
+class WorkspaceSlow(NamedTuple):
+    signature: Signature
+    algebras: Dict[str, FiniteAlgebra]
+    matrices: Dict[str, Matrix]
+    atlases: Dict[str, Atlas]
+    caps: ResourceCaps
+
+
+def load_spec_slow(path: str) -> WorkspaceSlow:
+    """cli.load_spec as it was before it kept parsed workspaces: the file read
+    as text and validated and built in one pass, every algebra, matrix and
+    atlas at once."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except FileNotFoundError:
+        raise WorkspaceError("/", f"file not found: {path}")
+    except json.JSONDecodeError as exc:
+        raise WorkspaceError("/", f"invalid JSON: {exc}")
+    _expect(isinstance(doc, dict), "/", "top level must be an object")
+    known = {"signature", "algebras", "matrices", "atlases", "options"}
+    for key in doc:
+        _expect(key in known, f"/{_segment(key)}", "unknown top-level key")
+
+    def member(key):
+        value = doc.get(key, {})
+        _expect(type(value) is dict, f"/{key}", "expected an object")
+        return value
+
+    def element_set(raw, alg, pointer):
+        _expect(isinstance(raw, list), pointer, "expected an array")
+        idxs = set()
+        for i, e in enumerate(raw):
+            _expect(
+                isinstance(e, str) and e in alg.elements,
+                f"{pointer}/{i}",
+                f"{e!r} is not a carrier element",
+            )
+            idxs.add(alg.element_index(e))
+        return frozenset(idxs)
+
+    sig_doc = doc.get("signature")
+    _expect(isinstance(sig_doc, dict), "/signature", "missing or not an object")
+    conns = sig_doc.get("connectives")
+    _expect(isinstance(conns, list), "/signature/connectives", "missing or not an array")
+    ops = {}
+    for i, c in enumerate(conns):
+        ptr = f"/signature/connectives/{i}"
+        _expect(isinstance(c, dict), ptr, "expected an object")
+        _expect(isinstance(c.get("name"), str), f"{ptr}/name", "expected a string")
+        _expect(
+            type(c.get("arity")) is int and c["arity"] >= 0,
+            f"{ptr}/arity",
+            "expected a nonnegative integer",
+        )
+        _expect(c["name"] not in ops, f"{ptr}/name", "duplicate connective")
+        ops[c["name"]] = c["arity"]
+    try:
+        signature = Signature.of(ops)
+    except ValueError as exc:
+        raise WorkspaceError("/signature", str(exc))
+
+    algebras = {}
+    for name, adoc in member("algebras").items():
+        ptr = f"/algebras/{_segment(name)}"
+        _expect(isinstance(adoc, dict), ptr, "expected an object")
+        elements = adoc.get("elements")
+        _expect(
+            isinstance(elements, list) and all(isinstance(e, str) for e in elements),
+            f"{ptr}/elements",
+            "expected an array of strings",
+        )
+        operations = adoc.get("operations")
+        _expect(isinstance(operations, dict), f"{ptr}/operations", "expected an object")
+        tables = {}
+        for op_name, arity in signature.operations:
+            op_ptr = f"{ptr}/operations/{_segment(op_name)}"
+            _expect(op_name in operations, op_ptr, "missing operation table")
+            tables[op_name] = parse_table_slow(operations[op_name], arity, elements, op_ptr)
+        for op_name in operations:
+            _expect(
+                op_name in signature,
+                f"{ptr}/operations/{_segment(op_name)}",
+                "operation not in signature",
+            )
+        try:
+            algebras[name] = FiniteAlgebra(signature, elements, tables)
+        except ValueError as exc:
+            raise WorkspaceError(ptr, str(exc))
+
+    matrices = {}
+    for name, mdoc in member("matrices").items():
+        ptr = f"/matrices/{_segment(name)}"
+        _expect(isinstance(mdoc, dict), ptr, "expected an object")
+        aref = mdoc.get("algebra")
+        _expect(
+            isinstance(aref, str) and aref in algebras,
+            f"{ptr}/algebra",
+            f"unknown algebra {aref!r}",
+        )
+        alg = algebras[aref]
+        matrices[name] = Matrix(alg, element_set(mdoc.get("designated"), alg, f"{ptr}/designated"))
+
+    atlases = {}
+    for name, adoc in member("atlases").items():
+        ptr = f"/atlases/{_segment(name)}"
+        _expect(isinstance(adoc, dict), ptr, "expected an object")
+        aref = adoc.get("algebra")
+        _expect(
+            isinstance(aref, str) and aref in algebras,
+            f"{ptr}/algebra",
+            f"unknown algebra {aref!r}",
+        )
+        alg = algebras[aref]
+        filters_doc = adoc.get("filters")
+        _expect(
+            isinstance(filters_doc, list) and filters_doc,
+            f"{ptr}/filters",
+            "expected a nonempty array",
+        )
+        fams = tuple(
+            element_set(fdoc, alg, f"{ptr}/filters/{fi}") for fi, fdoc in enumerate(filters_doc)
+        )
+        atlases[name] = Atlas(alg, fams)
+
+    opts = member("options")
+    caps_kwargs = {}
+    for key in ("max_clone", "max_tuples", "memo_limit"):
+        if key in opts:
+            _expect(
+                type(opts[key]) is int and opts[key] > 0,
+                f"/options/{_segment(key)}",
+                "expected a positive integer",
+            )
+            caps_kwargs[key] = opts[key]
+    for key in opts:
+        _expect(
+            key in ("max_clone", "max_tuples", "memo_limit"),
+            f"/options/{_segment(key)}",
+            "unknown option",
+        )
+    return WorkspaceSlow(signature, algebras, matrices, atlases, ResourceCaps(**caps_kwargs))
 
 
 # one connective of each arity 0-3

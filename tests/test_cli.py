@@ -253,6 +253,31 @@ class TestWorkspace:
         assert run_command(["trivial", "--file", ws, "--matrix", "M"]) == (2, f"error: {message}")
 
     @pytest.mark.parametrize(
+        "encode, message",
+        [
+            (
+                lambda text: text.encode("utf-8-sig"),
+                "/: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)",
+            ),
+            (
+                lambda text: text.encode("utf-8").replace(b"1/2", b"1/\xff"),
+                "'utf-8' codec can't decode byte 0xff in position 129: invalid start byte",
+            ),
+            (
+                lambda text: text.encode("utf-16"),
+                "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+            ),
+        ],
+        ids=["utf-8-bom", "invalid-utf-8", "utf-16"],
+    )
+    def test_a_file_not_in_plain_utf8_exits_2(self, tmp_path, encode, message):
+        # json.loads, given bytes, guesses their encoding and would load the
+        # BOM and UTF-16 files
+        ws = tmp_path / "ws.json"
+        ws.write_bytes(encode(json.dumps(EX_NONTR_DOC, ensure_ascii=False)))
+        assert run_command(["trivial", "--file", str(ws), "--matrix", "M"]) == (2, f"error: {message}")
+
+    @pytest.mark.parametrize(
         "algebra, connective, pointer",
         [
             ("a/b", "¬", "/algebras/a~1b/operations/¬/1"),
