@@ -62,13 +62,55 @@ class WorkspaceError(ValueError):
         self.pointer = pointer
 
 
-@dataclass
+@dataclass(frozen=True)
 class WorkspaceSpec:
+    """A validated workspace.  Its signature and caps need no numpy; its
+    algebras, matrices and atlases are built from the validated document on
+    first use, and every mapping is read-only, so no command can change a
+    spec that load_spec keeps."""
+
     signature: Signature
-    algebras: Dict[str, alg_mod.FiniteAlgebra]
-    matrices: Dict[str, mat_mod.Matrix]
-    atlases: Dict[str, mat_mod.Atlas]
     caps: ResourceCaps
+    # algebra name -> (elements, the document's operation tables)
+    _algebras: Dict[str, Tuple[List[str], Dict[str, Any]]]
+    # matrix name -> (algebra name, designated indices)
+    _matrices: Dict[str, Tuple[str, frozenset]]
+    # atlas name -> (algebra name, filters as index sets)
+    _atlases: Dict[str, Tuple[str, Tuple[frozenset, ...]]]
+
+    @functools.cached_property
+    def algebras(self) -> Mapping[str, alg_mod.FiniteAlgebra]:
+        from types import MappingProxyType
+
+        from .algebra import FiniteAlgebra
+
+        return MappingProxyType({
+            name: FiniteAlgebra(self.signature, elements, {
+                op: _parse_table(tables[op], arity, elements, "")
+                for op, arity in self.signature.operations
+            })
+            for name, (elements, tables) in self._algebras.items()
+        })
+
+    @functools.cached_property
+    def matrices(self) -> Mapping[str, mat_mod.Matrix]:
+        from types import MappingProxyType
+
+        from .matrices import Matrix
+
+        return MappingProxyType(
+            {name: Matrix(self.algebras[a], des) for name, (a, des) in self._matrices.items()}
+        )
+
+    @functools.cached_property
+    def atlases(self) -> Mapping[str, mat_mod.Atlas]:
+        from types import MappingProxyType
+
+        from .matrices import Atlas
+
+        return MappingProxyType(
+            {name: Atlas(self.algebras[a], fams) for name, (a, fams) in self._atlases.items()}
+        )
 
 
 def _segment(name: str) -> str:
@@ -84,11 +126,19 @@ def _expect(cond: bool, pointer: str, message: str) -> None:
 def _parse_table(
     raw: Any, arity: int, elements: Sequence[str], pointer: str
 ) -> np.ndarray:
-    """An arity-k table of element names as an array of element indices,
-    walked depth first on an explicit stack, so the first error reported is
-    the first in document order."""
+    """An arity-k table of element names as an array of element indices."""
     import numpy as np
 
+    k = len(elements)
+    return np.array(_table_entries(raw, arity, elements, pointer), dtype=np.int64).reshape(
+        (k,) * arity
+    )
+
+
+def _table_entries(raw: Any, arity: int, elements: Sequence[str], pointer: str) -> List[int]:
+    """The element indices of an arity-k table of element names in row-major
+    order, walked depth first on an explicit stack, so the first error
+    reported is the first in document order."""
     index = {e: i for i, e in enumerate(elements)}
     k = len(elements)
     flat: List[int] = []  # the entries in row-major order
@@ -108,7 +158,7 @@ def _parse_table(
         else:
             depth -= 1
             todo.extend([(node[i], depth, f"{ptr}/{i}") for i in range(k - 1, -1, -1)])
-    return np.array(flat, dtype=np.int64).reshape((k,) * arity)
+    return flat
 
 
 _KINDS = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
@@ -139,29 +189,59 @@ def _items(
     return items
 
 
-def _element_set(raw: Any, alg: alg_mod.FiniteAlgebra, pointer: str) -> frozenset:
+def _element_set(raw: Any, index: Dict[str, int], pointer: str) -> frozenset:
     """The indices of an array of carrier element names."""
     _expect(isinstance(raw, list), pointer, "expected an array")
     idxs = set()
     for i, e in enumerate(raw):
         _expect(
-            isinstance(e, str) and e in alg.elements,
+            isinstance(e, str) and e in index,
             f"{pointer}/{i}",
             f"{e!r} is not a carrier element",
         )
-        idxs.add(alg.element_index(e))
+        idxs.add(index[e])
     return frozenset(idxs)
 
 
-def load_spec(path: str) -> WorkspaceSpec:
-    from . import algebra as alg_mod
-    from . import matrices as mat_mod
+# Workspaces are kept between calls (_SPECS), keyed by the file's bytes: the
+# same bytes always give the same spec.  Past _SPEC_BYTES bytes of files the
+# least recently used go, and a larger file is not kept.  A file that fails
+# to load is not kept, so it raises the same error on every call.
+_SPECS: Dict[bytes, WorkspaceSpec] = {}  # least recently used first
+_SPEC_BYTES = 1 << 20  # the clone-decide benchmark's 22 files take 30 KB
 
+
+def load_spec(path: str) -> WorkspaceSpec:
+    """The workspace in the file at path, parsed again only when the file's
+    bytes are new to the process."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except FileNotFoundError:
         raise WorkspaceError("/", f"file not found: {path}")
+    except OSError as exc:
+        raise WorkspaceError("/", f"cannot read file: {exc}")
+    spec = _SPECS.pop(data, None)  # put back last, as the most recently used
+    if spec is None:
+        spec = _parse_workspace(data)
+        if len(data) > _SPEC_BYTES:
+            return spec
+        kept = len(data) + sum(map(len, _SPECS))
+        while kept > _SPEC_BYTES:
+            oldest = next(iter(_SPECS))
+            kept -= len(oldest)
+            del _SPECS[oldest]
+    _SPECS[data] = spec
+    return spec
+
+
+def _parse_workspace(data: bytes) -> WorkspaceSpec:
+    """The workspace in a file's bytes, validated without numpy."""
+    try:
+        # as a file read as text: UTF-8 without a BOM, line ends read as "\n"
+        doc = json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
+    except UnicodeDecodeError as exc:
+        raise WorkspaceError("/", f"cannot read file: {exc}")
     except json.JSONDecodeError as exc:
         raise WorkspaceError("/", f"invalid JSON: {exc}")
     _expect(isinstance(doc, dict), "/", "top level must be an object")
@@ -191,7 +271,8 @@ def load_spec(path: str) -> WorkspaceSpec:
     except ValueError as exc:
         raise WorkspaceError("/signature", str(exc))
 
-    algebras: Dict[str, alg_mod.FiniteAlgebra] = {}
+    algebras: Dict[str, Tuple[List[str], Dict[str, Any]]] = {}
+    indices: Dict[str, Dict[str, int]] = {}  # algebra name -> element index
     for name, adoc in _member(doc, "algebras", "", dict, {}).items():
         ptr = f"/algebras/{_segment(name)}"
         _expect(isinstance(adoc, dict), ptr, "expected an object")
@@ -203,23 +284,23 @@ def load_spec(path: str) -> WorkspaceSpec:
         )
         operations = adoc.get("operations")
         _expect(isinstance(operations, dict), f"{ptr}/operations", "expected an object")
-        tables: Dict[str, np.ndarray] = {}
         for op_name, arity in signature.operations:
             op_ptr = f"{ptr}/operations/{_segment(op_name)}"
             _expect(op_name in operations, op_ptr, "missing operation table")
-            tables[op_name] = _parse_table(operations[op_name], arity, elements, op_ptr)
+            _table_entries(operations[op_name], arity, elements, op_ptr)  # built on first use
         for op_name in operations:
             _expect(
                 op_name in signature,
                 f"{ptr}/operations/{_segment(op_name)}",
                 "operation not in signature",
             )
-        try:
-            algebras[name] = alg_mod.FiniteAlgebra(signature, elements, tables)
-        except ValueError as exc:
-            raise WorkspaceError(ptr, str(exc))
+        # FiniteAlgebra's own checks, which the walk above leaves
+        index = {e: i for i, e in enumerate(elements)}
+        _expect(len(index) == len(elements), ptr, "duplicate element names")
+        _expect(bool(elements), ptr, "empty carrier")
+        algebras[name], indices[name] = (elements, operations), index
 
-    matrices: Dict[str, mat_mod.Matrix] = {}
+    matrices: Dict[str, Tuple[str, frozenset]] = {}
     for name, mdoc in _member(doc, "matrices", "", dict, {}).items():
         ptr = f"/matrices/{_segment(name)}"
         _expect(isinstance(mdoc, dict), ptr, "expected an object")
@@ -229,11 +310,10 @@ def load_spec(path: str) -> WorkspaceSpec:
             f"{ptr}/algebra",
             f"unknown algebra {aref!r}",
         )
-        alg = algebras[aref]
-        des = _element_set(mdoc.get("designated"), alg, f"{ptr}/designated")
-        matrices[name] = mat_mod.Matrix(alg, des)
+        des = _element_set(mdoc.get("designated"), indices[aref], f"{ptr}/designated")
+        matrices[name] = aref, des
 
-    atlases: Dict[str, mat_mod.Atlas] = {}
+    atlases: Dict[str, Tuple[str, Tuple[frozenset, ...]]] = {}
     for name, adoc in _member(doc, "atlases", "", dict, {}).items():
         ptr = f"/atlases/{_segment(name)}"
         _expect(isinstance(adoc, dict), ptr, "expected an object")
@@ -243,7 +323,6 @@ def load_spec(path: str) -> WorkspaceSpec:
             f"{ptr}/algebra",
             f"unknown algebra {aref!r}",
         )
-        alg = algebras[aref]
         filters_doc = adoc.get("filters")
         _expect(
             isinstance(filters_doc, list) and filters_doc,
@@ -251,9 +330,10 @@ def load_spec(path: str) -> WorkspaceSpec:
             "expected a nonempty array",
         )
         fams = tuple(
-            _element_set(fdoc, alg, f"{ptr}/filters/{fi}") for fi, fdoc in enumerate(filters_doc)
+            _element_set(fdoc, indices[aref], f"{ptr}/filters/{fi}")
+            for fi, fdoc in enumerate(filters_doc)
         )
-        atlases[name] = mat_mod.Atlas(alg, fams)
+        atlases[name] = aref, fams
 
     opts = _member(doc, "options", "", dict, {})
     caps_kwargs = {}
@@ -271,8 +351,7 @@ def load_spec(path: str) -> WorkspaceSpec:
             f"/options/{_segment(key)}",
             "unknown option",
         )
-    caps = ResourceCaps(**caps_kwargs)
-    return WorkspaceSpec(signature, algebras, matrices, atlases, caps)
+    return WorkspaceSpec(signature, ResourceCaps(**caps_kwargs), algebras, matrices, atlases)
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +780,7 @@ def _load_derivation(path: str, sig: Signature) -> Tuple[eqlogic.EDerivation, Li
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise WorkspaceError("/", f"cannot read derivation: {exc}")
     _expect(isinstance(doc, dict), "/", "derivation must be an object")
     system = doc.get("system")

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import matlogic
-from matlogic import combine_matrices, make_preset, parse_formula
+from matlogic import ResourceCaps, cli, combine_matrices, make_preset, parse_formula
 from matlogic.cli import (
     _COMMANDS,
     REPORT_SCHEMA,
@@ -29,6 +30,8 @@ from conftest import (
     replaced,
     write_workspace,
 )
+
+CORPUS_WS = str(Path(__file__).parent / "data" / "corpus_ws.json")
 
 # help and usage-error texts recorded at an 80-column width
 HELP_TEXTS = json.loads(
@@ -160,6 +163,11 @@ class TestExitCodes:
         assert run_command(["valid", "--preset", "L3", "p1 | ~p1"])[0] == 1
         assert run_command(["valid", "--preset", "B2", "p1 | ~p1"]) == (0, "valid: p1 | ~p1")
 
+    @pytest.mark.parametrize("argv", [["trivial", "--preset", "L3"], ["int", "prove", "p1 -> p1"]])
+    def test_a_directory_named_by_file_exits_2(self, tmp_path, argv):
+        code, text = run_command(argv + ["--file", str(tmp_path)])
+        assert (code, text) == (2, f"error: /: cannot read file: [Errno 21] Is a directory: '{tmp_path}'")
+
     def test_cap_exceeded_exit_3(self, tmp_path):
         doc = copy.deepcopy(EX_NONTR_DOC)
         doc["options"] = {"max_tuples": 2}
@@ -261,11 +269,11 @@ class TestWorkspace:
             ),
             (
                 lambda text: text.encode("utf-8").replace(b"1/2", b"1/\xff"),
-                "'utf-8' codec can't decode byte 0xff in position 129: invalid start byte",
+                "/: cannot read file: 'utf-8' codec can't decode byte 0xff in position 129: invalid start byte",
             ),
             (
                 lambda text: text.encode("utf-16"),
-                "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+                "/: cannot read file: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
             ),
         ],
         ids=["utf-8-bom", "invalid-utf-8", "utf-16"],
@@ -303,6 +311,15 @@ class TestDerivations:
         path = write_workspace(tmp_path / "d.json", DERIV_E1_DOC)
         assert run_command(["eq", "derive-check", path]) == (0, "derivation checks")
 
+    def test_a_derivation_not_in_utf8_exits_2(self, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_bytes(json.dumps(DERIV_E1_DOC).encode("utf-16"))
+        assert run_command(["eq", "derive-check", str(path)]) == (
+            2,
+            "error: /: cannot read derivation: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte",
+        )
+
     def test_e1_derivation_fails_at_a_named_step(self, tmp_path):
         doc = replaced(DERIV_E1_DOC, ("steps", 3, "equality"), "p1 ~ p3")
         path = write_workspace(tmp_path / "d.json", doc)
@@ -332,6 +349,69 @@ class TestDerivations:
     def test_malformed_derivation_exits_2_with_a_pointer(self, tmp_path, path, value, message):
         file = write_workspace(tmp_path / "d.json", replaced(DERIV_E2S_DOC, path, value))
         assert run_command(["eq", "derive-check", file]) == (2, f"error: {message}")
+
+
+@pytest.fixture
+def empty_memo():
+    """The workspace memo emptied before and after the test."""
+    cli._SPECS.clear()
+    yield cli._SPECS
+    cli._SPECS.clear()
+
+
+class TestWorkspaceMemo:
+    def test_the_same_bytes_are_parsed_once(self, tmp_path, monkeypatch, empty_memo):
+        walks = []
+        walk = cli._table_entries
+        monkeypatch.setattr(cli, "_table_entries", lambda *args: walks.append(args) or walk(*args))
+        first = write_workspace(tmp_path / "a.json", EX_NONTR_DOC)
+        argv = ["trivial", "--file", first, "--matrix", "M"]
+        assert run_command(argv) == (0, "trivial: yes\nwitness: p1 -> p1")
+        assert len(walks) == 4  # both tables validated, then built
+        walks.clear()
+        assert run_command(argv) == (0, "trivial: yes\nwitness: p1 -> p1")
+        # the spec is a function of the bytes, whatever the path
+        assert load_spec(write_workspace(tmp_path / "b.json", EX_NONTR_DOC)) is load_spec(first)
+        assert walks == []
+
+    def test_new_bytes_at_the_same_path_are_parsed_again(self, tmp_path, empty_memo):
+        ws = tmp_path / "ws.json"
+        argv = ["trivial", "--file", str(ws), "--matrix", "M"]
+        write_workspace(ws, EX_NONTR_DOC)
+        assert run_command(argv) == (0, "trivial: yes\nwitness: p1 -> p1")
+        write_workspace(ws, EX_TR_DOC)
+        assert run_command(argv) == (1, "trivial: no theorems")
+        assert len(empty_memo) == 2
+
+    def test_a_failing_file_is_not_kept(self, tmp_path, empty_memo):
+        ws = write_workspace(tmp_path / "bad.json", replaced(EX_TR_DOC, ("matrices", "M", "algebra"), "B"))
+        for _ in range(2):
+            with pytest.raises(WorkspaceError) as exc:
+                load_spec(ws)
+            assert str(exc.value) == "/matrices/M/algebra: unknown algebra 'B'"
+            assert empty_memo == {}
+
+    def test_the_byte_bound_evicts_the_least_recently_used(self, tmp_path, monkeypatch, empty_memo):
+        docs = [replaced(EX_NONTR_DOC, ("options",), {"max_tuples": 10 + i}) for i in range(3)]
+        a, b, c = (write_workspace(tmp_path / f"{i}.json", doc) for i, doc in enumerate(docs))
+        data = {path: Path(path).read_bytes() for path in (a, b, c)}
+        monkeypatch.setattr(cli, "_SPEC_BYTES", 2 * len(data[a]))
+        for path in (a, b, a, c):
+            load_spec(path)
+        assert list(empty_memo) == [data[a], data[c]]
+        big = tmp_path / "big.json"
+        big.write_bytes(data[b] + b" " * (len(data[b]) + 1))
+        assert load_spec(str(big)).caps.max_tuples == 11
+        assert list(empty_memo) == [data[a], data[c]]
+
+    def test_a_kept_spec_cannot_be_changed(self, tmp_path, empty_memo):
+        doc = replaced(EX_NONTR_DOC, ("atlases",), {"T": {"algebra": "A", "filters": [["1"]]}})
+        spec = load_spec(write_workspace(tmp_path / "ws.json", doc))
+        for mapping in (spec.algebras, spec.matrices, spec.atlases):
+            with pytest.raises(TypeError):
+                mapping["X"] = next(iter(mapping.values()))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.caps = ResourceCaps()
 
 
 class TestJsonReports:
@@ -529,11 +609,19 @@ def _fresh(argv, script=_FRESH):
         (["eq", "ground", "~p1 ~ ~p3", "--premise", "p1 ~ p2", "--premise", "p2 ~ p3"], 0),
         (["eq", "ground", "p1 & p2 ~ p2 & p1"], 1),
         (["eq", "bridge", "p1 & p2 ~ p2 & p1", "--target", "EH"], 0),
+        (["int", "prove", "--file", CORPUS_WS, "p1 -> p1"], 0),
+        (["eq", "ground", "--file", CORPUS_WS, "p1 ~ p1"], 0),
     ],
 )
 def test_symbolic_commands_do_not_import_numpy(argv, code):
     got = _fresh(argv)
     assert got == [code, run_command(argv)[1], False]
+
+
+def test_symbolic_commands_validate_the_whole_file_without_numpy(tmp_path):
+    doc = replaced(EX_NONTR_DOC, ("algebras", "A", "operations", "→", 2, 1), "2")
+    argv = ["int", "prove", "--file", write_workspace(tmp_path / "bad.json", doc), "p1 -> p1"]
+    assert _fresh(argv) == [2, "error: /algebras/A/operations/→/2/1: unknown element '2'", False]
 
 
 def test_deep_proof_search_ignores_the_recursion_limit():
