@@ -208,7 +208,7 @@ def _element_set(raw: Any, index: Dict[str, int], pointer: str) -> frozenset:
 # least recently used go, and a larger file is not kept.  A file that fails
 # to load is not kept, so it raises the same error on every call.
 _SPECS: Dict[bytes, WorkspaceSpec] = {}  # least recently used first
-_SPEC_BYTES = 1 << 20  # the clone-decide benchmark's 22 files take 30 KB
+_SPEC_BYTES = 1 << 20  # the clone-decide benchmark's 22 files take 31 KB
 
 
 def load_spec(path: str) -> WorkspaceSpec:
