@@ -165,8 +165,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [["trivial", "--preset", "L3"], ["int", "prove", "p1 -> p1"]])
     def test_a_directory_named_by_file_exits_2(self, tmp_path, argv):
-        code, text = run_command(argv + ["--file", str(tmp_path)])
-        assert (code, text) == (2, f"error: /: cannot read file: [Errno 21] Is a directory: '{tmp_path}'")
+        assert run_command(argv + ["--file", str(tmp_path)]) == (
+            2,
+            f"error: /: cannot read file: [Errno 21] Is a directory: '{tmp_path}'",
+        )
 
     def test_cap_exceeded_exit_3(self, tmp_path):
         doc = copy.deepcopy(EX_NONTR_DOC)
