@@ -29,6 +29,7 @@ import numbers
 import re
 import sys
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import eqlogic, intprover
@@ -47,8 +48,6 @@ from .limits import CapExceeded, ResourceCaps
 
 # numpy and the matrix layers are imported by the commands that use them
 if TYPE_CHECKING:
-    import numpy as np
-
     from . import algebra as alg_mod
     from . import decide
     from . import matrices as mat_mod
@@ -65,14 +64,14 @@ class WorkspaceError(ValueError):
 @dataclass(frozen=True)
 class WorkspaceSpec:
     """A validated workspace.  Its signature and caps need no numpy; its
-    algebras, matrices and atlases are built from the validated document on
+    algebras, matrices and atlases are built from the validated entries on
     first use, and every mapping is read-only, so no command can change a
     spec that load_spec keeps."""
 
     signature: Signature
     caps: ResourceCaps
-    # algebra name -> (elements, the document's operation tables)
-    _algebras: Dict[str, Tuple[List[str], Dict[str, Any]]]
+    # algebra name -> (elements, operation name -> table entries in row-major order)
+    _algebras: Dict[str, Tuple[List[str], Dict[str, List[int]]]]
     # matrix name -> (algebra name, designated indices)
     _matrices: Dict[str, Tuple[str, frozenset]]
     # atlas name -> (algebra name, filters as index sets)
@@ -80,13 +79,13 @@ class WorkspaceSpec:
 
     @functools.cached_property
     def algebras(self) -> Mapping[str, alg_mod.FiniteAlgebra]:
-        from types import MappingProxyType
+        import numpy as np
 
         from .algebra import FiniteAlgebra
 
         return MappingProxyType({
             name: FiniteAlgebra(self.signature, elements, {
-                op: _parse_table(tables[op], arity, elements, "")
+                op: np.array(tables[op], dtype=np.int64).reshape((len(elements),) * arity)
                 for op, arity in self.signature.operations
             })
             for name, (elements, tables) in self._algebras.items()
@@ -94,8 +93,6 @@ class WorkspaceSpec:
 
     @functools.cached_property
     def matrices(self) -> Mapping[str, mat_mod.Matrix]:
-        from types import MappingProxyType
-
         from .matrices import Matrix
 
         return MappingProxyType(
@@ -104,8 +101,6 @@ class WorkspaceSpec:
 
     @functools.cached_property
     def atlases(self) -> Mapping[str, mat_mod.Atlas]:
-        from types import MappingProxyType
-
         from .matrices import Atlas
 
         return MappingProxyType(
@@ -121,18 +116,6 @@ def _segment(name: str) -> str:
 def _expect(cond: bool, pointer: str, message: str) -> None:
     if not cond:
         raise WorkspaceError(pointer, message)
-
-
-def _parse_table(
-    raw: Any, arity: int, elements: Sequence[str], pointer: str
-) -> np.ndarray:
-    """An arity-k table of element names as an array of element indices."""
-    import numpy as np
-
-    k = len(elements)
-    return np.array(_table_entries(raw, arity, elements, pointer), dtype=np.int64).reshape(
-        (k,) * arity
-    )
 
 
 def _table_entries(raw: Any, arity: int, elements: Sequence[str], pointer: str) -> List[int]:
@@ -242,7 +225,7 @@ def _parse_workspace(data: bytes) -> WorkspaceSpec:
         doc = json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
     except UnicodeDecodeError as exc:
         raise WorkspaceError("/", f"cannot read file: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nested too deep to decode
         raise WorkspaceError("/", f"invalid JSON: {exc}")
     _expect(isinstance(doc, dict), "/", "top level must be an object")
     known = {"signature", "algebras", "matrices", "atlases", "options"}
@@ -271,7 +254,7 @@ def _parse_workspace(data: bytes) -> WorkspaceSpec:
     except ValueError as exc:
         raise WorkspaceError("/signature", str(exc))
 
-    algebras: Dict[str, Tuple[List[str], Dict[str, Any]]] = {}
+    algebras: Dict[str, Tuple[List[str], Dict[str, List[int]]]] = {}
     indices: Dict[str, Dict[str, int]] = {}  # algebra name -> element index
     for name, adoc in _member(doc, "algebras", "", dict, {}).items():
         ptr = f"/algebras/{_segment(name)}"
@@ -284,10 +267,11 @@ def _parse_workspace(data: bytes) -> WorkspaceSpec:
         )
         operations = adoc.get("operations")
         _expect(isinstance(operations, dict), f"{ptr}/operations", "expected an object")
+        tables: Dict[str, List[int]] = {}  # built into arrays on first use
         for op_name, arity in signature.operations:
             op_ptr = f"{ptr}/operations/{_segment(op_name)}"
             _expect(op_name in operations, op_ptr, "missing operation table")
-            _table_entries(operations[op_name], arity, elements, op_ptr)  # built on first use
+            tables[op_name] = _table_entries(operations[op_name], arity, elements, op_ptr)
         for op_name in operations:
             _expect(
                 op_name in signature,
@@ -298,7 +282,7 @@ def _parse_workspace(data: bytes) -> WorkspaceSpec:
         index = {e: i for i, e in enumerate(elements)}
         _expect(len(index) == len(elements), ptr, "duplicate element names")
         _expect(bool(elements), ptr, "empty carrier")
-        algebras[name], indices[name] = (elements, operations), index
+        algebras[name], indices[name] = (elements, tables), index
 
     matrices: Dict[str, Tuple[str, frozenset]] = {}
     for name, mdoc in _member(doc, "matrices", "", dict, {}).items():
@@ -780,7 +764,7 @@ def _load_derivation(path: str, sig: Signature) -> Tuple[eqlogic.EDerivation, Li
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise WorkspaceError("/", f"cannot read derivation: {exc}")
     _expect(isinstance(doc, dict), "/", "derivation must be an object")
     system = doc.get("system")
@@ -1028,6 +1012,8 @@ def run_command(argv: Sequence[str]) -> Tuple[int, str]:
         return 2, f"error: {exc}"
     except CapExceeded as exc:
         return 3, f"cap exceeded: {exc}"
+    except MemoryError:
+        return 3, "cap exceeded: out of memory"
     return report.exit_code(), text
 
 

@@ -264,8 +264,9 @@ DERIV_E2S_DOC = {
 
 
 def parse_table_slow(raw, arity, elements, pointer):
-    """cli._parse_table as a recursive walk: one call per table dimension,
-    checking each node before its entries, left to right."""
+    """A table of element names as an array of element indices, walked
+    recursively: one call per table dimension, checking each node before its
+    entries, left to right."""
     index = {e: i for i, e in enumerate(elements)}
     k = len(elements)
 

@@ -170,6 +170,28 @@ class TestExitCodes:
             f"error: /: cannot read file: [Errno 21] Is a directory: '{tmp_path}'",
         )
 
+    @pytest.mark.parametrize(
+        "argv, prefix",
+        [
+            (["trivial", "--preset", "L3", "--file"], "error: /: invalid JSON: "),
+            (["int", "prove", "p1 -> p1", "--file"], "error: /: invalid JSON: "),
+            (["eq", "derive-check"], "error: /: cannot read derivation: "),
+        ],
+        ids=["trivial", "int-prove", "eq-derive-check"],
+    )
+    def test_json_nested_too_deep_to_decode_exits_2(self, tmp_path, argv, prefix):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000, encoding="utf-8")
+        code, text = run_command(argv + [str(path)])
+        # the rest of the message is the JSON decoder's own
+        assert (code, text[: len(prefix)]) == (2, prefix)
+
+    def test_running_out_of_memory_exits_3(self, monkeypatch):
+        def rn_power(index):
+            raise MemoryError
+        monkeypatch.setattr(cli.intprover, "rn_power", rn_power)
+        assert run_command(["int", "rn", "3"]) == (3, "cap exceeded: out of memory")
+
     def test_cap_exceeded_exit_3(self, tmp_path):
         doc = copy.deepcopy(EX_NONTR_DOC)
         doc["options"] = {"max_tuples": 2}
@@ -367,11 +389,16 @@ class TestWorkspaceMemo:
         walk = cli._table_entries
         monkeypatch.setattr(cli, "_table_entries", lambda *args: walks.append(args) or walk(*args))
         first = write_workspace(tmp_path / "a.json", EX_NONTR_DOC)
-        argv = ["trivial", "--file", first, "--matrix", "M"]
-        assert run_command(argv) == (0, "trivial: yes\nwitness: p1 -> p1")
-        assert len(walks) == 4  # both tables validated, then built
+        spec = load_spec(first)
+        assert len(walks) == 2  # each table walked once, at validation
+        assert spec._algebras["A"][1] == {"→": [2, 2, 2, 0, 2, 2, 0, 1, 2], "0": [0]}
         walks.clear()
-        assert run_command(argv) == (0, "trivial: yes\nwitness: p1 -> p1")
+        # the algebras are built from the kept entries, without a second walk
+        assert spec.algebras["A"].tables["→"].tolist() == [[2, 2, 2], [0, 2, 2], [0, 1, 2]]
+        assert walks == []
+        argv = ["trivial", "--file", first, "--matrix", "M"]
+        for _ in range(2):
+            assert run_command(argv) == (0, "trivial: yes\nwitness: p1 -> p1")
         # the spec is a function of the bytes, whatever the path
         assert load_spec(write_workspace(tmp_path / "b.json", EX_NONTR_DOC)) is load_spec(first)
         assert walks == []

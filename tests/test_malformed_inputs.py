@@ -14,9 +14,10 @@ import json
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from matlogic.cli import WorkspaceError, _parse_table, run_command
+from matlogic.cli import WorkspaceError, _table_entries, run_command
 
 from conftest import DERIV_E1_DOC, DERIV_E2S_DOC, parse_table_slow, replaced, write_workspace
 
@@ -115,6 +116,12 @@ def _random_table(rng, elements, arity):
     return [_random_table(rng, elements, arity - 1) for _ in elements]
 
 
+def _table(raw, arity, elements, pointer):
+    """A table's validated entries, shaped as the workspace builds them."""
+    entries = _table_entries(raw, arity, elements, pointer)
+    return np.array(entries, dtype=np.int64).reshape((len(elements),) * arity)
+
+
 def test_table_walk_agrees_with_the_recursive_walk():
     rng = random.Random(7)
     outcomes = []
@@ -124,7 +131,7 @@ def test_table_walk_agrees_with_the_recursive_walk():
         raw = _random_table(rng, elements, arity)
         for _ in range(rng.randint(0, 2)):
             raw = _mutate(rng, raw, elements)
-        got = _outcome(_parse_table, raw, arity, elements)
+        got = _outcome(_table, raw, arity, elements)
         assert got == _outcome(parse_table_slow, raw, arity, elements), (raw, arity, elements)
         outcomes.append(got)
     assert any(not isinstance(got, str) for got in outcomes)
