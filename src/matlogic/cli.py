@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from . import eqlogic, intprover
+from . import eqlogic, intprover, lang
 from .lang import (
     BOOLEAN_SIGNATURE,
     CLASSICAL_SIGNATURE,
@@ -993,6 +993,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run_command(argv: Sequence[str]) -> Tuple[int, str]:
     """Execute one command line; returns (exit code, report text)."""
+    try:
+        return _answer(argv)
+    finally:
+        lang.sweep()  # once the command's own references are gone
+
+
+def _answer(argv: Sequence[str]) -> Tuple[int, str]:
     parser = _build_parser()
     # argparse writes help and usage errors itself, then exits
     printed = io.StringIO()

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -127,6 +128,7 @@ class App(Formula):
 _var_pool: Dict[int, Var] = {}
 _const_pool: Dict[str, Const] = {}
 _app_pool: Dict[Tuple[str, Tuple[Formula, ...]], App] = {}
+_swept = _walked = 0  # the pool's size after the last sweep, and after the last walk over all of it
 
 
 def var(index: int) -> Var:
@@ -167,6 +169,17 @@ def app(connective: str, args: Sequence[Formula]) -> Formula:
         f._text = None
         _app_pool[key] = f
     return f
+
+
+def sweep() -> None:
+    """Drop the applications only the pool holds, newest first: a dropped term goes in one pass."""
+    global _swept, _walked
+    start = _swept if len(_app_pool) < 2 * _walked else 0  # doubled: walk all of it
+    keys = list(itertools.islice(reversed(_app_pool), len(_app_pool) - start))[::-1]
+    while keys:  # the previous key, which holds its arguments, goes as the next is popped
+        if sys.getrefcount(_app_pool[key := keys.pop()]) == 2:  # the pool's and the call's
+            del _app_pool[key]
+    _swept, _walked = len(_app_pool), (_walked if start else len(_app_pool))
 
 
 def neg(a: Formula) -> Formula:

@@ -49,14 +49,18 @@ import numpy as np
 
 @pytest.fixture
 def forget_new_formulas():
-    """Drop the formulas a test interned, and the texts printed on them: a
-    3,000-deep chain of a binary connective keeps 20-40 MB of text.  It
-    deletes pool entries, so a formula it drops must not outlive the test:
-    equality is identity, and a copy built again would not equal it."""
-    before = set(lang._app_pool)
+    """Sweep the formulas a test interned and let go of, and the texts printed
+    on them: a 3,000-deep chain of a binary connective keeps 20-40 MB of text."""
     yield
-    for key in set(lang._app_pool) - before:
-        del lang._app_pool[key]
+    lang.sweep()
+
+
+def settled_pool_size() -> int:
+    """The intern pool's size once a sweep has walked all of it, so that it
+    holds only the applications something references."""
+    lang._walked = 0  # so that the next sweep walks the whole pool
+    lang.sweep()
+    return len(lang._app_pool)
 
 
 @pytest.fixture

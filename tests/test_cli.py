@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import matlogic
-from matlogic import ResourceCaps, cli, combine_matrices, make_preset, parse_formula
+from matlogic import ResourceCaps, cli, combine_matrices, lang, make_preset, parse_formula
 from matlogic.cli import (
     _COMMANDS,
     REPORT_SCHEMA,
@@ -28,6 +28,7 @@ from conftest import (
     EX_NONTR_DOC,
     EX_TR_DOC,
     replaced,
+    settled_pool_size,
     write_workspace,
 )
 
@@ -593,6 +594,21 @@ class TestOperands:
         )
         assert code == 1
         assert "counterexample sequent" in text
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["eq", "ground", "p81 & p82 ~ p83 & p82", "--premise", "p81 ~ p83"], 0),
+        (["int", "prove", "(p81 -> p82) -> ~~p81 -> ~~p82"], 0),
+        (["valid", "--preset", "L3", "p81 | ~p81"], 1),
+        (["eq", "ground", "p81 ~ p82", "--premise", "p81 ~ p83", "--premise", "p83 & (p82"], 2),
+    ],
+)
+def test_a_command_leaves_the_intern_pool_as_it_found_it(argv, code):
+    before = settled_pool_size()
+    assert run_command(argv)[0] == code
+    assert len(lang._app_pool) == before
 
 
 # answers one command line in a fresh interpreter and prints its exit code,

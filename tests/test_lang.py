@@ -27,6 +27,8 @@ from matlogic import (
     variables,
 )
 
+from conftest import settled_pool_size
+
 
 class TestSignature:
     def test_of_and_lookup(self):
@@ -205,6 +207,24 @@ class TestDeepNesting:
         text = "~(" * 3000 + "p1" + ")" * 3000
         assert parse_formula(text, DEEP_SIGNATURE) == f
         assert parse_formula(str(f), DEEP_SIGNATURE) == f
+
+
+class TestSweep:
+    def test_a_held_formula_survives_and_a_dropped_one_goes(self):
+        before = settled_pool_size()
+        held = parse_formula("(p71 -> p72) & ~p73")
+        parse_formula("p74 | (p75 <-> p76)")  # dropped at once
+        lang.sweep()
+        assert parse_formula(str(held)) is held
+        assert len(lang._app_pool) == before + 3  # held, p71 -> p72 and ~p73
+
+    def test_a_dropped_deep_chain_goes_in_one_sweep(self):
+        before = settled_pool_size()
+        f = _nested(lambda g: app("∧", (g, var(1))))
+        assert len(str(f)) > 3000  # a text on every link
+        del f
+        lang.sweep()
+        assert len(lang._app_pool) == before
 
 
 class TestEnumeration:
