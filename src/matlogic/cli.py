@@ -635,8 +635,7 @@ def _cmd_reps(args, ops: _Operands) -> Report:
     reps = lindenbaum.representatives(m.algebra, args.n, ops.caps)
     lines = [f"representatives of {args.n}-variable formulas: {len(reps)}"]
     for tf in reps.entries:
-        theorem = all(v in m.designated for v in tf.table)
-        mark = "  [theorem]" if theorem else ""
+        mark = "  [theorem]" if m.designated.issuperset(tf.table) else ""
         lines.append(f"  {tf.witness}{mark}")
     witness = [str(tf.witness) for tf in reps.entries]
     return Report("reps", "info", lines, witness, {"count": len(reps), "n": args.n})
@@ -645,18 +644,17 @@ def _cmd_reps(args, ops: _Operands) -> Report:
 def _cmd_free_algebra(args, ops: _Operands) -> Report:
     from . import lindenbaum
 
+    # the representatives are the elements; no operation table is printed, so none is built
     m = _one_matrix(ops)
-    free, reps = lindenbaum.free_matrix_algebra(m, args.n, ops.caps)
+    reps = lindenbaum._free_elements(m.algebra, args.n, ops.caps).entries
+    names = [str(tf.witness) for tf in reps]
+    designated = sorted(str(tf.witness) for tf in reps if m.designated.issuperset(tf.table))
     lines = [
-        f"free matrix algebra on {args.n} variables: {free.algebra.size} elements",
-        f"designated: {sorted(free.designated_names())}",
+        f"free matrix algebra on {args.n} variables: {len(names)} elements",
+        f"designated: {designated}",
     ]
-    stats = {
-        "size": free.algebra.size,
-        "designated": sorted(free.designated_names()),
-        "elements": list(free.algebra.elements),
-    }
-    return Report("free-algebra", "info", lines, list(free.algebra.elements), stats)
+    stats = {"size": len(names), "designated": designated, "elements": names}
+    return Report("free-algebra", "info", lines, names, stats)
 
 
 def _cmd_congruence(args, ops: _Operands) -> Report:

@@ -79,7 +79,7 @@ def has_theorems(m: Matrix, caps: ResourceCaps = DEFAULT_CAPS) -> DecisionReport
         return _cap_report(question, exc, n=1)
     stats = {"n": 1, "representatives": len(reps)}
     for tf in reps:
-        if all(v in m.designated for v in tf.table):
+        if m.designated.issuperset(tf.table):
             check = is_valid(m, tf.witness, caps)
             if not check.valid:
                 raise AssertionError("representative failed re-validation")
@@ -176,7 +176,7 @@ def theorem_inclusion(
         setup = _scan_setup(m1.as_atlas(), m2.as_atlas(), caps, n, "n")
         _, (d1,), (d2,), reps, stats = setup
         for tf in reps:
-            if all(v in d1 for v in tf.table) and not all(v in d2 for v in tf.table):
+            if d1.issuperset(tf.table) and not d2.issuperset(tf.table):
                 break
         else:
             return DecisionReport(question, "yes", None, stats)

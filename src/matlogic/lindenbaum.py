@@ -130,12 +130,16 @@ def restricted_theorems(
     """Representatives whose term function lands in the designated set
     everywhere: the n-variable theorems of the matrix, up to
     indistinguishability."""
-    reps = representatives(m.algebra, n, caps)
-    out = []
-    for tf in reps.entries:
-        if all(v in m.designated for v in tf.table):
-            out.append(tf)
-    return tuple(out)
+    reps = representatives(m.algebra, n, caps).entries
+    return tuple(tf for tf in reps if m.designated.issuperset(tf.table))
+
+
+def _free_elements(alg: FiniteAlgebra, n: int, caps: ResourceCaps) -> RepresentativeSet:
+    """The representatives, which are the free algebra's elements; there must be one."""
+    reps = representatives(alg, n, caps)
+    if not reps.entries:
+        raise ValueError(f"no {n}-variable formulas: the free algebra would be empty")
+    return reps
 
 
 def free_matrix_algebra(
@@ -144,18 +148,15 @@ def free_matrix_algebra(
     """The algebra of n-ary term functions (elements named by their witness
     formulas) with the designated set inherited pointwise: the restricted
     Lindenbaum matrix of the given matrix."""
-    reps = representatives(m.algebra, n, caps)
-    sig = m.algebra.signature
-    if not reps.entries:
-        raise ValueError(f"no {n}-variable formulas: the free algebra would be empty")
+    reps = _free_elements(m.algebra, n, caps)
     names = [str(tf.witness) for tf in reps.entries]
     tables = _operations_on(m.algebra, np.array([tf.table for tf in reps.entries]))
-    for name, arity in sig.operations:
+    for name, arity in m.algebra.signature.operations:
         if (tables[name] < 0).any():
             kind = "a constant" if arity == 0 else "an operation"
             raise AssertionError(f"clone not closed under {kind}")
-    alg = FiniteAlgebra(sig, names, tables)
+    alg = FiniteAlgebra(m.algebra.signature, names, tables)
     designated = frozenset(
-        i for i, tf in enumerate(reps.entries) if all(v in m.designated for v in tf.table)
+        i for i, tf in enumerate(reps.entries) if m.designated.issuperset(tf.table)
     )
     return Matrix(alg, designated), reps

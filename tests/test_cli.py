@@ -147,6 +147,28 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(text)["stats"]["representatives"] == 0
 
+    @pytest.mark.parametrize(
+        "argv, answer",
+        [
+            # B2 has no constants, so no formula is free of variables
+            (
+                ["--preset", "B2"],
+                (2, "error: no 0-variable formulas: the free algebra would be empty"),
+            ),
+            (
+                ["--preset", "B2c", "--json"],
+                (
+                    0,
+                    '{"answer": "info", "command": "free-algebra", "stats": {"designated": ["⊤"], '
+                    '"elements": ["⊤", "⊥"], "size": 2}, "witness": ["⊤", "⊥"]}',
+                ),
+            ),
+        ],
+        ids=["B2", "B2c"],
+    )
+    def test_free_algebra_over_zero_variables(self, argv, answer):
+        assert run_command(["free-algebra", "--n", "0", *argv]) == answer
+
     @pytest.mark.parametrize("case", HELP_TEXTS, ids=lambda c: " ".join(c["argv"]) or "-")
     def test_help_and_usage_texts_are_unchanged(self, case, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")

@@ -1,0 +1,39 @@
+"""Differential test for `free-algebra`: the command reports from the
+representatives alone, so its reports must equal the ones read off the
+matrix that `free_matrix_algebra` builds.  Building that matrix also checks,
+on each preset, that the clone is closed under every operation."""
+
+import json
+
+import pytest
+
+from matlogic import free_matrix_algebra
+from matlogic.cli import resolve_preset, run_command
+
+# L3 and L3modal at n = 2 are left out: building their operation tables takes
+# seconds each
+CASES = [(preset, 1) for preset in ("B2", "B2c", "L3", "L3modal", "G3", "G4")] + [
+    (preset, 2) for preset in ("B2", "B2c", "G3", "G4")
+]
+
+
+@pytest.mark.parametrize("preset, n", CASES, ids=str)
+def test_free_algebra_reports_the_built_free_matrix(preset, n):
+    free, _ = free_matrix_algebra(resolve_preset(preset), n)
+    size, elements = free.algebra.size, list(free.algebra.elements)
+    designated = sorted(free.designated_names())
+    argv = ["free-algebra", "--preset", preset, "--n", str(n)]
+    assert run_command(argv) == (
+        0,
+        f"free matrix algebra on {n} variables: {size} elements\ndesignated: {designated}",
+    )
+    code, text = run_command(argv + ["--json"])
+    assert (code, json.loads(text)) == (
+        0,
+        {
+            "answer": "info",
+            "command": "free-algebra",
+            "stats": {"designated": designated, "elements": elements, "size": size},
+            "witness": elements,
+        },
+    )
