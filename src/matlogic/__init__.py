@@ -21,9 +21,8 @@ _EXPORTS = {
     "algebra": (
         "Congruence", "FiniteAlgebra", "TermFunction", "clone_functions",
         "congruence_closure_pairs", "direct_product", "evaluate_term", "find_isomorphism",
-        "generated_subalgebra", "generates_carrier", "greatest_congruence_below",
-        "identity_congruence", "is_congruence", "minimal_generating_set",
-        "quotient_by_congruence", "term_table",
+        "generated_subalgebra", "greatest_congruence_below", "is_congruence",
+        "minimal_generating_set", "quotient_by_congruence", "term_table",
     ),
     "decide": (
         "DecisionReport", "atlas_equivalence", "atlas_inclusion", "has_theorems",
@@ -47,13 +46,12 @@ _EXPORTS = {
     "limits": ("CapExceeded", "DEFAULT_CAPS", "ResourceCaps"),
     "lindenbaum": (
         "RepresentativeSet", "free_matrix_algebra", "indistinguishable", "representatives",
-        "representatives_by_enumeration", "restricted_theorems",
+        "restricted_theorems",
     ),
     "matrices": (
         "Atlas", "ConsequenceResult", "Matrix", "PRESET_NAMES", "ValidityResult",
-        "atlas_from_family", "boolean_matrix", "combine_atlases", "combine_matrices",
-        "consequence", "godel_chain", "greatest_compatible_congruence", "is_valid",
-        "make_preset", "reduced_matrix",
+        "boolean_matrix", "combine_matrices", "consequence", "godel_chain",
+        "greatest_compatible_congruence", "is_valid", "make_preset", "reduced_matrix",
     ),
 }
 _SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -733,10 +733,6 @@ def minimal_generating_set(
     raise ValueError(f"no generating set of size <= {bound}")
 
 
-def generates_carrier(alg: FiniteAlgebra, seed: Sequence[int]) -> bool:
-    return len(_generate(alg, seed)) == alg.size
-
-
 # ---------------------------------------------------------------------------
 # products
 
@@ -793,10 +789,6 @@ class Congruence:
 
     def related(self, a: int, b: int) -> bool:
         return self.labels[a] == self.labels[b]
-
-
-def identity_congruence(k: int) -> Congruence:
-    return Congruence(tuple(range(k)))
 
 
 def _refine(alg: FiniteAlgebra, labels: Sequence[int]) -> List[int]:

@@ -401,7 +401,10 @@ def _parse_assignment(text: str, alg: alg_mod.FiniteAlgebra) -> Dict[int, int]:
         m = re.match(r"^p([1-9][0-9]*)$", lhs)
         if not m:
             raise WorkspaceError("/assign", f"bad variable {lhs!r}")
-        out[int(m.group(1))] = alg.element_index(rhs.strip())
+        index = int(m.group(1))
+        if index in out:
+            raise WorkspaceError("/assign", f"{lhs} is bound twice")
+        out[index] = alg.element_index(rhs.strip())
     return out
 
 

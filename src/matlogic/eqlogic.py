@@ -28,9 +28,11 @@ from .lang import (
     ParseError,
     Signature,
     Substitution,
+    Var,
     _close,
     _error,
     _parse,
+    _postorder,
     _tokenize,
     app,
     conj,
@@ -394,7 +396,15 @@ def bridge_implicational(
     if target == "EB":
         from .matrices import consequence, make_preset
 
-        res = consequence(make_preset("B2c"), xs, g, caps)
+        b2c = make_preset("B2c")
+        ops = set(b2c.algebra.signature.operations)
+        for h in _postorder((*xs, g))[1]:
+            if isinstance(h, Var):
+                continue
+            op = (h.connective, len(h.args)) if isinstance(h, App) else (h.name, 0)
+            if op not in ops:
+                raise ValueError("connective %r/%d not supported by B2c" % op)
+        res = consequence(b2c, xs, g, caps)
         return BridgeResult(res.holds, xs, g, res.assignment)
     if target == "EH":
         from .intprover import g3_prove

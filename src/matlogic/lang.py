@@ -324,13 +324,6 @@ class Substitution:
                 out.append(table.get(g.index, g) if isinstance(g, Var) else g)
         return out[-1]
 
-    def compose(self, other: "Substitution") -> "Substitution":
-        """self after other: (self.compose(other)).apply(f) == self.apply(other.apply(f))."""
-        out = {v: self.apply(t) for v, t in other.bindings}
-        for v, t in self.bindings:
-            out.setdefault(v, t)
-        return Substitution.of(out)
-
 
 # ---------------------------------------------------------------------------
 # concrete syntax: one table for the parser and the printer

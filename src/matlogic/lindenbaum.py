@@ -3,15 +3,14 @@
 Two formulas in variables p1..pn are indistinguishable over an algebra when
 they induce the same n-ary term function.  The classes of this relation are
 finitely many, and each class is represented by its first formula in
-canonical enumeration order.  The worker here is the clone closure from the
-algebra module; a direct formula-enumeration procedure with depth
-stabilisation is kept as an independent cross-check oracle.
+canonical enumeration order.  The worker is the clone closure from the
+algebra module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from .algebra import (
     term_table,
 )
 from .lang import Formula
-from .limits import DEFAULT_CAPS, CapExceeded, ResourceCaps
+from .limits import DEFAULT_CAPS, ResourceCaps
 from .matrices import Matrix
 
 
@@ -47,81 +46,11 @@ class RepresentativeSet:
     def witnesses(self) -> Tuple[Formula, ...]:
         return tuple(tf.witness for tf in self.entries)
 
-    def class_of(self, f: Formula) -> Optional[int]:
-        """Index of the entry indistinguishable from f, if any variables fit."""
-        key = tuple(int(x) for x in term_table(self.algebra, f, self.n))
-        for i, tf in enumerate(self.entries):
-            if tf.table == key:
-                return i
-        return None
-
 
 def representatives(
     alg: FiniteAlgebra, n: int, caps: ResourceCaps = DEFAULT_CAPS
 ) -> RepresentativeSet:
     return RepresentativeSet(alg, n, tuple(clone_discovery_order(alg, n, caps)))
-
-
-def representatives_by_enumeration(
-    alg: FiniteAlgebra,
-    n: int,
-    max_depth: int = 32,
-    max_count: int = 2_000_000,
-) -> Tuple[Tuple[TermFunction, ...], int]:
-    """Independent oracle for ``representatives``.
-
-    Walks the canonical enumeration depth by depth, but builds each stratum
-    only from previously selected representatives (replacing a subformula by
-    an indistinguishable one never changes the class, so nothing is lost).
-    Every table is computed through ``term_table`` on the formula itself,
-    exercising a different code path than the vectorised closure.  Returns
-    the entries and the first depth whose stratum added nothing new.
-    """
-    import itertools
-
-    keys: List[Tuple[int, ...]] = []
-    formulas: List[Formula] = []
-    seen: Dict[Tuple[int, ...], int] = {}
-    count = 0
-
-    def add(f: Formula) -> bool:
-        nonlocal count
-        count += 1
-        if count > max_count:
-            raise CapExceeded("max_clone", max_count, "enumeration oracle")
-        key = tuple(int(x) for x in term_table(alg, f, n))
-        if key in seen:
-            return False
-        seen[key] = len(keys)
-        keys.append(key)
-        formulas.append(f)
-        return True
-
-    from .lang import app, const, var
-
-    for i in range(1, n + 1):
-        add(var(i))
-    for name in alg.signature.constants:
-        add(const(name))
-
-    depth = 1
-    while depth <= max_depth:
-        base = len(formulas)
-        added = False
-        for name, arity in alg.signature.proper_connectives:
-            for combo in itertools.product(range(base), repeat=arity):
-                args = tuple(formulas[c] for c in combo)
-                if not args or max(a.depth for a in args) != depth - 1:
-                    continue
-                if add(app(name, args)):
-                    added = True
-        if not added:
-            return (
-                tuple(TermFunction(n, k, f) for k, f in zip(keys, formulas)),
-                depth,
-            )
-        depth += 1
-    raise CapExceeded("max_clone", max_count, "enumeration oracle did not stabilise")
 
 
 def restricted_theorems(

@@ -196,43 +196,6 @@ def combine_matrices(kind: str, m1: Matrix, m2: Matrix) -> Matrix:
     return Matrix(alg, designated)
 
 
-def combine_atlases(kind: str, a1: Atlas, a2: Atlas) -> Atlas:
-    """Atlas lsum / rsum: cylindrify one side's whole filter family."""
-    if kind not in ("lsum", "rsum"):
-        raise ValueError(f"unknown atlas combination {kind!r}")
-    alg = direct_product(a1.algebra, a2.algebra)
-    k1, k2 = a1.algebra.size, a2.algebra.size
-    if kind == "lsum":
-        filters = tuple(_cyl_left(d, k2) for d in a1.filters)
-    else:
-        filters = tuple(_cyl_right(d, k1, k2) for d in a2.filters)
-    return Atlas(alg, filters)
-
-
-def atlas_from_family(matrices: Sequence[Matrix]) -> Atlas:
-    """One atlas equivalent to a finite family of matrices: filters are the
-    cylindrifications of each designated set over the product algebra."""
-    if not matrices:
-        raise ValueError("empty family")
-    sizes = [m.algebra.size for m in matrices]
-    alg = matrices[0].algebra
-    for m in matrices[1:]:
-        alg = direct_product(alg, m.algebra)
-    total = 1
-    for s in sizes:
-        total *= s
-    filters = []
-    for i, m in enumerate(matrices):
-        stride = 1
-        for s in sizes[i + 1 :]:
-            stride *= s
-        ki = sizes[i]
-        filters.append(
-            frozenset(x for x in range(total) if (x // stride) % ki in m.designated)
-        )
-    return Atlas(alg, tuple(filters))
-
-
 # ---------------------------------------------------------------------------
 # compatible congruences
 

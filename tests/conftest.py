@@ -9,7 +9,7 @@ import copy
 import itertools
 import json
 import re
-from typing import Dict, NamedTuple
+from typing import Dict, List, NamedTuple, Tuple
 
 import pytest
 from hypothesis import strategies as st
@@ -21,11 +21,14 @@ from matlogic import (
     Congruence,
     Const,
     FiniteAlgebra,
+    Formula,
     Matrix,
     Signature,
+    TermFunction,
     Var,
     app,
     const,
+    term_table,
     var,
 )
 from matlogic.lang import (
@@ -701,11 +704,62 @@ def minimal_generating_set_slow(alg, max_size=None):
     raise ValueError(f"no generating set of size <= {bound}")
 
 
-def generates_carrier_slow(alg, seed) -> bool:
-    if not seed and not alg.signature.constants:
-        return alg.size == 0
-    indices, _, _ = generated_subalgebra_slow(alg, seed)
-    return len(indices) == alg.size
+def representatives_by_enumeration(
+    alg: FiniteAlgebra,
+    n: int,
+    max_depth: int = 32,
+    max_count: int = 2_000_000,
+) -> Tuple[Tuple[TermFunction, ...], int]:
+    """Independent oracle for ``representatives``.
+
+    Walks the canonical enumeration depth by depth, but builds each stratum
+    only from previously selected representatives (replacing a subformula by
+    an indistinguishable one never changes the class, so nothing is lost).
+    Every table is computed through ``term_table`` on the formula itself,
+    exercising a different code path than the vectorised closure.  Returns
+    the entries and the first depth whose stratum added nothing new.
+    """
+    keys: List[Tuple[int, ...]] = []
+    formulas: List[Formula] = []
+    seen: Dict[Tuple[int, ...], int] = {}
+    count = 0
+
+    def add(f: Formula) -> bool:
+        nonlocal count
+        count += 1
+        if count > max_count:
+            raise CapExceeded("max_clone", max_count, "enumeration oracle")
+        key = tuple(int(x) for x in term_table(alg, f, n))
+        if key in seen:
+            return False
+        seen[key] = len(keys)
+        keys.append(key)
+        formulas.append(f)
+        return True
+
+    for i in range(1, n + 1):
+        add(var(i))
+    for name in alg.signature.constants:
+        add(const(name))
+
+    depth = 1
+    while depth <= max_depth:
+        base = len(formulas)
+        added = False
+        for name, arity in alg.signature.proper_connectives:
+            for combo in itertools.product(range(base), repeat=arity):
+                args = tuple(formulas[c] for c in combo)
+                if not args or max(a.depth for a in args) != depth - 1:
+                    continue
+                if add(app(name, args)):
+                    added = True
+        if not added:
+            return (
+                tuple(TermFunction(n, k, f) for k, f in zip(keys, formulas)),
+                depth,
+            )
+        depth += 1
+    raise CapExceeded("max_clone", max_count, "enumeration oracle did not stabilise")
 
 
 def quotient_by_congruence_slow(alg, cong):

@@ -46,7 +46,6 @@ from matlogic import (
     parse_formula,
     provable,
     representatives,
-    representatives_by_enumeration,
     rn_classify,
     rn_power,
     term_table,
@@ -54,6 +53,8 @@ from matlogic import (
     var,
     weak_equivalence,
 )
+
+from conftest import representatives_by_enumeration
 
 
 def _say(line):

@@ -543,6 +543,27 @@ class TestOperands:
         assert code == 1
         assert "1/2" in text
 
+    @pytest.mark.parametrize("assign", ["p1=0,p1=1", "p1=1, p2=0 ,p1 =1"])
+    def test_eval_refuses_a_variable_bound_twice(self, assign):
+        argv = ["eval", "--preset", "B2", "--assign", assign, "p1"]
+        assert run_command(argv) == (2, "error: /assign: p1 is bound twice")
+
+    @pytest.mark.parametrize(
+        "target, message",
+        [
+            ("EB", "connective 'f'/1 not supported by B2c"),
+            ("EH", "connective 'f'/1 not supported by the prover"),
+        ],
+    )
+    def test_eq_bridge_names_a_connective_outside_the_target(self, tmp_path, target, message):
+        doc = {
+            "signature": {"connectives": [{"name": "f", "arity": 1}]},
+            "algebras": {"A": {"elements": ["0", "1"], "operations": {"f": ["1", "0"]}}},
+        }
+        ws = write_workspace(tmp_path / "ws.json", doc)
+        argv = ["eq", "bridge", "--target", target, "--file", ws, "f(p1) ~ p1"]
+        assert run_command(argv) == (2, f"error: {message}")
+
     def test_combine_roundtrips_through_workspace(self, tmp_path):
         code, text = run_command(
             ["combine", "--preset", "L3", "--preset", "L3", "product", "--json"]

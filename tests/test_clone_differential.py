@@ -1,5 +1,5 @@
 """The clone closure against the formula enumeration it replaced
-(lindenbaum.representatives_by_enumeration, which tabulates every formula
+(conftest.representatives_by_enumeration, which tabulates every formula
 through term_table): the same tables and witnesses in the same order, with
 seen keys kept as flags or sorted, with candidates taken any number at a
 time, and the clone cap raised exactly when the clone outgrows it."""
@@ -9,11 +9,11 @@ from unittest import mock
 
 from hypothesis import assume, given, settings, strategies as st
 
-from matlogic import CapExceeded, ResourceCaps, representatives_by_enumeration
+from matlogic import CapExceeded, ResourceCaps
 from matlogic import algebra
 from matlogic.algebra import clone_discovery_order
 
-from conftest import algebras
+from conftest import algebras, representatives_by_enumeration
 
 # formulas the enumeration may tabulate before a case is too large to compare
 ENUMERATED = 2_000

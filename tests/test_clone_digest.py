@@ -18,10 +18,11 @@ from matlogic import (
     free_matrix_algebra,
     godel_chain,
     make_preset,
-    representatives_by_enumeration,
 )
 from matlogic import algebra
 from matlogic.algebra import clone_discovery_order
+
+from conftest import representatives_by_enumeration
 
 
 def _clone_digest(alg, n, caps=ResourceCaps()):

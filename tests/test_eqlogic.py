@@ -413,6 +413,11 @@ class TestBridges:
         with pytest.raises(ValueError):
             bridge_implicational("EH", [], goal)
 
+    def test_eb_rejects_constants_outside_b2c(self):
+        goal = parse_equality("c ~ c", Signature.of({"c": 0, "∧": 2}))
+        with pytest.raises(ValueError, match="connective 'c'/0 not supported by B2c"):
+            bridge_implicational("EB", [], goal)
+
     def test_bridge_with_premises(self):
         goal = eq("p1 ~ p3")
         prem = [eq("p1 ~ p2"), eq("p2 ~ p3")]

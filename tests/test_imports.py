@@ -1,6 +1,7 @@
 """Every module-level import in the package is used by its module, every
 private or nested definition is referenced within the package, every
 public module-level name is exported by the package or referenced in it,
+every exported name is referenced in the package or named in README.md,
 every name the package exported before its exports became lazy still
 resolves to its submodule's object, the symbolic layers reach no numpy
 layer through their top-level imports, and no function calls itself,
@@ -8,6 +9,7 @@ directly or not, except the few listed."""
 
 import ast
 import importlib
+import re
 from collections import Counter, defaultdict
 from pathlib import Path
 
@@ -226,9 +228,8 @@ EXPORTED = {
     "algebra": (
         "Congruence", "FiniteAlgebra", "TermFunction", "clone_functions",
         "congruence_closure_pairs", "direct_product", "evaluate_term", "find_isomorphism",
-        "generated_subalgebra", "generates_carrier", "greatest_congruence_below",
-        "identity_congruence", "is_congruence", "minimal_generating_set",
-        "quotient_by_congruence", "term_table",
+        "generated_subalgebra", "greatest_congruence_below", "is_congruence",
+        "minimal_generating_set", "quotient_by_congruence", "term_table",
     ),
     "decide": (
         "DecisionReport", "atlas_equivalence", "atlas_inclusion", "has_theorems",
@@ -252,13 +253,12 @@ EXPORTED = {
     "limits": ("CapExceeded", "DEFAULT_CAPS", "ResourceCaps"),
     "lindenbaum": (
         "RepresentativeSet", "free_matrix_algebra", "indistinguishable", "representatives",
-        "representatives_by_enumeration", "restricted_theorems",
+        "restricted_theorems",
     ),
     "matrices": (
         "Atlas", "ConsequenceResult", "Matrix", "PRESET_NAMES", "ValidityResult",
-        "atlas_from_family", "boolean_matrix", "combine_atlases", "combine_matrices",
-        "consequence", "godel_chain", "greatest_compatible_congruence", "is_valid",
-        "make_preset", "reduced_matrix",
+        "boolean_matrix", "combine_matrices", "consequence", "godel_chain",
+        "greatest_compatible_congruence", "is_valid", "make_preset", "reduced_matrix",
     ),
 }
 
@@ -274,6 +274,56 @@ def test_exports_resolve_to_their_submodules(module):
     star: dict = {}
     exec("from matlogic import *", star)
     assert {n: star[n] for n in EXPORTED[module]} == {n: getattr(submodule, n) for n in EXPORTED[module]}
+
+
+def undocumented_exports(sources, readme):
+    """(module, name) of each name in __init__.py's export table that no code
+    of the package outside the name's own definition refers to and that the
+    readme does not name inside backticks."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    everywhere = sum((_names(tree) for tree in trees.values()), Counter())
+    documented = {
+        word
+        for span in re.findall(r"`([^`\n]+)`", readme)
+        for word in re.findall(r"[A-Za-z_][A-Za-z0-9_]*", span)
+    }
+    defined = {
+        (module, name): stmt
+        for module, tree in trees.items()
+        for name, stmt in _public_definitions(tree)
+    }
+    return sorted(
+        (module, name)
+        for module, name in _exported(trees["__init__.py"])
+        if everywhere[name] == _names(defined[module, name])[name] and name not in documented
+    )
+
+
+def test_detects_undocumented_exports():
+    sources = {
+        "__init__.py": '_EXPORTS = {"m": ("api", "helper", "orphan", "Doc", "Named")}\n',
+        "m.py": (
+            "def api():\n    return helper()\n"
+            "def helper():\n    return 0\n"
+            "def orphan():\n    return orphan()\n"
+            "class Doc:\n    pass\n"
+            "class Named:\n    pass\n"
+        ),
+    }
+    readme = "Call `m.Doc()` for a document; Named is named but not quoted.\n```\napi()\n```\n"
+    assert undocumented_exports(sources, readme) == [
+        ("m.py", "Named"),
+        ("m.py", "api"),
+        ("m.py", "orphan"),
+    ]
+    readme += "`api` and `orphan(x)` are library calls; so is `Named`.\n"
+    assert undocumented_exports(sources, readme) == []
+
+
+def test_every_export_is_used_or_documented():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    readme = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
+    assert undocumented_exports(sources, readme) == []
 
 
 def test_unknown_names_raise_attribute_error():

@@ -120,11 +120,6 @@ class TestSubstitution:
         s = Substitution.of({1: neg(var(2))})
         assert s.apply(imp(var(1), var(1))) == imp(neg(var(2)), neg(var(2)))
 
-    def test_compose(self):
-        s = Substitution.of({1: var(2)})
-        t = Substitution.of({2: neg(var(3))})
-        assert t.compose(s).apply(var(1)) == neg(var(3))
-
 
 class TestParser:
     def test_round_trip(self):

@@ -9,11 +9,12 @@ from matlogic import (
     make_preset,
     parse_formula,
     representatives,
-    representatives_by_enumeration,
     restricted_theorems,
     term_table,
     var,
 )
+
+from conftest import representatives_by_enumeration
 
 
 class TestIndistinguishable:
@@ -40,12 +41,6 @@ class TestRepresentatives:
         tables = {t.table for t in reps.entries}
         for f in enumerate_formulas(alg.signature, 1, max_depth=3, max_count=2000):
             assert tuple(int(x) for x in term_table(alg, f, 1)) in tables
-
-    def test_class_of_lookup(self, chain3_arrow):
-        reps = representatives(chain3_arrow.algebra, 1)
-        f = parse_formula("(p1 -> 0) -> (p1 -> 0)", chain3_arrow.algebra.signature)
-        i = reps.class_of(f)
-        assert str(reps.entries[i].witness) == "p1 -> p1"
 
 
 class TestRestrictedTheorems:

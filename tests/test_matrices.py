@@ -10,8 +10,6 @@ from matlogic import (
     CapExceeded,
     Matrix,
     ResourceCaps,
-    atlas_from_family,
-    combine_atlases,
     combine_matrices,
     consequence,
     enumerate_formulas,
@@ -205,27 +203,6 @@ class TestCombinations:
         for f in enumerate_formulas(sig, n_vars=1, max_depth=2, max_count=100):
             assert is_valid(lsum, f).valid == is_valid(m1, f).valid
             assert is_valid(rsum, f).valid == is_valid(m2, f).valid
-
-    def test_atlas_from_family_agrees_with_memberwise(self):
-        m1, m2 = make_preset("Gn", 3), make_preset("Gn", 2)
-        fam = atlas_from_family([m1, m2])
-        sig = m1.algebra.signature
-        forms = list(enumerate_formulas(sig, n_vars=1, max_depth=1, max_count=20))
-        for prem in forms:
-            for concl in forms:
-                expected = (
-                    consequence(m1, [prem], concl).holds
-                    and consequence(m2, [prem], concl).holds
-                )
-                assert consequence(fam, [prem], concl).holds == expected
-
-    def test_combine_atlases_shapes(self):
-        a1 = make_preset("Gn", 3).as_atlas()
-        a2 = make_preset("Gn", 2).as_atlas()
-        ls = combine_atlases("lsum", a1, a2)
-        rs = combine_atlases("rsum", a1, a2)
-        assert ls.algebra.size == rs.algebra.size == 6
-        assert len(ls.filters) == len(a1.filters)
 
 
 class TestReduction:
