@@ -145,17 +145,19 @@ def _formula_tables(
     formulas: Sequence[Formula],
     grid: Sequence[int],
     slices: Iterable[Mapping[int, int]],
+    walk: Optional[Tuple[Dict[Formula, int], List[Formula]]] = None,
 ) -> Iterator[List[np.ndarray]]:
     """Flat tables of the formulas over the grid variables, in order, on each
     slice, given as the value of every other variable.  One _postorder walk
-    serves every slice, so nesting depth is unbounded and the first unbound
-    variable met is the leftmost one.  A subformula over grid variables and
-    constants alone is evaluated in the first slice and kept; the other
-    values are dropped before the next slice is taken.  Only the requested
-    formulas are spread over the whole grid, and only those not spanning it."""
+    (walk, if the caller has made it) serves every slice, so nesting depth is
+    unbounded and the first unbound variable met is the leftmost one.  A
+    subformula over grid variables and constants alone is evaluated in the
+    first slice and kept; the other values are dropped before the next slice
+    is taken.  Only the requested formulas are spread over the whole grid,
+    and only those not spanning it."""
     k, flat = alg.size, {name: table.ravel() for name, table in alg.tables.items()}
     shape, axes = (k,) * len(grid), dict(zip(grid, _axes(k, len(grid))))
-    position, order = _postorder(formulas)
+    position, order = walk or _postorder(formulas)
     steps = [
         (i, g, [position[a] for a in g.args] if isinstance(g, App) else None)
         for i, g in enumerate(order)
@@ -193,14 +195,21 @@ def _formula_tables(
 
 
 def _sliced_tables(
-    alg: FiniteAlgebra, formulas: Sequence[Formula], var_order: Sequence[int]
-) -> Iterator[Tuple[int, List[np.ndarray]]]:
-    """Per slice of the assignments to var_order, in order: (start, formula values)."""
+    alg: FiniteAlgebra, formulas: Sequence[Formula], caps: ResourceCaps
+) -> Tuple[List[int], Iterator[Tuple[int, List[np.ndarray]]]]:
+    """The formulas' sorted variables and, per slice of the assignments to
+    them, in order, (start, formula values).  The walk that evaluates the
+    formulas gives the variables, and the tuple cap is checked before any
+    slice is taken."""
+    walk = _postorder(formulas)
+    var_order = sorted(g.index for g in walk[1] if isinstance(g, Var))
     k, n = alg.size, len(var_order)
+    caps.check_tuples(k**n)
     s = max(e for e in range(n + 1) if k**e <= _SLICE_ROWS)
     high = [(v, k ** (n - s - pos)) for pos, v in enumerate(var_order[: n - s], start=1)]
     slices = ({v: i // weight % k for v, weight in high} for i in range(k ** (n - s)))
-    return zip(range(0, k**n, k**s), _formula_tables(alg, formulas, var_order[n - s :], slices))
+    tables = _formula_tables(alg, formulas, var_order[n - s :], slices, walk)
+    return var_order, zip(range(0, k**n, k**s), tables)
 
 
 def evaluate_term(alg: FiniteAlgebra, f: Formula, assignment: Mapping[int, int]) -> int:
@@ -604,12 +613,18 @@ def _operations_on(alg: FiniteAlgebra, tables: np.ndarray) -> Dict[str, np.ndarr
     layout = _layout(alg.size, size, max([a for _, a in alg.signature.proper_connectives], default=1))
     codes = layout.codes(tables)
     keys = layout.keys(codes)
-    order = np.argsort(keys)
-    ordered = keys[order]
+    if layout.space is not None and layout.space <= _DENSE_KEYS:
+        # a row per possible key, as _SeenKeys keeps a flag per key
+        index = np.full(layout.space, -1, dtype=np.int32)
+        index[keys] = np.arange(count)
+        rows = index.take
+    else:
+        order = np.argsort(keys)
+        ordered = keys[order]
 
-    def rows(found: np.ndarray) -> np.ndarray:
-        at = np.minimum(np.searchsorted(ordered, found), count - 1)
-        return np.where(ordered[at] == found, order[at], -1)
+        def rows(found: np.ndarray) -> np.ndarray:
+            at = np.minimum(np.searchsorted(ordered, found), count - 1)
+            return np.where(ordered[at] == found, order[at], -1)
 
     out: Dict[str, np.ndarray] = {}
     for name, arity in alg.signature.operations:

@@ -404,7 +404,10 @@ def _parse_assignment(text: str, alg: alg_mod.FiniteAlgebra) -> Dict[int, int]:
         index = int(m.group(1))
         if index in out:
             raise WorkspaceError("/assign", f"{lhs} is bound twice")
-        out[index] = alg.element_index(rhs.strip())
+        try:
+            out[index] = alg.element_index(rhs.strip())
+        except KeyError as exc:
+            raise WorkspaceError("/assign", exc.args[0]) from None
     return out
 
 
@@ -541,7 +544,10 @@ def _cmd_eval(args, ops: _Operands) -> Report:
     m = _one_matrix(ops)
     f = parse_formula(args.formula, m.algebra.signature)
     assignment = _parse_assignment(args.assign or "", m.algebra)
-    value = alg_mod.evaluate_term(m.algebra, f, assignment)
+    try:
+        value = alg_mod.evaluate_term(m.algebra, f, assignment)
+    except alg_mod._Unbound as exc:
+        raise WorkspaceError("/assign", exc.args[0]) from None
     name = m.algebra.elements[value]
     designated = value in m.designated
     answer = "yes" if designated else "no"
@@ -962,34 +968,52 @@ _COMMANDS = (
 )
 
 
+def _add_arguments(
+    parser: argparse.ArgumentParser, handler, operands: bool, arguments
+) -> argparse.ArgumentParser:
+    """Adds a command's arguments, from its _COMMANDS row, to its parser."""
+    parser.add_argument("--json", action="store_true")
+    if operands:
+        parser.add_argument("--file")
+        # one list of (kind, name) pairs keeps the operands in command-line order
+        for kind in ("preset", "matrix", "atlas"):
+            parser.add_argument(
+                f"--{kind}",
+                action="append",
+                default=[],
+                dest="operands",
+                metavar=kind.upper(),
+                type=lambda value, kind=kind: (kind, value),
+            )
+    for flag, keywords in arguments:
+        parser.add_argument(flag, **keywords)
+    parser.set_defaults(func=handler)
+    return parser
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: parsing leaves it
-    unchanged, and building it costs more than answering a small query."""
+    """The whole command-line parser, built once per process, for argv that
+    names no command, asks for root or group help, or leaves arguments over."""
     p = argparse.ArgumentParser(prog="matlogic", description=__doc__)
     groups = {"": p.add_subparsers(dest="command")}
-    for path, handler, operands, arguments in _COMMANDS:
+    for path, *row in _COMMANDS:
         group, _, name = path.rpartition(" ")
         if group not in groups:
             groups[group] = groups[""].add_parser(group).add_subparsers(dest=f"{group}_command")
-        sp = groups[group].add_parser(name)
-        sp.add_argument("--json", action="store_true")
-        if operands:
-            sp.add_argument("--file")
-            # one list of (kind, name) pairs keeps the operands in command-line order
-            for kind in ("preset", "matrix", "atlas"):
-                sp.add_argument(
-                    f"--{kind}",
-                    action="append",
-                    default=[],
-                    dest="operands",
-                    metavar=kind.upper(),
-                    type=lambda value, kind=kind: (kind, value),
-                )
-        for flag, keywords in arguments:
-            sp.add_argument(flag, **keywords)
-        sp.set_defaults(func=handler)
+        _add_arguments(groups[group].add_parser(name), *row)
     return p
+
+
+# command path as argv words -> its _COMMANDS row less the path
+_ROWS = {tuple(path.split()): row for path, *row in _COMMANDS}
+
+
+@functools.lru_cache(maxsize=None)
+def _command_parser(words: Tuple[str, ...]) -> argparse.ArgumentParser:
+    """One command's parser, built on first use: the parser that the whole
+    parser hands the command's arguments to, under the same prog."""
+    return _add_arguments(argparse.ArgumentParser(prog=f"matlogic {' '.join(words)}"), *_ROWS[words])
 
 
 def run_command(argv: Sequence[str]) -> Tuple[int, str]:
@@ -1001,17 +1025,22 @@ def run_command(argv: Sequence[str]) -> Tuple[int, str]:
 
 
 def _answer(argv: Sequence[str]) -> Tuple[int, str]:
-    parser = _build_parser()
+    argv = list(argv)
+    words = next((w for w in (tuple(argv[:1]), tuple(argv[:2])) if w in _ROWS), None)
     # argparse writes help and usage errors itself, then exits
     printed = io.StringIO()
     try:
         with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
-            args = parser.parse_args(list(argv))
+            args, rest = None, argv
+            if words:
+                args, rest = _command_parser(words).parse_known_args(argv[len(words):])
+            if rest:  # the whole parser reports what is left over, or parses argv
+                args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return (2 if exc.code else 0), printed.getvalue().rstrip()
     func = getattr(args, "func", None)
     if func is None:
-        return 2, parser.format_usage().rstrip()
+        return 2, _build_parser().format_usage().rstrip()
     try:
         # only the commands that take operands have args.operands
         report: Report = func(args, _gather_operands(args)) if "operands" in args else func(args)

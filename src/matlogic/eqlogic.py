@@ -287,10 +287,9 @@ def _first_difference(
 
     from .algebra import _assignment_at, _sliced_tables
 
-    var_order = sorted({v for e in (*premises, goal) for v in e.variables()})
-    caps.check_tuples(alg.size ** len(var_order))
     terms = [t for e in (*premises, goal) for t in (e.lhs, e.rhs)]
-    for start, tables in _sliced_tables(alg, terms, var_order):
+    var_order, slices = _sliced_tables(alg, terms, caps)
+    for start, tables in slices:
         bad = tables[-2] != tables[-1]
         for lhs, rhs in zip(tables[:-2:2], tables[1:-2:2]):
             bad &= lhs == rhs

@@ -39,7 +39,6 @@ from .lang import (
     TOP,
     Formula,
     Signature,
-    variables,
 )
 from .limits import DEFAULT_CAPS, ResourceCaps
 
@@ -103,10 +102,9 @@ def _first_refutation(
     the family position of the first such filter; None if there is none.
     Scanned slice by slice, up to the first slice that holds a refutation."""
     alg = atlas.algebra
-    var_order = sorted({v for g in (*premises, conclusion) for v in variables(g)})
-    caps.check_tuples(alg.size ** len(var_order))
+    var_order, slices = _sliced_tables(alg, [*premises, conclusion], caps)
     masks = [_filter_mask(d, alg.size) for d in atlas.filters]
-    for start, tables in _sliced_tables(alg, [*premises, conclusion], var_order):
+    for start, tables in slices:
         refutations = []
         for fi, mask in enumerate(masks):
             bad = ~mask[tables[-1]]
@@ -288,9 +286,20 @@ def godel_chain(n: int, signature: Signature = INT_SIGNATURE) -> FiniteAlgebra:
 
 PRESET_NAMES = ("B2", "B2c", "L3", "L3modal", "Gn", "LCchain")
 
+# Presets are kept between calls (_PRESETS), keyed by name and size; a matrix
+# and its tables are read-only.  An entry counts a cell per table entry; past
+# _PRESET_CELLS cells the least recently used go, and a larger preset is built
+# per call and not kept.
+_PRESETS: Dict[Tuple[str, Optional[int]], Matrix] = {}  # least recently used first
+_PRESET_CELLS = 1 << 15  # G4 takes 52 cells, L3modal 36, G100 30,100
+
+
+def _cells(m: Matrix) -> int:
+    return sum(t.size for t in m.algebra.tables.values())
+
 
 def make_preset(name: str, n: Optional[int] = None) -> Matrix:
-    """Built-in matrices.
+    """Built-in matrices, built again only when new to the process.
 
     B2       two-element Boolean matrix ({¬,∧,∨,→,↔}, designated {1})
     B2c      B2 extended with constants ⊤ and ⊥
@@ -299,6 +308,19 @@ def make_preset(name: str, n: Optional[int] = None) -> Matrix:
     Gn       n-element chain matrix, designated {1} (requires n)
     LCchain  alias family: the n-element chain presentation (requires n)
     """
+    m = _PRESETS.pop((name, n), None)  # put back last, as the most recently used
+    if m is None:
+        m = _build_preset(name, n)
+        cells = _cells(m)
+        if cells > _PRESET_CELLS:
+            return m
+        while cells + sum(map(_cells, _PRESETS.values())) > _PRESET_CELLS:
+            del _PRESETS[next(iter(_PRESETS))]
+    _PRESETS[name, n] = m
+    return m
+
+
+def _build_preset(name: str, n: Optional[int]) -> Matrix:
     if name == "B2":
         return boolean_matrix(CLASSICAL_SIGNATURE)
     if name == "B2c":

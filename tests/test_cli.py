@@ -32,7 +32,10 @@ from conftest import (
     write_workspace,
 )
 
-CORPUS_WS = str(Path(__file__).parent / "data" / "corpus_ws.json")
+DATA = str(Path(__file__).parent / "data")
+CORPUS_WS = str(Path(DATA) / "corpus_ws.json")
+# recorded invocations, @DATA@ standing for DATA (test_cli_corpus replays them)
+CORPUS = json.loads((Path(DATA) / "cli_corpus.json").read_text(encoding="utf-8"))
 
 # help and usage-error texts recorded at an 80-column width
 HELP_TEXTS = json.loads(
@@ -549,6 +552,17 @@ class TestOperands:
         assert run_command(argv) == (2, "error: /assign: p1 is bound twice")
 
     @pytest.mark.parametrize(
+        "assign, message",
+        [
+            ("p1=0", "assignment missing variable p2"),
+            ("p1=5", "unknown element '5'"),
+        ],
+    )
+    def test_eval_names_a_bad_assignment_with_a_pointer(self, assign, message):
+        argv = ["eval", "--preset", "B2", "--assign", assign, "p1 & p2"]
+        assert run_command(argv) == (2, f"error: /assign: {message}")
+
+    @pytest.mark.parametrize(
         "target, message",
         [
             ("EB", "connective 'f'/1 not supported by B2c"),
@@ -718,6 +732,40 @@ def test_deep_proof_search_ignores_the_recursion_limit():
         [0, "proved: " + DEEP_THEOREM],
         [1, "unprovable: " + DEEP_NON_THEOREM],
     ]
+
+
+def test_each_command_parser_answers_as_the_whole_parser(monkeypatch):
+    # the reference sends every argv through the whole parser tree
+    monkeypatch.setenv("COLUMNS", "80")
+    argvs = [[a.replace("@DATA@", DATA) for a in case["argv"]] for case in CORPUS]
+    argvs += [case["argv"] for case in HELP_TEXTS]
+    with monkeypatch.context() as whole:
+        whole.setattr(cli, "_ROWS", {})
+        reference = [run_command(argv) for argv in argvs]
+    assert [run_command(argv) for argv in argvs] == reference
+
+
+# answers one command line in a fresh interpreter and prints its exit code,
+# how often the whole parser was built and how many command parsers were
+_PARSERS = """
+import json, sys
+from matlogic import cli
+code, _ = cli.run_command(json.loads(sys.argv[1]))
+print(json.dumps([code, cli._build_parser.cache_info().misses, cli._command_parser.cache_info().misses]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        (["int", "prove", "p1 -> p1"], [0, 0, 1]),
+        (["valid", "--preset", "G4", "p1 -> p1"], [0, 0, 1]),
+        (["valid", "--preset", "G4", "p1", "p2"], [2, 1, 1]),
+        (["eq", "--help"], [0, 1, 0]),
+    ],
+)
+def test_a_one_shot_command_builds_its_own_parser_alone(argv, built):
+    assert _fresh(argv, _PARSERS) == built
 
 
 def test_matrix_commands_still_import_numpy():

@@ -10,11 +10,8 @@ import pytest
 from matlogic import free_matrix_algebra
 from matlogic.cli import resolve_preset, run_command
 
-# L3 and L3modal at n = 2 are left out: building their operation tables takes
-# seconds each
-CASES = [(preset, 1) for preset in ("B2", "B2c", "L3", "L3modal", "G3", "G4")] + [
-    (preset, 2) for preset in ("B2", "B2c", "G3", "G4")
-]
+PRESETS = ("B2", "B2c", "L3", "L3modal", "G3", "G4")
+CASES = [(preset, n) for n in (1, 2) for preset in PRESETS]
 
 
 @pytest.mark.parametrize("preset, n", CASES, ids=str)

@@ -4,7 +4,7 @@ from unittest import mock
 
 import pytest
 
-from matlogic import algebra, lang
+from matlogic import algebra, lang, matrices
 from matlogic import (
     Atlas,
     CapExceeded,
@@ -55,6 +55,32 @@ class TestPresets:
         alg = make_preset("L3modal").algebra
         assert list(alg.table("□")) == [0, 0, 2]
         assert list(alg.table("◇")) == [0, 2, 2]
+
+    def test_a_kept_preset_is_the_same_read_only_matrix(self):
+        l3 = L3()
+        assert L3() is l3
+        for table in l3.algebra.tables.values():
+            with pytest.raises(ValueError, match="read-only"):
+                table[...] = 0
+
+    def test_a_chain_over_the_cell_budget_is_built_per_call(self, monkeypatch):
+        monkeypatch.setattr(matrices, "_PRESETS", {})
+        # three binary tables of 105**2 cells and one unary: 33,180 > 2**15
+        g105 = make_preset("Gn", 105)
+        assert make_preset("Gn", 105) is not g105
+        assert matrices._PRESETS == {}
+        assert make_preset("Gn", 104) is make_preset("Gn", 104)
+
+    def test_the_cell_budget_evicts_the_least_recently_used(self, monkeypatch):
+        monkeypatch.setattr(matrices, "_PRESETS", {})
+        monkeypatch.setattr(matrices, "_PRESET_CELLS", 100)
+        # L3 30 cells, B2 18, G3 30, L3modal 36
+        l3 = L3()
+        B2()
+        assert L3() is l3
+        make_preset("Gn", 3)
+        make_preset("L3modal")
+        assert list(matrices._PRESETS) == [("L3", None), ("Gn", 3), ("L3modal", None)]
 
 
 class TestValidity:
@@ -115,22 +141,28 @@ class TestValidity:
         ids=["refuted-first", "valid"],
     )
     def test_a_scan_walks_its_formulas_once(self, text, slices):
-        # 4**10 assignments in slices of 4**7 rows, and one walk for all of them
+        # 4**10 assignments in slices of 4**7 rows, and one walk for all of
+        # them, which also gives the variables
         g4 = make_preset("Gn", 4)
         f = parse_formula(text, g4.algebra.signature)
         starts = []
 
         def counted(*args):
-            for start, tables in algebra._sliced_tables(*args):
-                starts.append(start)
-                yield start, tables
+            var_order, slices = algebra._sliced_tables(*args)
+
+            def counting():
+                for start, tables in slices:
+                    starts.append(start)
+                    yield start, tables
+
+            return var_order, counting()
 
         with mock.patch("matlogic.matrices._sliced_tables", counted), mock.patch(
             "matlogic.algebra._postorder", wraps=lang._postorder
-        ) as walk:
+        ) as walk, mock.patch("matlogic.lang.subformulas", wraps=lang.subformulas) as sets:
             is_valid(g4, f)
         assert starts == list(range(0, slices * 4**7, 4**7))
-        assert walk.call_count == 1
+        assert (walk.call_count, sets.call_count) == (1, 0)
 
 
 class TestConsequence:

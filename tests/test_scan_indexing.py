@@ -28,6 +28,7 @@ from matlogic import (
     var,
 )
 from matlogic import algebra
+from matlogic.limits import DEFAULT_CAPS
 from matlogic.eqlogic import Equality, eq_consequence
 
 from conftest import eq_refuter_slow, first_refuter_slow
@@ -112,7 +113,9 @@ def test_slices_are_the_largest_power_of_k(k, n, rows):
     f = parse_formula(" -> ".join(f"~~p{i}" for i in range(n, 0, -1)), g.algebra.signature)
     size = max(k**s for s in range(n + 1) if k**s <= rows)
     with mock.patch.object(algebra, "_SLICE_ROWS", rows):
-        slices = list(algebra._sliced_tables(g.algebra, [f], range(1, n + 1)))
+        var_order, slices = algebra._sliced_tables(g.algebra, [f], DEFAULT_CAPS)
+        slices = list(slices)
+    assert var_order == list(range(1, n + 1))
     assert [start for start, _ in slices] == list(range(0, k**n, size))
     assert all(len(table) == size for _, (table,) in slices)
     whole = np.concatenate([table for _, (table,) in slices])

@@ -35,6 +35,7 @@ from matlogic import (
     variables,
 )
 from matlogic import algebra
+from matlogic.limits import DEFAULT_CAPS
 from matlogic.eqlogic import Equality, eq_consequence
 from matlogic.lang import _postorder
 
@@ -86,9 +87,11 @@ def scan_cases(draw):
 
 
 def scanned(alg, forms, var_order, rows):
+    # a bare variable per place in var_order puts in the scan those no formula uses
     with mock.patch.object(algebra, "_SLICE_ROWS", rows):
-        slices = algebra._sliced_tables(alg, forms, var_order)
-        return [(start, [t.tolist() for t in tables]) for start, tables in slices]
+        order, slices = algebra._sliced_tables(alg, [*forms, *map(var, var_order)], DEFAULT_CAPS)
+        assert order == var_order
+        return [(start, [t.tolist() for t in tables[: len(forms)]]) for start, tables in slices]
 
 
 @settings(max_examples=150, deadline=None)
