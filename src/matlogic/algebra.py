@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -30,7 +29,7 @@ from .lang import (
     const,
     var,
 )
-from .limits import DEFAULT_CAPS, ResourceCaps
+from .limits import DEFAULT_CAPS, Memo, ResourceCaps
 
 
 class FiniteAlgebra:
@@ -263,19 +262,17 @@ class TermFunction:
 #
 # Finished clones are kept between calls (_CLONES), keyed by signature, k, n
 # and the tables' bytes (tables of at most _LOOKUP_ENTRIES entries), not
-# element names.  An entry counts one cell, k**n a function and one per table
-# entry, so empty clones count too; past _MEMO_CELLS cells the least recently
-# used go, and a larger entry is not kept.  A hit checks the tuple cap, then
-# the clone cap on its length, as a build does, whose count only grows.
+# element names.  An entry weighs one cell, k**n a function and one per table
+# entry, so empty clones count too.  A hit checks the tuple cap, then the
+# clone cap on its length, as a build does, whose count only grows.
 
 # clone of G3 at n = 2: 3.0-3.7 ms at 2**10 to 2**14, 7.6 ms at 2**15 (2 vCPU Xeon)
 _SMALL_ROUND = 1 << 12
 _CELLS = 1 << 15
 _LOOKUP_ENTRIES = 1 << 12
-# most possible keys for which seen keys are kept as one flag per key (clone
-# of L3 at n = 2, 3**9 keys: 0.23-0.41 s against 4.8-5.3 s in sorted runs)
+# most possible keys for which a key index keeps a row at each possible key,
+# not a hash table (clone of L3 at n = 2, 9**5 keys: 0.23 s against 1.6 s hashed)
 _DENSE_KEYS = 1 << 22
-_MEMO_CELLS = 1 << 18  # L3's binary clone takes 35,023 cells; a clone-decide batch's median, 115
 
 
 class _Codes:
@@ -441,59 +438,73 @@ def _grid_words(op: _Operation, layout: _Codes, codes: np.ndarray, grid: _Grid) 
     return words.reshape(layout.words, -1)
 
 
-class _SeenKeys:
-    """The keys met so far: a flag per possible key when there are at most
-    _DENSE_KEYS of them, else runs sorted by 64-bit hash, each merged into the
-    next added when no longer than it or a grid (Bentley and Saxe, J.
-    Algorithms 1(4), 1980), searched longest first and compared on a hit."""
+class _KeyIndex:
+    """The row of each key added, numbered from 0 in order of adding, -1 for
+    a key never added.  Up to _DENSE_KEYS possible keys, an array indexed by
+    key; past that, an open-addressing table on the keys' 64-bit hashes with
+    power-of-two slots and linear probing, at most half full (rehashed into
+    twice the slots when an add would pass that); a key is found only where
+    it equals the row's key, word for word."""
 
     def __init__(self, layout: _Codes, keys: np.ndarray) -> None:
-        dense = layout.space is not None and layout.space <= _DENSE_KEYS
-        self.flags = np.zeros(layout.space, bool) if dense else None
-        self.runs: List[Tuple[np.ndarray, np.ndarray]] = []
-        self.words, self.shortest = layout.words, max(1, _CELLS // layout.words)
+        self.words, self.count = layout.words, 0
+        if layout.space is not None and layout.space <= _DENSE_KEYS:
+            self.dense = np.full(layout.space, -1, np.int32)
+        else:
+            # keys by row; later rows hold words -1, which no key has, so the last answers an empty slot's -1
+            self.dense, self.slots = None, np.full(1 << 10, -1)
+            self.stored = np.full((513, self.words), -1).view(keys.dtype).ravel()
         self.add(keys)
 
     def hashes(self, words: np.ndarray) -> np.ndarray:
-        """Hashes of keys given as (keys, words) arrays: a one-word key's own."""
-        if words.shape[1] == 1:
-            return words[:, 0]
-        weyl = np.arange(1, words.shape[1] + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        hashes = words.view(np.uint64) @ (weyl | np.uint64(1))
-        return (hashes ^ hashes >> np.uint64(31)).view(np.int64)
+        """Hashes of keys as (keys, words) arrays: the words times odd multipliers, summed mod 2**64."""
+        columns = words.view(np.uint64).T
+        hashes = columns[0] * np.uint64(0x9E3779B97F4A7C15)
+        for j, column in enumerate(columns[1:], start=2):
+            hashes += column * np.uint64(j * 0x9E3779B97F4A7C15 % 2**64 | 1)
+        return hashes
 
-    def contains(self, keys: np.ndarray) -> np.ndarray:
-        if self.flags is not None:
-            return self.flags[keys]
-        words = keys.view(np.int64).reshape(-1, self.words)
-        hashes, found, todo = self.hashes(words), np.zeros(len(keys), bool), np.arange(len(keys))
-        for run_hashes, run_words in self.runs:
-            at, last = run_hashes.searchsorted(hashes[todo]), len(run_hashes) - 1
-            hit = run_hashes[np.minimum(at, last)] == hashes[todo]
-            at, hit = at[hit], todo[hit]
-            # keys of one hash lie side by side; a one-word key is its own hash
-            while len(hit) and self.words > 1:
-                same = (run_words[at] == words[hit]).all(axis=1)
-                found[hit[same]] = True
-                at, hit = at[~same] + 1, hit[~same]
-                more = (at <= last) & (run_hashes[np.minimum(at, last)] == hashes[hit])
-                at, hit = at[more], hit[more]
-            found[hit] = True
-            todo = todo[~found[todo]]
+    def _probe(self, keys: np.ndarray) -> np.ndarray:
+        """The first slot of each key's probe sequence: its hash's high bits."""
+        shift = np.uint64(65 - len(self.slots).bit_length())
+        hashes = self.hashes(keys.view(np.int64).reshape(len(keys), self.words))
+        return (hashes.view(np.uint64) >> shift).view(np.int64)
+
+    def find(self, keys: np.ndarray) -> np.ndarray:
+        if self.dense is not None:
+            return self.dense[keys]
+        at = self._probe(keys)
+        rows = self.slots[at]
+        found = np.where(self.stored[rows] == keys, rows, -1)
+        todo = ((rows >= 0) & (found < 0)).nonzero()[0]  # keys whose slot holds another key
+        while len(todo):
+            at[todo] = (at[todo] + 1) & (len(self.slots) - 1)
+            rows = self.slots[at[todo]]
+            same = self.stored[rows] == keys[todo]
+            found[todo[same]] = rows[same]
+            todo = todo[(rows >= 0) & ~same]
         return found
 
     def add(self, keys: np.ndarray) -> None:
-        """Marks distinct keys not seen before as seen."""
-        if self.flags is not None:
-            self.flags[keys] = True
+        """Gives distinct keys never added before the next rows."""
+        rows = np.arange(self.count, self.count + len(keys))
+        self.count += len(keys)
+        if self.dense is not None:
+            self.dense[keys] = rows
             return
-        words = keys.view(np.int64).reshape(-1, self.words)
-        hashes = self.hashes(words)
-        while self.runs and len(self.runs[-1][0]) <= max(len(hashes), self.shortest):
-            run_hashes, run_words = self.runs.pop()
-            hashes, words = np.concatenate([run_hashes, hashes]), np.concatenate([run_words, words])
-        order = hashes.argsort(kind="stable")
-        self.runs.append((hashes[order], words[order]))
+        if 2 * self.count > len(self.slots):  # every row goes into the new slots
+            size = 1 << (2 * self.count - 1).bit_length()
+            stored = np.full((size // 2 + 1, self.words), -1).view(keys.dtype).ravel()
+            stored[: rows[0]] = self.stored[: rows[0]]
+            self.slots, self.stored, rows = np.full(size, -1), stored, np.arange(self.count)
+        self.stored[self.count - len(keys) : self.count] = keys
+        # each row takes the first free slot from its probe's; of rows wanting one, the one written there
+        at = self._probe(self.stored[rows])
+        while len(rows):
+            taken = self.slots[at]
+            self.slots[at] = np.where(taken < 0, rows, taken)
+            left = self.slots[at] != rows
+            rows, at = rows[left], (at[left] + 1) & (len(self.slots) - 1)
 
 
 def _first_occurrences(keys: np.ndarray) -> np.ndarray:
@@ -514,15 +525,15 @@ def _append_first_new(
     pieces: Sequence[Tuple[str, _Grid]],
     codes: np.ndarray,
     layout: _Codes,
-    seen: _SeenKeys,
+    seen: _KeyIndex,
     chunks: List[np.ndarray],
     witnesses: List[Formula],
 ) -> None:
     """Appends the first candidate of each key not yet seen, in order, to
-    chunks (its codes) and witnesses, and marks their keys seen; the
+    chunks (its codes) and witnesses, and adds their keys to seen; the
     candidates are the cells of (connective, grid) pieces, as codes or key words."""
     keys = layout.keys(codes)
-    fresh = (~seen.contains(keys)).nonzero()[0]
+    fresh = (seen.find(keys) < 0).nonzero()[0]
     if not len(fresh):
         return
     new = fresh[_first_occurrences(keys[fresh])]
@@ -568,7 +579,7 @@ def _closure_rounds(
     first = _first_occurrences(seed_keys)
     chunks = [seed_codes[:, first]]
     witnesses = [seeds[i] for i in first.tolist()]
-    seen = _SeenKeys(layout, seed_keys[first])
+    seen = _KeyIndex(layout, seed_keys[first])
     caps.check_clone(len(witnesses))
 
     connectives = [
@@ -612,20 +623,7 @@ def _operations_on(alg: FiniteAlgebra, tables: np.ndarray) -> Dict[str, np.ndarr
     count, size = tables.shape
     layout = _layout(alg.size, size, max([a for _, a in alg.signature.proper_connectives], default=1))
     codes = layout.codes(tables)
-    keys = layout.keys(codes)
-    if layout.space is not None and layout.space <= _DENSE_KEYS:
-        # a row per possible key, as _SeenKeys keeps a flag per key
-        index = np.full(layout.space, -1, dtype=np.int32)
-        index[keys] = np.arange(count)
-        rows = index.take
-    else:
-        order = np.argsort(keys)
-        ordered = keys[order]
-
-        def rows(found: np.ndarray) -> np.ndarray:
-            at = np.minimum(np.searchsorted(ordered, found), count - 1)
-            return np.where(ordered[at] == found, order[at], -1)
-
+    rows = _KeyIndex(layout, layout.keys(codes)).find
     out: Dict[str, np.ndarray] = {}
     for name, arity in alg.signature.operations:
         if arity == 0:
@@ -639,39 +637,26 @@ def _operations_on(alg: FiniteAlgebra, tables: np.ndarray) -> Dict[str, np.ndarr
     return out
 
 
-class _CloneMemo(OrderedDict):
-    """Kept clones by key as (clone, cells), least recently used first."""
-    cells = 0
-
-    def clear(self) -> None:
-        super().clear()
-        self.cells = 0
-
-
-_CLONES = _CloneMemo()
+_CLONES = Memo(1 << 18)  # L3's binary clone takes 35,023 cells; a clone-decide batch's median, 115
 
 
 def clone_discovery_order(
     alg: FiniteAlgebra, n: int, caps: ResourceCaps = DEFAULT_CAPS
 ) -> List[TermFunction]:
     """n-ary clone in witness discovery order (canonical enumeration order), a new list
-    each call; kept by tables within _MEMO_CELLS, caps checked on a hit (see above)."""
+    each call; kept by tables in _CLONES, caps checked on a hit (see above)."""
     key = None  # alg.tables is in signature order
     if all(t.size <= _LOOKUP_ENTRIES for t in alg.tables.values()):
         key = (alg.signature, alg.size, n, b"".join(t.tobytes() for t in alg.tables.values()))
-        if key in _CLONES:
-            _CLONES.move_to_end(key)
+        clone = _CLONES.recall(key)
+        if clone is not None:
             caps.check_tuples(alg.size**n)
-            caps.check_clone(len(_CLONES[key][0]))
-            return list(_CLONES[key][0])
+            caps.check_clone(len(clone))
+            return list(clone)
     rows, witnesses = _closure_rounds(alg, n, caps)
     clone = tuple(TermFunction(n, tuple(row), w) for row, w in zip(rows.tolist(), witnesses))
-    cells = 1 + len(clone) * alg.size**n + sum(t.size for t in alg.tables.values())
-    if key is not None and cells <= _MEMO_CELLS:
-        _CLONES[key] = clone, cells
-        _CLONES.cells += cells
-        while _CLONES.cells > _MEMO_CELLS:
-            _CLONES.cells -= _CLONES.popitem(last=False)[1][1]
+    if key is not None:
+        _CLONES.keep(key, clone, 1 + len(clone) * alg.size**n + sum(t.size for t in alg.tables.values()))
     return list(clone)
 
 

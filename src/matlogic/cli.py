@@ -44,7 +44,7 @@ from .lang import (
     _printed,
     parse_formula,
 )
-from .limits import CapExceeded, ResourceCaps
+from .limits import CapExceeded, Memo, ResourceCaps
 
 # numpy and the matrix layers are imported by the commands that use them
 if TYPE_CHECKING:
@@ -187,11 +187,9 @@ def _element_set(raw: Any, index: Dict[str, int], pointer: str) -> frozenset:
 
 
 # Workspaces are kept between calls (_SPECS), keyed by the file's bytes: the
-# same bytes always give the same spec.  Past _SPEC_BYTES bytes of files the
-# least recently used go, and a larger file is not kept.  A file that fails
-# to load is not kept, so it raises the same error on every call.
-_SPECS: Dict[bytes, WorkspaceSpec] = {}  # least recently used first
-_SPEC_BYTES = 1 << 20  # the clone-decide benchmark's 22 files take 31 KB
+# same bytes always give the same spec.  An entry weighs the file's bytes.  A
+# file that fails to load is not kept, so it raises the same error on every call.
+_SPECS = Memo(1 << 20)  # the clone-decide benchmark's 22 files take 31 KB
 
 
 def load_spec(path: str) -> WorkspaceSpec:
@@ -204,17 +202,9 @@ def load_spec(path: str) -> WorkspaceSpec:
         raise WorkspaceError("/", f"file not found: {path}")
     except OSError as exc:
         raise WorkspaceError("/", f"cannot read file: {exc}")
-    spec = _SPECS.pop(data, None)  # put back last, as the most recently used
+    spec = _SPECS.recall(data)
     if spec is None:
-        spec = _parse_workspace(data)
-        if len(data) > _SPEC_BYTES:
-            return spec
-        kept = len(data) + sum(map(len, _SPECS))
-        while kept > _SPEC_BYTES:
-            oldest = next(iter(_SPECS))
-            kept -= len(oldest)
-            del _SPECS[oldest]
-    _SPECS[data] = spec
+        spec = _SPECS.keep(data, _parse_workspace(data), len(data))
     return spec
 
 
@@ -1002,6 +992,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if group not in groups:
             groups[group] = groups[""].add_parser(group).add_subparsers(dest=f"{group}_command")
         _add_arguments(groups[group].add_parser(name), *row)
+    indent = "\n" + " " * len("usage: matlogic ")  # wrapped as by 3.11 and 3.12, not 3.13
+    p.usage = f"%(prog)s [-h]{indent}{{{','.join(groups[''].choices)}}}{indent}..."
     return p
 
 

@@ -310,6 +310,8 @@ def eq_consequence(
     only algebras validating every premise must validate the goal."""
     if mode not in ("E", "EL"):
         raise ValueError(f"unknown mode {mode!r}")
+    if any(alg.signature != algebras[0].signature for alg in algebras):
+        raise ValueError("algebras must share a signature")
     for ai, alg in enumerate(algebras):
         if mode == "E":
             refuter = _first_difference(alg, premises, goal, caps)

@@ -9,7 +9,9 @@ not an error: callers that produce decision reports translate it into a
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Any, Hashable
 
 
 class CapExceeded(Exception):
@@ -51,3 +53,32 @@ class ResourceCaps:
 
 
 DEFAULT_CAPS = ResourceCaps()
+
+
+class Memo(OrderedDict):
+    """Values kept between calls by key, least recently used first, each
+    stored as (value, weight).  Past `budget` of summed weight the least
+    recently used go, and a value heavier than the budget is not kept."""
+
+    def __init__(self, budget: int) -> None:
+        super().__init__()
+        self.budget, self.weight = budget, 0
+
+    def clear(self) -> None:
+        super().clear()
+        self.weight = 0
+
+    def recall(self, key: Hashable) -> Any:
+        """The value kept at key, now the most recently used, or None."""
+        if key in self:
+            self.move_to_end(key)
+        return self.get(key, (None,))[0]
+
+    def keep(self, key: Hashable, value: Any, weight: int) -> Any:
+        """Keeps value at a key not kept, within the budget; returns value."""
+        if weight <= self.budget:
+            self[key] = value, weight
+            self.weight += weight
+            while self.weight > self.budget:
+                self.weight -= self.popitem(last=False)[1][1]
+        return value

@@ -40,7 +40,7 @@ from .lang import (
     Formula,
     Signature,
 )
-from .limits import DEFAULT_CAPS, ResourceCaps
+from .limits import DEFAULT_CAPS, Memo, ResourceCaps
 
 
 @dataclass(frozen=True)
@@ -287,15 +287,9 @@ def godel_chain(n: int, signature: Signature = INT_SIGNATURE) -> FiniteAlgebra:
 PRESET_NAMES = ("B2", "B2c", "L3", "L3modal", "Gn", "LCchain")
 
 # Presets are kept between calls (_PRESETS), keyed by name and size; a matrix
-# and its tables are read-only.  An entry counts a cell per table entry; past
-# _PRESET_CELLS cells the least recently used go, and a larger preset is built
-# per call and not kept.
-_PRESETS: Dict[Tuple[str, Optional[int]], Matrix] = {}  # least recently used first
-_PRESET_CELLS = 1 << 15  # G4 takes 52 cells, L3modal 36, G100 30,100
-
-
-def _cells(m: Matrix) -> int:
-    return sum(t.size for t in m.algebra.tables.values())
+# and its tables are read-only.  An entry weighs a cell per table entry, so a
+# preset over the budget is built per call.
+_PRESETS = Memo(1 << 15)  # G4 takes 52 cells, L3modal 36, G100 30,100
 
 
 def make_preset(name: str, n: Optional[int] = None) -> Matrix:
@@ -308,15 +302,10 @@ def make_preset(name: str, n: Optional[int] = None) -> Matrix:
     Gn       n-element chain matrix, designated {1} (requires n)
     LCchain  alias family: the n-element chain presentation (requires n)
     """
-    m = _PRESETS.pop((name, n), None)  # put back last, as the most recently used
+    m = _PRESETS.recall((name, n))
     if m is None:
         m = _build_preset(name, n)
-        cells = _cells(m)
-        if cells > _PRESET_CELLS:
-            return m
-        while cells + sum(map(_cells, _PRESETS.values())) > _PRESET_CELLS:
-            del _PRESETS[next(iter(_PRESETS))]
-    _PRESETS[name, n] = m
+        _PRESETS.keep((name, n), m, sum(t.size for t in m.algebra.tables.values()))
     return m
 
 

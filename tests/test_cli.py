@@ -66,6 +66,17 @@ class TestExitCodes:
         code, _ = run_command(["int", "prove", "p1->p1"])
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eq", "conseq", "--preset", "B2", "--preset", "L3", "p1 <-> p1 ~ p1 -> p1"],
+            ["eq", "conseq", "--preset", "B2c", "--preset", "L3", "⊤ ~ p1 -> p1"],
+            ["eq", "conseq", "--mode", "EL", "--preset", "L3", "--preset", "B2", "p1 ~ p1"],
+        ],
+    )
+    def test_eq_conseq_over_mixed_signatures_is_refused(self, argv):
+        assert run_command(argv) == (2, "error: algebras must share a signature")
+
     def test_usage_error(self):
         code, _ = run_command(["valid", "--preset", "NOPE", "p1"])
         assert code == 2
@@ -450,7 +461,7 @@ class TestWorkspaceMemo:
         docs = [replaced(EX_NONTR_DOC, ("options",), {"max_tuples": 10 + i}) for i in range(3)]
         a, b, c = (write_workspace(tmp_path / f"{i}.json", doc) for i, doc in enumerate(docs))
         data = {path: Path(path).read_bytes() for path in (a, b, c)}
-        monkeypatch.setattr(cli, "_SPEC_BYTES", 2 * len(data[a]))
+        monkeypatch.setattr(cli._SPECS, "budget", 2 * len(data[a]))
         for path in (a, b, a, c):
             load_spec(path)
         assert list(empty_memo) == [data[a], data[c]]

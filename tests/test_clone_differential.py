@@ -1,7 +1,7 @@
 """The clone closure against the formula enumeration it replaced
 (conftest.representatives_by_enumeration, which tabulates every formula
 through term_table): the same tables and witnesses in the same order, with
-seen keys kept as flags or sorted, with candidates taken any number at a
+seen keys indexed densely or by hash, with candidates taken any number at a
 time, and the clone cap raised exactly when the clone outgrows it."""
 
 import contextlib

@@ -123,7 +123,7 @@ def test_colliding_key_hashes_keep_the_digest():
     def first_word(self, words):
         return words[:, 0].copy()
 
-    with mock.patch.object(algebra._SeenKeys, "hashes", first_word):
+    with mock.patch.object(algebra._KeyIndex, "hashes", first_word):
         alg = direct_product(godel_chain(3), godel_chain(2))
         assert _clone_digest(alg, 2, ResourceCaps(max_clone=162)) == (
             162,

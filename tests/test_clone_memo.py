@@ -1,6 +1,6 @@
 """The clone memo: a kept clone answers for the closure exactly, caps and
 all, its key is the tables and not the element names, and what it keeps
-stays within _MEMO_CELLS cells."""
+stays within the memo's budget of cells."""
 
 import contextlib
 from unittest import mock
@@ -91,7 +91,7 @@ def test_kept_cells_stay_within_the_bound():
     algebra._CLONES.clear()
     rng = np.random.default_rng(20261019)
     keys = []
-    with mock.patch.object(algebra, "_MEMO_CELLS", 4_000):
+    with mock.patch.object(algebra._CLONES, "budget", 4_000):
         while len(keys) < 300:
             k, n = int(rng.integers(2, 6)), int(rng.integers(1, 3))
             alg = _unary("u", rng.integers(0, k, size=k).tolist())
@@ -101,7 +101,7 @@ def test_kept_cells_stay_within_the_bound():
             keys.append(key)
             clone_discovery_order(alg, n)
             entries = algebra._CLONES.values()
-            assert algebra._CLONES.cells == sum(cells for _, cells in entries) <= 4_000
+            assert algebra._CLONES.weight == sum(cells for _, cells in entries) <= 4_000
         kept = [(key[1], key[2], key[3]) for key in algebra._CLONES]
         assert 0 < len(kept) < 300 and kept == keys[-len(kept):]
         for (_, k, n, tables), (clone, cells) in algebra._CLONES.items():
@@ -118,7 +118,7 @@ def test_an_entry_over_the_bound_is_returned_not_kept():
     cells = 1 + 3 * len(expected) + sum(t.size for t in l3.tables.values())
     for bound, kept in [(cells - 1, 0), (cells, 1)]:
         algebra._CLONES.clear()
-        with mock.patch.object(algebra, "_MEMO_CELLS", bound), counting_builds() as build:
+        with mock.patch.object(algebra._CLONES, "budget", bound), counting_builds() as build:
             assert outcome(l3, 1) == expected
             assert (len(algebra._CLONES), build.call_count) == (kept, 1)
 

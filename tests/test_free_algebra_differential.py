@@ -4,10 +4,11 @@ matrix that `free_matrix_algebra` builds.  Building that matrix also checks,
 on each preset, that the clone is closed under every operation."""
 
 import json
+from unittest import mock
 
 import pytest
 
-from matlogic import free_matrix_algebra
+from matlogic import algebra, free_matrix_algebra
 from matlogic.cli import resolve_preset, run_command
 
 PRESETS = ("B2", "B2c", "L3", "L3modal", "G3", "G4")
@@ -34,3 +35,13 @@ def test_free_algebra_reports_the_built_free_matrix(preset, n):
             "witness": elements,
         },
     )
+
+
+def test_free_tables_are_the_same_with_hashed_keys():
+    # past _DENSE_KEYS possible keys, the closure and the operations look keys up by hash
+    for preset, n in CASES:
+        expected = free_matrix_algebra(resolve_preset(preset), n)[0].algebra
+        algebra._CLONES.clear()
+        with mock.patch.object(algebra, "_DENSE_KEYS", 0):
+            free = free_matrix_algebra(resolve_preset(preset), n)[0].algebra
+        assert free.elements == expected.elements and free.same_tables(expected), (preset, n)

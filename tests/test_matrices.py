@@ -20,6 +20,7 @@ from matlogic import (
     reduced_matrix,
     var,
 )
+from matlogic.limits import Memo
 
 from conftest import first_refuter_slow, valid_slow
 
@@ -64,7 +65,7 @@ class TestPresets:
                 table[...] = 0
 
     def test_a_chain_over_the_cell_budget_is_built_per_call(self, monkeypatch):
-        monkeypatch.setattr(matrices, "_PRESETS", {})
+        monkeypatch.setattr(matrices, "_PRESETS", Memo(matrices._PRESETS.budget))
         # three binary tables of 105**2 cells and one unary: 33,180 > 2**15
         g105 = make_preset("Gn", 105)
         assert make_preset("Gn", 105) is not g105
@@ -72,8 +73,7 @@ class TestPresets:
         assert make_preset("Gn", 104) is make_preset("Gn", 104)
 
     def test_the_cell_budget_evicts_the_least_recently_used(self, monkeypatch):
-        monkeypatch.setattr(matrices, "_PRESETS", {})
-        monkeypatch.setattr(matrices, "_PRESET_CELLS", 100)
+        monkeypatch.setattr(matrices, "_PRESETS", Memo(100))
         # L3 30 cells, B2 18, G3 30, L3modal 36
         l3 = L3()
         B2()
