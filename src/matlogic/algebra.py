@@ -278,7 +278,7 @@ _DENSE_KEYS = 1 << 22
 class _Codes:
     """Groups, codes and keys of flat tables of `size` values below k; a
     group spans as many positions as the lookups of connectives of at most
-    `arity` arguments allow.  Build it through _layout."""
+    `arity` arguments allow."""
 
     def __init__(self, k: int, size: int, arity: int) -> None:
         span = 1
@@ -339,11 +339,6 @@ class _Codes:
         return joint
 
 
-@functools.lru_cache(maxsize=32)
-def _layout(k: int, size: int, arity: int) -> _Codes:
-    return _Codes(k, size, arity)
-
-
 class _Operation:
     """A connective as a lookup from its arguments' joint code on a group of
     `span` digits below k to the result's code there, shaped
@@ -362,19 +357,6 @@ class _Operation:
             lookup = k ** np.arange(span - 1, -1, -1) @ flat[_digit_cells(k, span, arity)]
         self.lookup = lookup.reshape(-1, k**span)
         self.lookup.setflags(write=False)
-
-
-def _operation(table: np.ndarray, layout: _Codes) -> _Operation:
-    """The connective's lookup on the layout's groups; kept between calls for
-    tables of at most _LOOKUP_ENTRIES entries."""
-    if table.size > _LOOKUP_ENTRIES:
-        return _Operation(table, layout.k, layout.span)
-    return _kept_operation(table.tobytes(), table.shape, layout.k, layout.span)
-
-
-@functools.lru_cache(maxsize=256)
-def _kept_operation(data: bytes, shape: Tuple[int, ...], k: int, span: int) -> _Operation:
-    return _Operation(np.frombuffer(data, dtype=np.int64).reshape(shape), k, span)
 
 
 @functools.lru_cache(maxsize=16)
@@ -571,7 +553,7 @@ def _closure_rounds(
     size = k**n
     caps.check_tuples(size)
     arity = max([a for _, a in alg.signature.proper_connectives], default=1)
-    layout = _layout(k, size, arity)
+    layout = _Codes(k, size, arity)
     seeds = [var(i) for i in range(1, n + 1)] + [const(c) for c in alg.signature.constants]
     seed_tables = np.array(next(_formula_tables(alg, seeds, range(1, n + 1), [{}])), dtype=np.int64)
     seed_codes = layout.codes(seed_tables.reshape(len(seeds), size))
@@ -583,8 +565,7 @@ def _closure_rounds(
     caps.check_clone(len(witnesses))
 
     connectives = [
-        (name, _operation(alg.table(name), layout))
-        for name, _ in alg.signature.proper_connectives
+        (name, _Operation(alg.table(name), k, layout.span)) for name, _ in alg.signature.proper_connectives
     ]
     cells, round_start = max(1, _CELLS // layout.words), 0
     while connectives and round_start < len(witnesses):
@@ -621,7 +602,7 @@ def _operations_on(alg: FiniteAlgebra, tables: np.ndarray) -> Dict[str, np.ndarr
     tables over one arity, as row indices in an array of shape
     (rows,) * arity; -1 where the result is not a row."""
     count, size = tables.shape
-    layout = _layout(alg.size, size, max([a for _, a in alg.signature.proper_connectives], default=1))
+    layout = _Codes(alg.size, size, max([a for _, a in alg.signature.proper_connectives], default=1))
     codes = layout.codes(tables)
     rows = _KeyIndex(layout, layout.keys(codes)).find
     out: Dict[str, np.ndarray] = {}
@@ -630,7 +611,7 @@ def _operations_on(alg: FiniteAlgebra, tables: np.ndarray) -> Dict[str, np.ndarr
             constant = np.full((1, size), alg.table(name))
             out[name] = rows(layout.keys(layout.codes(constant)))[0]
             continue
-        op, cells = _operation(alg.table(name), layout), max(1, _CELLS // layout.words)
+        op, cells = _Operation(alg.table(name), alg.size, layout.span), max(1, _CELLS // layout.words)
         grids = _grids(arity, count, 0, False, cells)
         blocks = [rows(layout.keys(_grid_words(op, layout, codes, g))) for g in grids]
         out[name] = np.concatenate(blocks).reshape((count,) * arity)

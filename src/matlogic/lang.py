@@ -526,37 +526,23 @@ def enumerate_formulas(
     then argument positions left to right, arguments compared by their own
     position in this enumeration.
     """
-    ordered: List[Formula] = []
-    count = 0
 
-    class CapHint(Exception):
-        pass
-
-    def emit(f: Formula) -> Formula:
-        nonlocal count
-        count += 1
-        if max_count is not None and count > max_count:
-            raise CapHint
-        ordered.append(f)
-        return f
-
-    try:
-        for i in range(1, n_vars + 1):
-            yield emit(var(i))
-        for name in signature.constants:
-            yield emit(const(name))
+    def by_depth() -> Iterator[Formula]:
+        ordered: List[Formula] = [var(i) for i in range(1, n_vars + 1)]
+        ordered += [const(name) for name in signature.constants]
+        yield from ordered
         depth = 1
         while max_depth is None or depth <= max_depth:
-            start = len(ordered)
             prev = list(ordered)  # everything of depth < current
             for name, arity in signature.proper_connectives:
                 for combo in itertools.product(range(len(prev)), repeat=arity):
                     args = tuple(prev[i] for i in combo)
-                    if max(a.depth for a in args) != depth - 1:
-                        continue
-                    yield emit(app(name, args))
-            if len(ordered) == start:
+                    if max(a.depth for a in args) == depth - 1:
+                        ordered.append(app(name, args))
+                        yield ordered[-1]
+            if len(ordered) == len(prev):
                 return  # no formulas at this depth; none deeper either
             depth += 1
-    except CapHint:
-        return
+
+    formulas = by_depth()
+    return formulas if max_count is None else itertools.islice(formulas, max(max_count, 0))

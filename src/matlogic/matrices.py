@@ -53,9 +53,6 @@ class Matrix:
             if not (0 <= e < self.algebra.size):
                 raise ValueError(f"designated index {e} out of range")
 
-    def designated_names(self) -> Tuple[str, ...]:
-        return tuple(self.algebra.elements[e] for e in sorted(self.designated))
-
     def as_atlas(self) -> "Atlas":
         return Atlas(self.algebra, (self.designated,))
 

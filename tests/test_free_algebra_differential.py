@@ -19,7 +19,7 @@ CASES = [(preset, n) for n in (1, 2) for preset in PRESETS]
 def test_free_algebra_reports_the_built_free_matrix(preset, n):
     free, _ = free_matrix_algebra(resolve_preset(preset), n)
     size, elements = free.algebra.size, list(free.algebra.elements)
-    designated = sorted(free.designated_names())
+    designated = sorted(free.algebra.elements[e] for e in free.designated)
     argv = ["free-algebra", "--preset", preset, "--n", str(n)]
     assert run_command(argv) == (
         0,

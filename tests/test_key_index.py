@@ -13,7 +13,7 @@ from matlogic import algebra
     ids=["dense", "one-word", "two-word"],
 )
 def test_rows_read_back_after_rehashes(k, size, arity, dense):
-    layout = algebra._layout(k, size, arity)
+    layout = algebra._Codes(k, size, arity)
     rng = np.random.default_rng(20261020)
     tables = np.unique(rng.integers(0, k, (6_000, size)), axis=0)
     tables = tables[rng.permutation(len(tables))]
