@@ -238,6 +238,16 @@ class TestExitCodes:
         )
         assert code == 3
 
+    def test_trivial_cap_exceeded(self, tmp_path):
+        # M's one-variable clone holds more than one function
+        doc = replaced(EX_NONTR_DOC, ("options",), {"max_clone": 1})
+        ws = write_workspace(tmp_path / "ws.json", doc)
+        argv = ["trivial", "--file", ws, "--matrix", "M"]
+        assert run_command(argv) == (3, "trivial: cap-exceeded")
+        assert json.loads(run_command(argv + ["--json"])[1])["stats"] == {
+            "cap": "max_clone", "limit": 1, "n": 1,
+        }
+
 
 class TestWorkspace:
     def test_trivial_example_no_theorems(self, tmp_path):
