@@ -25,7 +25,6 @@ import contextlib
 import functools
 import io
 import json
-import numbers
 import re
 import sys
 from dataclasses import dataclass
@@ -429,6 +428,9 @@ _ANSWER_EXIT = {"yes": 0, "info": 0, "no": 1, "cap-exceeded": 3}
 
 @dataclass
 class Report:
+    """A command's answer: its text lines, and for --json its witness and
+    stats, which must be JSON data (rendered as they are)."""
+
     command: str
     answer: str  # yes | no | cap-exceeded | info
     lines: List[str]
@@ -444,47 +446,16 @@ class Report:
             if self.witness is not None:
                 doc["witness"] = self.witness
             if self.stats:
-                doc["stats"] = _jsonable(self.stats)
+                doc["stats"] = self.stats
             return json.dumps(doc, ensure_ascii=False, sort_keys=True)
         return "\n".join(self.lines)
-
-
-_NATIVE = frozenset({str, int, float, bool, type(None)})
-
-
-def _jsonable(value: Any) -> Any:
-    """value as JSON data, walked on an explicit stack: mappings become dicts
-    with text keys, sequences lists (sets in text order), integers of other
-    types (numpy's) ints, and what is not a number, text or None its text.  A
-    list of JSON scalars is kept as it is."""
-    out = [value]
-    todo: List[Tuple[Any, Any]] = [(out, 0)]
-    while todo:
-        box, key = todo.pop()
-        v = box[key]
-        if type(v) in _NATIVE or type(v) is list and _NATIVE.issuperset(map(type, v)):
-            continue
-        if isinstance(v, Mapping):
-            v = {str(k): x for k, x in v.items()}
-            todo.extend((v, k) for k in v)
-        elif isinstance(v, (list, tuple, set, frozenset)):
-            v = sorted(v, key=str) if isinstance(v, (set, frozenset)) else list(v)
-            todo.extend((v, i) for i in range(len(v)))
-        elif isinstance(v, numbers.Integral):
-            v = int(v)
-        elif not isinstance(v, (str, int, float, bool)):
-            v = str(v)
-        box[key] = v
-    return out[0]
 
 
 def _decision_to_report(rep: decide.DecisionReport, command: str) -> Report:
     lines = [f"{command}: {rep.answer}"]
     witness: Any = None
     if rep.witness is not None:
-        if isinstance(rep.witness, tuple) and len(rep.witness) == 2 and isinstance(
-            rep.witness[0], tuple
-        ):
+        if isinstance(rep.witness, tuple):  # a counterexample sequent
             premises, concl = rep.witness
             seq_text = f"{', '.join(str(p) for p in premises)} => {concl}"
             lines.append(f"counterexample sequent: {seq_text}")
@@ -513,27 +484,22 @@ def _cmd_presets(args) -> Report:
     return Report("presets", "info", lines, ["B2", "B2c", "L3", "L3modal", "G<n>", "LC<n>"])
 
 
-def _one_matrix(ops: _Operands) -> mat_mod.Matrix:
-    if len(ops.matrices) != 1:
-        raise WorkspaceError("/", "exactly one matrix operand required")
-    return ops.matrices[0]
-
-
-def _one_target(ops: _Operands):
-    """Matrix if one was named, else a bare atlas."""
-    if len(ops.matrices) == 1:
-        return ops.matrices[0]
-    if len(ops.atlases) == 1:
-        return ops.atlases[0]
-    raise WorkspaceError("/", "exactly one matrix or atlas operand required")
+def _operands(ops: _Operands, count: int, kind: str) -> list:
+    """The command's operands, which must be count of the kind named: "matrix",
+    "atlas", or "matrix or atlas" (the matrix, where one was named).  Every
+    operand is an atlas, and presets and --matrix operands are also matrices."""
+    if len(ops.atlases) != count or kind == "matrix" and len(ops.matrices) != count:
+        number = "one" if count == 1 else "two"
+        raise WorkspaceError("/", f"exactly {number} {kind} operand{'s' * (count > 1)} required")
+    return ops.atlases if kind == "atlas" else ops.matrices or ops.atlases
 
 
 def _cmd_eval(args, ops: _Operands) -> Report:
     from . import algebra as alg_mod
 
-    m = _one_matrix(ops)
+    (m,) = _operands(ops, 1, "matrix")
     f = parse_formula(args.formula, m.algebra.signature)
-    assignment = _parse_assignment(args.assign or "", m.algebra)
+    assignment = _parse_assignment(args.assign, m.algebra)
     try:
         value = alg_mod.evaluate_term(m.algebra, f, assignment)
     except alg_mod._Unbound as exc:
@@ -548,7 +514,7 @@ def _cmd_eval(args, ops: _Operands) -> Report:
 def _cmd_valid(args, ops: _Operands) -> Report:
     from . import matrices as mat_mod
 
-    target = _one_target(ops)
+    (target,) = _operands(ops, 1, "matrix or atlas")
     alg = target.algebra
     f = parse_formula(args.formula, alg.signature)
     res = mat_mod.is_valid(target, f, ops.caps)
@@ -563,9 +529,9 @@ def _cmd_valid(args, ops: _Operands) -> Report:
 def _cmd_conseq(args, ops: _Operands) -> Report:
     from . import matrices as mat_mod
 
-    target = _one_target(ops)
+    (target,) = _operands(ops, 1, "matrix or atlas")
     alg = target.algebra
-    premises = [parse_formula(p, alg.signature) for p in (args.premise or [])]
+    premises = [parse_formula(p, alg.signature) for p in args.premise]
     conclusion = parse_formula(args.formula, alg.signature)
     res = mat_mod.consequence(target, premises, conclusion, ops.caps)
     if res.holds:
@@ -580,57 +546,45 @@ def _cmd_conseq(args, ops: _Operands) -> Report:
 def _cmd_trivial(args, ops: _Operands) -> Report:
     from . import decide
 
-    rep = decide.has_theorems(_one_matrix(ops), ops.caps)
+    rep = decide.has_theorems(*_operands(ops, 1, "matrix"), ops.caps)
     out = _decision_to_report(rep, "trivial")
     if rep.answer == "no":
         out.lines = ["trivial: no theorems"]
     return out
 
 
-def _two_matrices(ops: _Operands) -> Tuple[mat_mod.Matrix, mat_mod.Matrix]:
-    if len(ops.matrices) != 2:
-        raise WorkspaceError("/", "exactly two matrix operands required")
-    return ops.matrices[0], ops.matrices[1]
-
-
 def _cmd_weq(args, ops: _Operands) -> Report:
     from . import decide
 
-    m1, m2 = _two_matrices(ops)
+    m1, m2 = _operands(ops, 2, "matrix")
     return _decision_to_report(decide.weak_equivalence(m1, m2, ops.caps, args.n), "weq")
 
 
 def _cmd_incl(args, ops: _Operands) -> Report:
     from . import decide
 
-    m1, m2 = _two_matrices(ops)
+    m1, m2 = _operands(ops, 2, "matrix")
     return _decision_to_report(decide.theorem_inclusion(m1, m2, ops.caps, args.n), "incl")
-
-
-def _two_atlases(ops: _Operands) -> Tuple[mat_mod.Atlas, mat_mod.Atlas]:
-    if len(ops.atlases) != 2:
-        raise WorkspaceError("/", "exactly two atlas operands required")
-    return ops.atlases[0], ops.atlases[1]
 
 
 def _cmd_atlas_incl(args, ops: _Operands) -> Report:
     from . import decide
 
-    a1, a2 = _two_atlases(ops)
+    a1, a2 = _operands(ops, 2, "atlas")
     return _decision_to_report(decide.atlas_inclusion(a1, a2, ops.caps, args.m), "atlas-incl")
 
 
 def _cmd_atlas_eq(args, ops: _Operands) -> Report:
     from . import decide
 
-    a1, a2 = _two_atlases(ops)
+    a1, a2 = _operands(ops, 2, "atlas")
     return _decision_to_report(decide.atlas_equivalence(a1, a2, ops.caps, args.m), "atlas-eq")
 
 
 def _cmd_reps(args, ops: _Operands) -> Report:
     from . import lindenbaum
 
-    m = _one_matrix(ops)
+    (m,) = _operands(ops, 1, "matrix")
     reps = lindenbaum.representatives(m.algebra, args.n, ops.caps)
     lines = [f"representatives of {args.n}-variable formulas: {len(reps)}"]
     for tf in reps.entries:
@@ -644,7 +598,7 @@ def _cmd_free_algebra(args, ops: _Operands) -> Report:
     from . import lindenbaum
 
     # the representatives are the elements; no operation table is printed, so none is built
-    m = _one_matrix(ops)
+    (m,) = _operands(ops, 1, "matrix")
     reps = lindenbaum._free_elements(m.algebra, args.n, ops.caps).entries
     names = [str(tf.witness) for tf in reps]
     designated = sorted(str(tf.witness) for tf in reps if m.designated.issuperset(tf.table))
@@ -659,7 +613,7 @@ def _cmd_free_algebra(args, ops: _Operands) -> Report:
 def _cmd_congruence(args, ops: _Operands) -> Report:
     from . import matrices as mat_mod
 
-    target = _one_target(ops)
+    (target,) = _operands(ops, 1, "matrix or atlas")
     cong = mat_mod.greatest_compatible_congruence(target)
     alg = target.algebra
     blocks = [[alg.elements[e] for e in block] for block in cong.blocks()]
@@ -701,7 +655,7 @@ def _matrix_to_doc(m: mat_mod.Matrix, name: str) -> Dict[str, Any]:
 def _cmd_combine(args, ops: _Operands) -> Report:
     from . import matrices as mat_mod
 
-    m1, m2 = _two_matrices(ops)
+    m1, m2 = _operands(ops, 2, "matrix")
     combined = mat_mod.combine_matrices(args.kind, m1, m2)
     doc = _matrix_to_doc(combined, f"{args.kind}")
     text = json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2)
@@ -733,7 +687,7 @@ def _eq_algebras(args, ops: _Operands) -> List[alg_mod.FiniteAlgebra]:
 def _cmd_eq_conseq(args, ops: _Operands) -> Report:
     algebras = _eq_algebras(args, ops)
     sig = algebras[0].signature
-    premises = [eqlogic.parse_equality(p, sig) for p in (args.premise or [])]
+    premises = [eqlogic.parse_equality(p, sig) for p in args.premise]
     goal = eqlogic.parse_equality(args.equality, sig)
     res = eqlogic.eq_consequence(args.mode, algebras, premises, goal, ops.caps)
     if res.holds:
@@ -804,7 +758,7 @@ def _load_derivation(path: str, sig: Signature) -> Tuple[eqlogic.EDerivation, Li
 def _cmd_eq_derive_check(args, ops: _Operands) -> Report:
     sig = _eq_signature(ops)
     deriv, premises = _load_derivation(args.derivation, sig)
-    extra = [eqlogic.parse_equality(p, sig) for p in (args.premise or [])]
+    extra = [eqlogic.parse_equality(p, sig) for p in args.premise]
     res = eqlogic.check_e_derivation(deriv, premises + extra)
     if res.ok:
         return Report("eq derive-check", "yes", ["derivation checks"])
@@ -819,7 +773,7 @@ def _cmd_eq_derive_check(args, ops: _Operands) -> Report:
 
 def _cmd_eq_ground(args, ops: _Operands) -> Report:
     sig = _eq_signature(ops)
-    premises = [eqlogic.parse_equality(p, sig) for p in (args.premise or [])]
+    premises = [eqlogic.parse_equality(p, sig) for p in args.premise]
     goal = eqlogic.parse_equality(args.equality, sig)
     ok, labels = eqlogic.decide_ground_equational(premises, goal)
     classes: Dict[int, List[str]] = {}
@@ -834,7 +788,7 @@ def _cmd_eq_ground(args, ops: _Operands) -> Report:
 
 def _cmd_eq_bridge(args, ops: _Operands) -> Report:
     sig = _eq_signature(ops)
-    premises = [eqlogic.parse_equality(p, sig) for p in (args.premise or [])]
+    premises = [eqlogic.parse_equality(p, sig) for p in args.premise]
     goal = eqlogic.parse_equality(args.equality, sig)
     res = eqlogic.bridge_implicational(args.target, premises, goal, ops.caps)
     answer = "yes" if res.holds else "no"

@@ -227,7 +227,6 @@ def atlas_inclusion(
             # no formulas over m variables, so no sequent can separate the atlases
             return DecisionReport(question, "yes", None, stats)
         k = common.size
-        caps.check_tuples(k ** stats["m"])
         tables = np.array([tf.table for tf in reps]).T  # (assignments, R)
 
         def theories(filters) -> np.ndarray:

@@ -7,17 +7,14 @@ import sys
 from pathlib import Path
 
 import jsonschema
-import numpy as np
 import pytest
 
 import matlogic
-from matlogic import ResourceCaps, cli, combine_matrices, lang, make_preset, parse_formula
+from matlogic import ResourceCaps, cli, combine_matrices, lang, make_preset
 from matlogic.cli import (
     _COMMANDS,
     REPORT_SCHEMA,
-    Report,
     WorkspaceError,
-    _jsonable,
     load_spec,
     run_command,
 )
@@ -524,30 +521,6 @@ class TestJsonReports:
         argv = ["reps", "--file", ws, "--matrix", "M", "--n", "1", "--json"]
         assert run_command(argv) == run_command(argv)
 
-    def test_stats_become_json_data_at_any_depth(self):
-        stats = {
-            1: (np.int64(3), frozenset({"b", "a"}), None, 0.5, True),
-            "f": [parse_formula("p1 -> p1"), ["x", 2]],
-            "odd": Path("z"),
-            "np": {"wide": np.int64(-7), "byte": np.uint8(200)},
-        }
-        assert _jsonable(stats) == {
-            "1": [3, ["a", "b"], None, 0.5, True],
-            "f": ["p1 -> p1", ["x", 2]],
-            "odd": "z",
-            "np": {"wide": -7, "byte": 200},
-        }
-        assert type(_jsonable(stats)["np"]["byte"]) is int
-        doc = json.loads(Report("c", "info", [], None, stats).render(True))
-        assert doc["stats"]["np"] == {"wide": -7, "byte": 200}
-        deep = [parse_formula("p1")]
-        for _ in range(5000):
-            deep = (deep,)
-        out = _jsonable({"deep": deep})["deep"]
-        for _ in range(5000):
-            (out,) = out
-        assert out == ["p1"]
-
 
 class TestOperands:
     @pytest.mark.parametrize(
@@ -633,6 +606,35 @@ class TestOperands:
         code, text = run_command(["reps", "--preset", "G1000", "--n", "1", "--json"])
         assert code == 0
         assert json.loads(text)["stats"] == {"count": 6, "n": 1}
+
+    @pytest.mark.parametrize(
+        "argv, kind",
+        [
+            (["valid", "--matrix", "H", "--atlas", "T", "p1 -> p1"], "one matrix or atlas"),
+            (["valid", "--atlas", "T", "--matrix", "H", "p1 -> p1"], "one matrix or atlas"),
+            (
+                ["conseq", "--matrix", "H", "--atlas", "T", "p1", "--premise", "p1"],
+                "one matrix or atlas",
+            ),
+            (["congruence", "--matrix", "R", "--atlas", "T"], "one matrix or atlas"),
+            (["eval", "--matrix", "H", "--atlas", "T", "p1"], "one matrix"),
+            (["trivial", "--matrix", "H", "--atlas", "T"], "one matrix"),
+            (["reps", "--atlas", "T", "--matrix", "H"], "one matrix"),
+            (["free-algebra", "--matrix", "H", "--atlas", "T"], "one matrix"),
+            (["weq", "--matrix", "M", "--matrix", "H", "--atlas", "T"], "two matrix"),
+            (["incl", "--matrix", "M", "--atlas", "T", "--matrix", "H"], "two matrix"),
+            (
+                ["combine", "--matrix", "M", "--matrix", "H", "--atlas", "S", "product"],
+                "two matrix",
+            ),
+        ],
+        ids=lambda a: " ".join(a[:2]) if isinstance(a, list) else None,
+    )
+    def test_a_surplus_operand_of_the_other_kind_is_refused(self, argv, kind):
+        # every operand counts, whether it names a matrix or an atlas
+        plural = "s" if kind.startswith("two") else ""
+        want = (2, f"error: /: exactly {kind} operand{plural} required")
+        assert run_command([*argv, "--file", CORPUS_WS]) == want
 
     def test_atlas_operand(self, tmp_path):
         doc = copy.deepcopy(EX_NONTR_DOC)
