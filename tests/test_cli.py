@@ -636,6 +636,70 @@ class TestOperands:
         want = (2, f"error: /: exactly {kind} operand{plural} required")
         assert run_command([*argv, "--file", CORPUS_WS]) == want
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["int", "prove", "p1 -> p1", "--preset", "L3"],
+            ["int", "prove", "p1 -> p1", "--atlas", "T"],
+            ["int", "relation", "p1", "~~p1", "--matrix", "M"],
+            ["int", "classify", "p1 | ~p1", "--preset", "B2", "--atlas", "S"],
+            ["int", "glivenko", "p1 | ~p1", "--atlas", "T"],
+        ],
+        ids=lambda a: " ".join(a[:2] + [w for w in a if w.startswith("--")]),
+    )
+    def test_int_commands_refuse_every_operand(self, argv):
+        # they read --file for its caps alone
+        want = (2, "error: /: no matrix or atlas operand allowed")
+        assert run_command([*argv, "--file", CORPUS_WS]) == want
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eq", "conseq", "p1 -> ~p1 ~ ~p1", "--atlas", "T"],
+            ["eq", "conseq", "p1 -> ~p1 ~ ~p1", "--matrix", "M", "--atlas", "T"],
+            ["eq", "conseq", "p1 -> ~p1 ~ ~p1", "--atlas", "S", "--algebra", "A"],
+            ["eq", "ground", "p1 ~ p1", "--atlas", "T"],
+            ["eq", "bridge", "--target", "EB", "p1 ~ p1", "--atlas", "S"],
+            ["eq", "derive-check", "@DERIVATION@", "--atlas", "T"],
+        ],
+        ids=lambda a: " ".join(a[:2] + [w for w in a if w.startswith("--")]),
+    )
+    def test_eq_commands_refuse_an_atlas_that_is_not_a_matrix(self, tmp_path, argv):
+        path = write_workspace(tmp_path / "d.json", DERIV_E1_DOC)
+        argv = [path if a == "@DERIVATION@" else a for a in argv]
+        want = (2, "error: /: only matrix operands allowed")
+        assert run_command([*argv, "--file", CORPUS_WS]) == want
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eq", "ground", "p1 ~ p1", "--matrix", "M", "--matrix", "R"],
+            ["eq", "bridge", "--target", "EH", "p1 ~ p1", "--preset", "B2", "--matrix", "M"],
+            ["eq", "derive-check", "@DERIVATION@", "--preset", "L3", "--preset", "L3"],
+        ],
+        ids=lambda a: " ".join(a[:2]),
+    )
+    def test_eq_commands_that_read_a_signature_take_one_matrix_at_most(self, tmp_path, argv):
+        path = write_workspace(tmp_path / "d.json", DERIV_E1_DOC)
+        argv = [path if a == "@DERIVATION@" else a for a in argv]
+        want = (2, "error: /: at most one matrix operand allowed")
+        assert run_command([*argv, "--file", CORPUS_WS]) == want
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["int", "prove", "p1 -> p1"], (0, "proved: p1 -> p1")),
+            (["eq", "ground", "p1 ~ p1", "--matrix", "M"], (0, "ground consequence: yes")),
+            (
+                ["eq", "conseq", "p1 -> ~p1 ~ ~p1", "--matrix", "M", "--matrix", "R"],
+                (1, "eq conseq (E): no\nwitness: algebra #0, assignment {'p1': '1/2'}"),
+            ),
+        ],
+        ids=lambda a: " ".join(a[:2]) if isinstance(a, list) else None,
+    )
+    def test_eq_and_int_commands_keep_the_operands_they_read(self, argv, want):
+        assert run_command([*argv, "--file", CORPUS_WS]) == want
+
     def test_atlas_operand(self, tmp_path):
         doc = copy.deepcopy(EX_NONTR_DOC)
         doc["atlases"] = {"T": {"algebra": "A", "filters": [["1"], ["1/2", "1"]]}}
