@@ -662,16 +662,27 @@ def _cmd_combine(args, ops: _Operands) -> Report:
     return Report("combine", "info", [text], doc, {"kind": args.kind, "size": combined.algebra.size})
 
 
+def _eq_matrices(ops: _Operands) -> List[mat_mod.Matrix]:
+    """An eq command's operands, whose algebras it reads: each must be a matrix."""
+    if len(ops.atlases) > len(ops.matrices):
+        raise WorkspaceError("/", "only matrix operands allowed")
+    return ops.matrices
+
+
 def _eq_signature(ops: _Operands) -> Signature:
-    if ops.matrices:
-        return ops.matrices[0].algebra.signature
+    """The signature of the one matrix operand, if any, else of the workspace."""
+    matrices = _eq_matrices(ops)
+    if len(matrices) > 1:
+        raise WorkspaceError("/", "at most one matrix operand allowed")
+    if matrices:
+        return matrices[0].algebra.signature
     if ops.workspace is not None:
         return ops.workspace.signature
     return BOOLEAN_SIGNATURE
 
 
 def _eq_algebras(args, ops: _Operands) -> List[alg_mod.FiniteAlgebra]:
-    algebras = [m.algebra for m in ops.matrices]
+    algebras = [m.algebra for m in _eq_matrices(ops)]
     if ops.workspace is not None:
         for name in args.algebra:
             if name not in ops.workspace.algebras:
@@ -809,9 +820,17 @@ def _int_formula(text: str) -> Formula:
     return intprover.expand_iff(parse_formula(text, CLASSICAL_SIGNATURE))
 
 
+def _int_caps(ops: _Operands) -> ResourceCaps:
+    """The caps of an int command, which reads --file for them and takes no operand."""
+    if ops.atlases:
+        raise WorkspaceError("/", "no matrix or atlas operand allowed")
+    return ops.caps
+
+
 def _cmd_int_prove(args, ops: _Operands) -> Report:
+    caps = _int_caps(ops)
     f = _int_formula(args.formula)
-    tree = intprover.g3_prove((), f, ops.caps)
+    tree = intprover.g3_prove((), f, caps)
     if tree is None:
         return Report("int prove", "no", [f"unprovable: {f}"])
     if not intprover.check_proof(tree):
@@ -822,9 +841,10 @@ def _cmd_int_prove(args, ops: _Operands) -> Report:
 
 
 def _cmd_int_relation(args, ops: _Operands) -> Report:
+    caps = _int_caps(ops)
     f = _int_formula(args.formula)
     g = _int_formula(args.other)
-    rel = intprover.int_relation(f, g, ops.caps)
+    rel = intprover.int_relation(f, g, caps)
     lines = [f"relation between {f} and {g}:"]
     for key in ("leq", "geq", "sim", "ll", "incomparable"):
         lines.append(f"  {key}: {rel[key]}")
@@ -840,8 +860,9 @@ def _cmd_int_rn(args) -> Report:
 
 
 def _cmd_int_classify(args, ops: _Operands) -> Report:
+    caps = _int_caps(ops)
     f = _int_formula(args.formula)
-    cls = intprover.rn_classify(f, caps=ops.caps)
+    cls = intprover.rn_classify(f, caps=caps)
     if cls is None:
         return Report("int classify", "no", [f"no ladder class found for {f}"])
     return Report(
@@ -850,8 +871,9 @@ def _cmd_int_classify(args, ops: _Operands) -> Report:
 
 
 def _cmd_int_glivenko(args, ops: _Operands) -> Report:
+    caps = _int_caps(ops)
     f = parse_formula(args.formula, CLASSICAL_SIGNATURE)
-    res = intprover.glivenko_check(f, ops.caps)
+    res = intprover.glivenko_check(f, caps)
     answer = "yes" if res["agree"] else "no"
     lines = [
         f"classically valid: {res['classically_valid']}",
