@@ -260,6 +260,13 @@ class TermFunction:
 # all candidates at once, as Python overhead dominates there.  Grids hold
 # at most _CELLS key words, lookups _LOOKUP_ENTRIES unless the table has more.
 #
+# A term function maps each point x into the subuniverse that x1..xn and the
+# constants generate, so an n-ary clone holds at most U functions, U the
+# product over the k**n points of those subuniverses' sizes (_clone_bound);
+# a clone of U functions holds every such map, so no later candidate is new
+# and the closure stops.  U is computed at the first grid round, and cut off
+# past max_clone, where the clone cap would stop the closure first.
+#
 # Finished clones are kept between calls (_CLONES), keyed by signature, k, n
 # and the tables' bytes (tables of at most _LOOKUP_ENTRIES entries), not
 # element names.  An entry weighs one cell, k**n a function and one per table
@@ -531,6 +538,21 @@ def _append_first_new(
                 witnesses.append(app(name, tuple(witnesses[i] for i in args)))
 
 
+def _clone_bound(alg: FiniteAlgebra, n: int, limit: int) -> int:
+    """The product over the k**n points x of |Sg(x1..xn, constants)|, the most
+    functions an n-ary clone can hold, or a partial product past limit."""
+    sizes: Dict[int, int] = {}  # by the point's coordinate set, as a bitmask
+    bound = 1
+    for point in itertools.product(range(alg.size), repeat=n):
+        mask = sum(1 << x for x in set(point))
+        if mask not in sizes:
+            sizes[mask] = len(_generate(alg, point))
+        bound *= sizes[mask]
+        if bound > limit:
+            break
+    return bound
+
+
 def _closure_rounds(
     alg: FiniteAlgebra, n: int, caps: ResourceCaps
 ) -> Tuple[np.ndarray, List[Formula]]:
@@ -545,7 +567,8 @@ def _closure_rounds(
     appended, in candidate order, with its candidate as witness.  For a
     connective whose table is symmetric, a tuple that is not non-decreasing
     repeats a permutation listed before it in the same round and is
-    skipped.  The clone cap is checked after every grid.
+    skipped.  The clone cap is checked after every grid, and the closure
+    stops once the clone holds U functions, the subuniverse bound (see above).
     """
     if n < 0:
         raise ValueError(f"the number of variables must be at least 0, got {n}")
@@ -567,14 +590,18 @@ def _closure_rounds(
     connectives = [
         (name, _Operation(alg.table(name), k, layout.span)) for name, _ in alg.signature.proper_connectives
     ]
-    cells, round_start = max(1, _CELLS // layout.words), 0
-    while connectives and round_start < len(witnesses):
+    cells, round_start, bound = max(1, _CELLS // layout.words), 0, None
+    while connectives and round_start < len(witnesses) and len(witnesses) != bound:
         count = len(witnesses)
         codes = chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=1)
         chunks = [codes]
         if count**arity > _SMALL_ROUND:
+            if bound is None:
+                bound = _clone_bound(alg, n, caps.max_clone)
             for name, op in connectives:
                 for grid in _grids(op.arity, count, round_start, op.symmetric, cells):
+                    if len(witnesses) == bound:  # each later connective breaks at once too
+                        break
                     words = _grid_words(op, layout, codes, grid)
                     _append_first_new([(name, grid)], words, layout, seen, chunks, witnesses)
                     caps.check_clone(len(witnesses))

@@ -97,6 +97,18 @@ def test_small_clone_cap_raises(max_clone):
     assert (exc.value.cap, exc.value.limit) == ("max_clone", max_clone)
 
 
+def test_clone_cap_one_below_and_at_the_bound():
+    # L3's binary clone holds every function the subuniverse bound allows
+    alg = make_preset("L3").algebra
+    with pytest.raises(CapExceeded) as exc:
+        _clone_digest(alg, 2, ResourceCaps(max_clone=3887))
+    assert (exc.value.cap, exc.value.limit) == ("max_clone", 3887)
+    assert _clone_digest(alg, 2, ResourceCaps(max_clone=3888)) == (
+        3888,
+        "dd493835ac39f5c93f24872226a7b3d9a10c07f9e44c40e35416c8538a690344",
+    )
+
+
 def _if_then_else() -> FiniteAlgebra:
     # with the constant the clone is every Boolean function, reached over several rounds
     sig = Signature.of({"ite": 3, "¬": 1, "⊤": 0})
