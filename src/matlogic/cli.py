@@ -29,7 +29,7 @@ import re
 import sys
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import eqlogic, intprover, lang
 from .lang import (
@@ -346,17 +346,47 @@ def resolve_preset(name: str) -> mat_mod.Matrix:
     return mat_mod.make_preset(name)
 
 
+class _Shape(NamedTuple):
+    """The operands a command takes: their kind, as its refusals name it, and
+    how many, at least and at most (None: any number).  Every operand is an
+    atlas, and presets and --matrix operands are also matrices; a "matrix"
+    operand must be one."""
+
+    kind: str  # "matrix", "atlas" or "matrix or atlas"
+    least: int
+    most: Optional[int]
+
+    @property
+    def options(self) -> Tuple[str, ...]:
+        """The operand options its parser adds, each as the kind it names: none
+        where it takes no operand, and its parser adds --file alone."""
+        return ("preset", "matrix", "atlas") if self.most != 0 else ()
+
+
+_ONE_MATRIX = _Shape("matrix", 1, 1)
+_ONE_TARGET = _Shape("matrix or atlas", 1, 1)
+_TWO_MATRICES = _Shape("matrix", 2, 2)
+_TWO_ATLASES = _Shape("atlas", 2, 2)
+_MATRICES = _Shape("matrix", 0, None)
+_MATRIX_AT_MOST = _Shape("matrix", 0, 1)
+_NO_OPERAND = _Shape("matrix", 0, 0)  # --file alone, for the workspace's caps
+_NUMBERS = ("no", "one", "two")
+
+
 @dataclass
 class _Operands:
-    """Matrix/atlas operands in the order given on the command line."""
+    """A command's operands in command-line order, checked against its shape:
+    the atlases where its kind is "atlas", else the matrices, or the atlas where
+    a "matrix or atlas" operand is not a matrix."""
 
-    matrices: List[mat_mod.Matrix]
-    atlases: List[mat_mod.Atlas]
+    operands: list
     workspace: Optional[WorkspaceSpec]
     caps: ResourceCaps
 
 
 def _gather_operands(args: argparse.Namespace) -> _Operands:
+    """The command's operands, resolved in order, then checked against its
+    shape: the first refusal that applies is raised."""
     workspace = load_spec(args.file) if args.file else None
     caps = workspace.caps if workspace else ResourceCaps()
     matrices: List[mat_mod.Matrix] = []
@@ -375,7 +405,16 @@ def _gather_operands(args: argparse.Namespace) -> _Operands:
             if workspace is None or value not in workspace.atlases:
                 raise WorkspaceError("/atlases", f"unknown atlas {value!r}")
             atlases.append(workspace.atlases[value])
-    return _Operands(matrices, atlases, workspace, caps)
+    shape: _Shape = args.shape
+    count, most = len(atlases), shape.most or 0  # every operand is an atlas
+    number = f"{_NUMBERS[most]} {shape.kind} operand{'s' * (most > 1)}"
+    if shape.least == shape.most and (count != most or shape.kind == "matrix" and len(matrices) != most):
+        raise WorkspaceError("/", f"exactly {number} required")
+    if shape.kind == "matrix" and len(matrices) < count:
+        raise WorkspaceError("/", f"only {shape.kind} operands allowed")
+    if shape.most is not None and count > most:
+        raise WorkspaceError("/", f"at most {number} allowed")
+    return _Operands(atlases if shape.kind == "atlas" else matrices or atlases, workspace, caps)
 
 
 def _parse_assignment(text: str, alg: alg_mod.FiniteAlgebra) -> Dict[int, int]:
@@ -484,20 +523,10 @@ def _cmd_presets(args) -> Report:
     return Report("presets", "info", lines, ["B2", "B2c", "L3", "L3modal", "G<n>", "LC<n>"])
 
 
-def _operands(ops: _Operands, count: int, kind: str) -> list:
-    """The command's operands, which must be count of the kind named: "matrix",
-    "atlas", or "matrix or atlas" (the matrix, where one was named).  Every
-    operand is an atlas, and presets and --matrix operands are also matrices."""
-    if len(ops.atlases) != count or kind == "matrix" and len(ops.matrices) != count:
-        number = "one" if count == 1 else "two"
-        raise WorkspaceError("/", f"exactly {number} {kind} operand{'s' * (count > 1)} required")
-    return ops.atlases if kind == "atlas" else ops.matrices or ops.atlases
-
-
 def _cmd_eval(args, ops: _Operands) -> Report:
     from . import algebra as alg_mod
 
-    (m,) = _operands(ops, 1, "matrix")
+    (m,) = ops.operands
     f = parse_formula(args.formula, m.algebra.signature)
     assignment = _parse_assignment(args.assign, m.algebra)
     try:
@@ -514,7 +543,7 @@ def _cmd_eval(args, ops: _Operands) -> Report:
 def _cmd_valid(args, ops: _Operands) -> Report:
     from . import matrices as mat_mod
 
-    (target,) = _operands(ops, 1, "matrix or atlas")
+    (target,) = ops.operands
     alg = target.algebra
     f = parse_formula(args.formula, alg.signature)
     res = mat_mod.is_valid(target, f, ops.caps)
@@ -529,7 +558,7 @@ def _cmd_valid(args, ops: _Operands) -> Report:
 def _cmd_conseq(args, ops: _Operands) -> Report:
     from . import matrices as mat_mod
 
-    (target,) = _operands(ops, 1, "matrix or atlas")
+    (target,) = ops.operands
     alg = target.algebra
     premises = [parse_formula(p, alg.signature) for p in args.premise]
     conclusion = parse_formula(args.formula, alg.signature)
@@ -546,45 +575,25 @@ def _cmd_conseq(args, ops: _Operands) -> Report:
 def _cmd_trivial(args, ops: _Operands) -> Report:
     from . import decide
 
-    rep = decide.has_theorems(*_operands(ops, 1, "matrix"), ops.caps)
+    rep = decide.has_theorems(*ops.operands, ops.caps)
     out = _decision_to_report(rep, "trivial")
     if rep.answer == "no":
         out.lines = ["trivial: no theorems"]
     return out
 
 
-def _cmd_weq(args, ops: _Operands) -> Report:
+def _cmd_compare(decision: str, args, ops: _Operands) -> Report:
+    """The decide function named, on the command's two operands and its size."""
     from . import decide
 
-    m1, m2 = _operands(ops, 2, "matrix")
-    return _decision_to_report(decide.weak_equivalence(m1, m2, ops.caps, args.n), "weq")
-
-
-def _cmd_incl(args, ops: _Operands) -> Report:
-    from . import decide
-
-    m1, m2 = _operands(ops, 2, "matrix")
-    return _decision_to_report(decide.theorem_inclusion(m1, m2, ops.caps, args.n), "incl")
-
-
-def _cmd_atlas_incl(args, ops: _Operands) -> Report:
-    from . import decide
-
-    a1, a2 = _operands(ops, 2, "atlas")
-    return _decision_to_report(decide.atlas_inclusion(a1, a2, ops.caps, args.m), "atlas-incl")
-
-
-def _cmd_atlas_eq(args, ops: _Operands) -> Report:
-    from . import decide
-
-    a1, a2 = _operands(ops, 2, "atlas")
-    return _decision_to_report(decide.atlas_equivalence(a1, a2, ops.caps, args.m), "atlas-eq")
+    rep = getattr(decide, decision)(*ops.operands, ops.caps, args.size)
+    return _decision_to_report(rep, args.path)
 
 
 def _cmd_reps(args, ops: _Operands) -> Report:
     from . import lindenbaum
 
-    (m,) = _operands(ops, 1, "matrix")
+    (m,) = ops.operands
     reps = lindenbaum.representatives(m.algebra, args.n, ops.caps)
     lines = [f"representatives of {args.n}-variable formulas: {len(reps)}"]
     for tf in reps.entries:
@@ -598,7 +607,7 @@ def _cmd_free_algebra(args, ops: _Operands) -> Report:
     from . import lindenbaum
 
     # the representatives are the elements; no operation table is printed, so none is built
-    (m,) = _operands(ops, 1, "matrix")
+    (m,) = ops.operands
     reps = lindenbaum._free_elements(m.algebra, args.n, ops.caps).entries
     names = [str(tf.witness) for tf in reps]
     designated = sorted(str(tf.witness) for tf in reps if m.designated.issuperset(tf.table))
@@ -613,7 +622,7 @@ def _cmd_free_algebra(args, ops: _Operands) -> Report:
 def _cmd_congruence(args, ops: _Operands) -> Report:
     from . import matrices as mat_mod
 
-    (target,) = _operands(ops, 1, "matrix or atlas")
+    (target,) = ops.operands
     cong = mat_mod.greatest_compatible_congruence(target)
     alg = target.algebra
     blocks = [[alg.elements[e] for e in block] for block in cong.blocks()]
@@ -655,34 +664,24 @@ def _matrix_to_doc(m: mat_mod.Matrix, name: str) -> Dict[str, Any]:
 def _cmd_combine(args, ops: _Operands) -> Report:
     from . import matrices as mat_mod
 
-    m1, m2 = _operands(ops, 2, "matrix")
+    m1, m2 = ops.operands
     combined = mat_mod.combine_matrices(args.kind, m1, m2)
     doc = _matrix_to_doc(combined, f"{args.kind}")
     text = json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2)
     return Report("combine", "info", [text], doc, {"kind": args.kind, "size": combined.algebra.size})
 
 
-def _eq_matrices(ops: _Operands) -> List[mat_mod.Matrix]:
-    """An eq command's operands, whose algebras it reads: each must be a matrix."""
-    if len(ops.atlases) > len(ops.matrices):
-        raise WorkspaceError("/", "only matrix operands allowed")
-    return ops.matrices
-
-
 def _eq_signature(ops: _Operands) -> Signature:
-    """The signature of the one matrix operand, if any, else of the workspace."""
-    matrices = _eq_matrices(ops)
-    if len(matrices) > 1:
-        raise WorkspaceError("/", "at most one matrix operand allowed")
-    if matrices:
-        return matrices[0].algebra.signature
+    """The signature of the matrix operand, if any, else of the workspace."""
+    if ops.operands:
+        return ops.operands[0].algebra.signature
     if ops.workspace is not None:
         return ops.workspace.signature
     return BOOLEAN_SIGNATURE
 
 
 def _eq_algebras(args, ops: _Operands) -> List[alg_mod.FiniteAlgebra]:
-    algebras = [m.algebra for m in _eq_matrices(ops)]
+    algebras = [m.algebra for m in ops.operands]
     if ops.workspace is not None:
         for name in args.algebra:
             if name not in ops.workspace.algebras:
@@ -820,17 +819,9 @@ def _int_formula(text: str) -> Formula:
     return intprover.expand_iff(parse_formula(text, CLASSICAL_SIGNATURE))
 
 
-def _int_caps(ops: _Operands) -> ResourceCaps:
-    """The caps of an int command, which reads --file for them and takes no operand."""
-    if ops.atlases:
-        raise WorkspaceError("/", "no matrix or atlas operand allowed")
-    return ops.caps
-
-
 def _cmd_int_prove(args, ops: _Operands) -> Report:
-    caps = _int_caps(ops)
     f = _int_formula(args.formula)
-    tree = intprover.g3_prove((), f, caps)
+    tree = intprover.g3_prove((), f, ops.caps)
     if tree is None:
         return Report("int prove", "no", [f"unprovable: {f}"])
     if not intprover.check_proof(tree):
@@ -841,10 +832,9 @@ def _cmd_int_prove(args, ops: _Operands) -> Report:
 
 
 def _cmd_int_relation(args, ops: _Operands) -> Report:
-    caps = _int_caps(ops)
     f = _int_formula(args.formula)
     g = _int_formula(args.other)
-    rel = intprover.int_relation(f, g, caps)
+    rel = intprover.int_relation(f, g, ops.caps)
     lines = [f"relation between {f} and {g}:"]
     for key in ("leq", "geq", "sim", "ll", "incomparable"):
         lines.append(f"  {key}: {rel[key]}")
@@ -860,9 +850,8 @@ def _cmd_int_rn(args) -> Report:
 
 
 def _cmd_int_classify(args, ops: _Operands) -> Report:
-    caps = _int_caps(ops)
     f = _int_formula(args.formula)
-    cls = intprover.rn_classify(f, caps=caps)
+    cls = intprover.rn_classify(f, caps=ops.caps)
     if cls is None:
         return Report("int classify", "no", [f"no ladder class found for {f}"])
     return Report(
@@ -871,9 +860,8 @@ def _cmd_int_classify(args, ops: _Operands) -> Report:
 
 
 def _cmd_int_glivenko(args, ops: _Operands) -> Report:
-    caps = _int_caps(ops)
     f = parse_formula(args.formula, CLASSICAL_SIGNATURE)
-    res = intprover.glivenko_check(f, caps)
+    res = intprover.glivenko_check(f, ops.caps)
     answer = "yes" if res["agree"] else "no"
     lines = [
         f"classically valid: {res['classically_valid']}",
@@ -887,73 +875,77 @@ def _cmd_int_glivenko(args, ops: _Operands) -> Report:
 # argument parsing
 
 
-# Every command, declared once: its path, its handler, whether it takes matrix
-# and atlas operands, and its own arguments as (name or flag, add_argument
-# keywords), added in this order after --json and the operand options.  A
-# command that takes operands gets --file, --preset, --matrix and --atlas, and
-# run_command gathers them before it calls handler(args, operands); any other
-# handler is called as handler(args).
+# the size option of weq and incl (--n) and of atlas-incl and atlas-eq (--m)
+_SIZE_N = ("--n", {"type": int, "dest": "size", "metavar": "N"})
+_SIZE_M = ("--m", {"type": int, "dest": "size", "metavar": "M"})
+
+# Every command, declared once: its path, its handler, its operand shape, and
+# its own arguments as (name or flag, add_argument keywords), added in this
+# order after --json, --file and the operand options its shape declares.
+# run_command gathers a command's operands and checks them against its shape
+# before it calls handler(args, operands); a command whose shape is None takes
+# no --file, and its handler is called as handler(args).
 _COMMANDS = (
-    ("presets", _cmd_presets, False, ()),
-    ("eval", _cmd_eval, True, (("formula", {}), ("--assign", {"default": ""}))),
-    ("valid", _cmd_valid, True, (("formula", {}),)),
-    ("conseq", _cmd_conseq, True, (
+    ("presets", _cmd_presets, None, ()),
+    ("eval", _cmd_eval, _ONE_MATRIX, (("formula", {}), ("--assign", {"default": ""}))),
+    ("valid", _cmd_valid, _ONE_TARGET, (("formula", {}),)),
+    ("conseq", _cmd_conseq, _ONE_TARGET, (
         ("formula", {}), ("--premise", {"action": "append", "default": []}),
     )),
-    ("trivial", _cmd_trivial, True, ()),
-    ("weq", _cmd_weq, True, (("--n", {"type": int}),)),
-    ("incl", _cmd_incl, True, (("--n", {"type": int}),)),
-    ("atlas-incl", _cmd_atlas_incl, True, (("--m", {"type": int}),)),
-    ("atlas-eq", _cmd_atlas_eq, True, (("--m", {"type": int}),)),
-    ("reps", _cmd_reps, True, (("--n", {"type": int, "default": 1}),)),
-    ("free-algebra", _cmd_free_algebra, True, (("--n", {"type": int, "default": 1}),)),
-    ("congruence", _cmd_congruence, True, ()),
-    ("combine", _cmd_combine, True, (("kind", {"choices": COMBINE_KINDS}),)),
-    ("eq conseq", _cmd_eq_conseq, True, (
+    ("trivial", _cmd_trivial, _ONE_MATRIX, ()),
+    ("weq", functools.partial(_cmd_compare, "weak_equivalence"), _TWO_MATRICES, (_SIZE_N,)),
+    ("incl", functools.partial(_cmd_compare, "theorem_inclusion"), _TWO_MATRICES, (_SIZE_N,)),
+    ("atlas-incl", functools.partial(_cmd_compare, "atlas_inclusion"), _TWO_ATLASES, (_SIZE_M,)),
+    ("atlas-eq", functools.partial(_cmd_compare, "atlas_equivalence"), _TWO_ATLASES, (_SIZE_M,)),
+    ("reps", _cmd_reps, _ONE_MATRIX, (("--n", {"type": int, "default": 1}),)),
+    ("free-algebra", _cmd_free_algebra, _ONE_MATRIX, (("--n", {"type": int, "default": 1}),)),
+    ("congruence", _cmd_congruence, _ONE_TARGET, ()),
+    ("combine", _cmd_combine, _TWO_MATRICES, (("kind", {"choices": COMBINE_KINDS}),)),
+    ("eq conseq", _cmd_eq_conseq, _MATRICES, (
         ("equality", {}),
         ("--mode", {"choices": ("E", "EL"), "default": "E"}),
         ("--premise", {"action": "append", "default": []}),
         ("--algebra", {"action": "append", "default": []}),
     )),
-    ("eq derive-check", _cmd_eq_derive_check, True, (
+    ("eq derive-check", _cmd_eq_derive_check, _MATRIX_AT_MOST, (
         ("derivation", {}), ("--premise", {"action": "append", "default": []}),
     )),
-    ("eq ground", _cmd_eq_ground, True, (
+    ("eq ground", _cmd_eq_ground, _MATRIX_AT_MOST, (
         ("equality", {}), ("--premise", {"action": "append", "default": []}),
     )),
-    ("eq bridge", _cmd_eq_bridge, True, (
+    ("eq bridge", _cmd_eq_bridge, _MATRIX_AT_MOST, (
         ("equality", {}),
         ("--target", {"choices": ("EB", "EH"), "required": True}),
         ("--premise", {"action": "append", "default": []}),
     )),
-    ("int prove", _cmd_int_prove, True, (("formula", {}),)),
-    ("int relation", _cmd_int_relation, True, (("formula", {}), ("other", {}))),
-    ("int rn", _cmd_int_rn, False, (("index", {}),)),
-    ("int classify", _cmd_int_classify, True, (("formula", {}),)),
-    ("int glivenko", _cmd_int_glivenko, True, (("formula", {}),)),
+    ("int prove", _cmd_int_prove, _NO_OPERAND, (("formula", {}),)),
+    ("int relation", _cmd_int_relation, _NO_OPERAND, (("formula", {}), ("other", {}))),
+    ("int rn", _cmd_int_rn, None, (("index", {}),)),
+    ("int classify", _cmd_int_classify, _NO_OPERAND, (("formula", {}),)),
+    ("int glivenko", _cmd_int_glivenko, _NO_OPERAND, (("formula", {}),)),
 )
 
 
 def _add_arguments(
-    parser: argparse.ArgumentParser, handler, operands: bool, arguments
+    parser: argparse.ArgumentParser, path: str, handler, shape: Optional[_Shape], arguments
 ) -> argparse.ArgumentParser:
-    """Adds a command's arguments, from its _COMMANDS row, to its parser."""
+    """Adds a command's arguments, from its _COMMANDS row, to its parser: --json,
+    then --file and the operand options of its shape, if it has one, then its own."""
     parser.add_argument("--json", action="store_true")
-    if operands:
+    if shape is not None:
         parser.add_argument("--file")
         # one list of (kind, name) pairs keeps the operands in command-line order
-        for kind in ("preset", "matrix", "atlas"):
+        for kind in shape.options:
             parser.add_argument(
                 f"--{kind}",
                 action="append",
-                default=[],
                 dest="operands",
                 metavar=kind.upper(),
                 type=lambda value, kind=kind: (kind, value),
             )
     for flag, keywords in arguments:
         parser.add_argument(flag, **keywords)
-    parser.set_defaults(func=handler)
+    parser.set_defaults(func=handler, path=path, shape=shape, operands=[])
     return parser
 
 
@@ -963,8 +955,8 @@ def _build_parser() -> argparse.ArgumentParser:
     names no command, asks for root or group help, or leaves arguments over."""
     p = argparse.ArgumentParser(prog="matlogic", description=__doc__)
     groups = {"": p.add_subparsers(dest="command")}
-    for path, *row in _COMMANDS:
-        group, _, name = path.rpartition(" ")
+    for row in _COMMANDS:
+        group, _, name = row[0].rpartition(" ")
         if group not in groups:
             groups[group] = groups[""].add_parser(group).add_subparsers(dest=f"{group}_command")
         _add_arguments(groups[group].add_parser(name), *row)
@@ -973,8 +965,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-# command path as argv words -> its _COMMANDS row less the path
-_ROWS = {tuple(path.split()): row for path, *row in _COMMANDS}
+# command path as argv words -> its _COMMANDS row
+_ROWS = {tuple(row[0].split()): row for row in _COMMANDS}
 
 
 @functools.lru_cache(maxsize=None)
@@ -1010,8 +1002,8 @@ def _answer(argv: Sequence[str]) -> Tuple[int, str]:
     if func is None:
         return 2, _build_parser().format_usage().rstrip()
     try:
-        # only the commands that take operands have args.operands
-        report: Report = func(args, _gather_operands(args)) if "operands" in args else func(args)
+        # a command with an operand shape gets its checked operands
+        report: Report = func(args) if args.shape is None else func(args, _gather_operands(args))
         text = report.render(args.json)
     except (WorkspaceError, ParseError, ValueError, KeyError) as exc:
         return 2, f"error: {exc}"

@@ -648,9 +648,10 @@ class TestOperands:
         ids=lambda a: " ".join(a[:2] + [w for w in a if w.startswith("--")]),
     )
     def test_int_commands_refuse_every_operand(self, argv):
-        # they read --file for its caps alone
-        want = (2, "error: /: no matrix or atlas operand allowed")
-        assert run_command([*argv, "--file", CORPUS_WS]) == want
+        # they take --file alone, for its caps, so argparse refuses every operand option
+        surplus = " ".join(argv[next(i for i, a in enumerate(argv) if a.startswith("--")):])
+        code, text = run_command([*argv, "--file", CORPUS_WS])
+        assert (code, text.splitlines()[-1]) == (2, f"matlogic: error: unrecognized arguments: {surplus}")
 
     @pytest.mark.parametrize(
         "argv",
@@ -700,6 +701,36 @@ class TestOperands:
     def test_eq_and_int_commands_keep_the_operands_they_read(self, argv, want):
         assert run_command([*argv, "--file", CORPUS_WS]) == want
 
+    @pytest.mark.parametrize("row", _COMMANDS, ids=lambda row: row[0])
+    def test_each_row_declares_the_operands_its_command_takes(self, row):
+        path, _, shape, arguments = row
+        parser = cli._command_parser(tuple(path.split()))
+        kinds = ("preset", "matrix", "atlas")
+        offered = {o[2:] for o in parser._option_string_actions if o[2:] in ("file", *kinds)}
+        assert offered == (set() if shape is None else {"file", *shape.options})
+        # a value for each positional argument and required option: no handler reads them,
+        # for the operands are checked before it runs
+        argv = path.split()
+        for flag, keywords in arguments:
+            value = keywords.get("choices", ["p1"])[0]
+            if not flag.startswith("--"):
+                argv.append(value)
+            elif keywords.get("required"):
+                argv += [flag, value]
+        operand = {"preset": ["--preset", "B2"], "matrix": ["--matrix", "M"], "atlas": ["--atlas", "T"]}
+        if shape is not None:  # as many operands as it takes, or as few where there is no most
+            most = operand["atlas" if shape.kind == "atlas" else "matrix"] * (shape.most or shape.least)
+            argv += ["--file", CORPUS_WS, *most]
+        for kind in kinds:
+            code, text = run_command([*argv, *operand[kind]])
+            if shape is None or kind not in shape.options:
+                unrecognized = f"matlogic: error: unrecognized arguments: {' '.join(operand[kind])}"
+                assert (code, text.splitlines()[-1]) == (2, unrecognized)
+            elif (want := _surplus_refusal(shape, kind)) is not None:
+                assert (code, text) == want
+            else:  # no surplus: the command goes on to read its arguments
+                assert not text.startswith("error: /: ")
+
     def test_atlas_operand(self, tmp_path):
         doc = copy.deepcopy(EX_NONTR_DOC)
         doc["atlases"] = {"T": {"algebra": "A", "filters": [["1"], ["1/2", "1"]]}}
@@ -738,6 +769,20 @@ class TestOperands:
         )
         assert code == 1
         assert "counterexample sequent" in text
+
+
+def _surplus_refusal(shape, kind):
+    """The answer of a command of this operand shape to one operand of the kind
+    named beyond the most it takes, or None if it takes any number of them."""
+    number = {1: "one", 2: "two"}
+    if shape.least == shape.most:
+        plural = "s" * (shape.most > 1)
+        return 2, f"error: /: exactly {number[shape.most]} {shape.kind} operand{plural} required"
+    if shape.kind == "matrix" and kind == "atlas":
+        return 2, "error: /: only matrix operands allowed"
+    if shape.most is not None:
+        return 2, f"error: /: at most {number[shape.most]} {shape.kind} operand allowed"
+    return None
 
 
 @pytest.mark.parametrize(
@@ -799,6 +844,7 @@ def _fresh(argv, script=_FRESH):
         (["eq", "ground", "p1 & p2 ~ p2 & p1"], 1),
         (["eq", "bridge", "p1 & p2 ~ p2 & p1", "--target", "EH"], 0),
         (["int", "prove", "--file", CORPUS_WS, "p1 -> p1"], 0),
+        (["int", "prove", "p1 -> p1", "--preset", "L3"], 2),
         (["eq", "ground", "--file", CORPUS_WS, "p1 ~ p1"], 0),
     ],
 )
